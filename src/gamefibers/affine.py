@@ -1,46 +1,54 @@
 """Exact level-set analysis for games that are affine in every player's
 strategy jointly.
 
-A multilinear payoff map is jointly affine exactly when every pairwise
-interaction vanishes: for any two players, any two strategies of each, any
-payoff component, and any fixed choice of the remaining players, the cross
-second difference of the stored payoffs is zero.  For such games the
-payoff map on the reduced chart is matrix * r + offset, and its level sets
-are translates of the matrix kernel, with dimension given by rank-nullity.
+The payoff tensor splits around an anchor, the profile where every player
+plays their last strategy: offset (the payoff there), plus one effect per
+player and strategy (the payoff with only that player moved, minus the
+offset), plus a residual.  The game is jointly affine exactly when the
+residual vanishes; ``AFFINITY_TOL`` bounds its entries, which bounds every
+cross second difference by 4 * AFFINITY_TOL, while cross differences of at
+most tol leave a residual of at most n(n-1)/2 * tol.  The payoff map on the
+reduced chart is then matrix * r + offset, the columns being the effects of
+non-last strategies, and its level sets are translates of the matrix
+kernel, with dimension given by rank-nullity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .games import GameSpec, _payoff_reduced, is_zero_sum
+from .games import GameSpec, is_zero_sum
 from .fibers import nullspace, numerical_rank
 
 AFFINITY_TOL = 1e-9
 LEVEL_SET_RESIDUAL = 1e-8
 
 
-def is_jointly_affine(g: GameSpec, tol: float = AFFINITY_TOL) -> bool:
-    """True iff no payoff component has any pairwise strategy interaction.
-
-    Complete combinatorial check of every cross second difference over the
-    tensor, so at desk scale the answer is a certificate, not a sample.
-    """
+def _decompose(g: GameSpec) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """Offset, per-player effects (shape (m_p, n), last row zero) and the
+    largest residual entry of the payoff tensor, anchored at the
+    all-last-strategy profile."""
     payoffs = g.payoffs
-    if not np.all(np.isfinite(payoffs)):
-        raise ValueError("affinity test needs a complete, finite payoff tensor")
-    for p, q in combinations(range(g.n), 2):
-        t = np.moveaxis(payoffs, (p, q), (0, 1))
-        for a, a2 in combinations(range(g.m[p]), 2):
-            for b, b2 in combinations(range(g.m[q]), 2):
-                cross = t[a, b] - t[a, b2] - t[a2, b] + t[a2, b2]
-                if np.abs(cross).max() > tol:
-                    return False
-    return True
+    if 0 in g.m or not np.all(np.isfinite(payoffs)):
+        raise ValueError("affinity test needs a nonempty, complete, finite payoff tensor")
+    anchor = tuple(mi - 1 for mi in g.m)
+    offset = payoffs[anchor].copy()
+    effects = [payoffs[anchor[:p] + (slice(None),) + anchor[p + 1:]] - offset
+               for p in range(g.n)]
+    residual = payoffs - offset          # the one tensor-sized temporary
+    for p, effect in enumerate(effects):
+        residual -= np.expand_dims(effect, [q for q in range(g.n) if q != p])
+    return offset, effects, float(np.abs(residual, out=residual).max())
+
+
+def is_jointly_affine(g: GameSpec, tol: float = AFFINITY_TOL) -> bool:
+    """True iff the payoff tensor is offset plus per-player effects, up to
+    a residual of at most ``tol`` at every pure profile (a certificate, not
+    a sample).  A game without pure profiles is affine."""
+    return 0 in g.m or _decompose(g)[2] <= tol
 
 
 @dataclass(frozen=True)
@@ -71,23 +79,16 @@ def extract_affine(g: GameSpec, use_zero_sum_reduction: bool = False,
                    tol: float = AFFINITY_TOL) -> AffineRepresentation:
     """Exact affine representation of a jointly-affine game.
 
-    The offset is the payoff at the chart origin and column j of the matrix
-    is the payoff difference along the j-th chart direction; for an affine
-    map these finite differences are the exact coefficients.
+    The offset is the payoff at the chart origin (the anchor) and column j
+    of the matrix is the payoff difference along the j-th chart direction
+    (an effect); for an affine map these are the exact coefficients.
     """
-    if not is_jointly_affine(g, tol):
+    offset, effects, largest_residual = _decompose(g)
+    if largest_residual > tol:
         raise ValueError("not jointly affine: the payoff map has strategy interactions")
     if use_zero_sum_reduction and not is_zero_sum(g):
         raise ValueError("not zero-sum: cannot apply the zero-sum reduction")
-    dim = g.reduced_dim
-    origin = np.zeros(dim)
-    offset = _payoff_reduced(g, origin)
-    cols = []
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = 1.0
-        cols.append(_payoff_reduced(g, e) - offset)
-    matrix = np.column_stack(cols) if cols else np.zeros((g.n, 0))
+    matrix = np.hstack([effect[:-1].T for effect in effects])
     if use_zero_sum_reduction:
         matrix = matrix[:-1]
         offset = offset[:-1]
@@ -95,23 +96,25 @@ def extract_affine(g: GameSpec, use_zero_sum_reduction: bool = False,
                                 zero_sum_reduced=use_zero_sum_reduction)
 
 
+def _chart_box(g: GameSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The chart's box constraints as (shift, rows): a chart point r embeds
+    into the simplex iff every entry of shift + rows @ r lies in [0, 1].
+    One row per chart coordinate, then one per player for the implied last
+    coordinate, 1 minus the sum of that player's chart coordinates."""
+    owner = np.repeat(np.arange(g.n), [mi - 1 for mi in g.m])
+    implied = -1.0 * (owner == np.arange(g.n)[:, None])
+    return (np.concatenate([np.zeros(owner.size), np.ones(g.n)]),
+            np.vstack([np.eye(owner.size), implied]))
+
+
 def _simplex_feasible(g: GameSpec, matrix: np.ndarray, rhs: np.ndarray) -> bool:
-    """Whether matrix * r = rhs has a solution with embed(r) inside the
-    simplex boxes.  Small LP feasibility problem: chart coordinates in
-    [0, 1] and each implied last coordinate in [0, 1]."""
-    dim = matrix.shape[1]
-    a_ub = []
-    b_ub = []
-    pos = 0
-    for mi in g.m:
-        row = np.zeros(dim)
-        row[pos:pos + mi - 1] = 1.0
-        a_ub.append(row)            # implied last coordinate >= 0
-        b_ub.append(1.0)
-        pos += mi - 1
-    res = linprog(c=np.zeros(dim), A_eq=matrix, b_eq=rhs,
-                  A_ub=np.vstack(a_ub), b_ub=np.array(b_ub),
-                  bounds=[(0.0, 1.0)] * dim, method="highs")
+    """Whether matrix * r = rhs has a solution inside the chart's box
+    constraints: a small LP feasibility problem."""
+    shift, rows = _chart_box(g)
+    res = linprog(c=np.zeros(matrix.shape[1]), A_eq=matrix, b_eq=rhs,
+                  A_ub=np.vstack([rows, -rows]),
+                  b_ub=np.concatenate([1.0 - shift, shift]),
+                  bounds=(None, None), method="highs")
     return bool(res.success)
 
 
@@ -152,19 +155,10 @@ def simplex_interval(g: GameSpec, base, direction,
     into the segment actually contained in the strategy space.  Returns
     None when the line misses the simplex.
     """
-    base = np.asarray(base, dtype=float)
-    direction = np.asarray(direction, dtype=float)
+    shift, rows = _chart_box(g)
     lo, hi = -np.inf, np.inf
-    pos = 0
-    constraints = []
-    for mi in g.m:
-        span = slice(pos, pos + mi - 1)
-        for c0, c1 in zip(base[span], direction[span]):
-            constraints.append((float(c0), float(c1)))
-        constraints.append((1.0 - float(base[span].sum()),
-                            -float(direction[span].sum())))
-        pos += mi - 1
-    for c0, c1 in constraints:
+    for c0, c1 in zip(shift + rows @ np.asarray(base, dtype=float),
+                      rows @ np.asarray(direction, dtype=float)):
         if abs(c1) < tol:
             if c0 < -tol or c0 > 1.0 + tol:
                 return None

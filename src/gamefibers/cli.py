@@ -20,6 +20,7 @@ import numpy as np
 
 from .affine import extract_affine, is_jointly_affine
 from .equilibria import (
+    SUPPORT_MAX_STRATEGIES,
     find_equilibrium,
     pure_equilibria,
     support_enumeration,
@@ -197,7 +198,7 @@ def _cmd_equilibria(args, read_stdin):
         label = ",".join(g.label(i, j) for i, j in enumerate(vertex))
         lines.append(f"pure: {label} epsilon={format_number(rep.epsilon)}")
         data["pure"].append({"profile": list(vertex), "epsilon": rep.epsilon})
-    if g.n == 2 and max(g.m) <= 6:
+    if g.n == 2 and max(g.m) <= SUPPORT_MAX_STRATEGIES:
         for rep in support_enumeration(g, eps=args.eps):
             lines.append(f"mixed: {_profile_str(rep.profile)} "
                          f"epsilon={format_number(rep.epsilon)}")

@@ -22,7 +22,6 @@ from .games import (
     StrategyProfile,
     _require_match,
     deviation_payoffs,
-    expected_payoff,
     pure_profile,
     random_interior_profile,
     total_payoff,
@@ -52,18 +51,17 @@ def best_response_gap(g: GameSpec, s: StrategyProfile, player: int) -> float:
     The maximum over pure replacements of the payoff gain, clamped at zero;
     linearity in the player's own block makes pure replacements sufficient.
     """
-    _require_match(g, s)
     if not 0 <= player < g.n:
         raise IndexError(f"player index {player} out of range")
-    dev = deviation_payoffs(g, s, player)[:, player]
-    return max(0.0, float(dev.max() - expected_payoff(g, s, player)))
+    phis, _ = _improvement(g, s)
+    return float(phis[player].max())
 
 
 def verify_equilibrium(g: GameSpec, s: StrategyProfile, eps: float) -> EquilibriumReport:
     """Gap report for a profile; converged iff no player can improve by
     more than eps."""
-    gaps = np.array([best_response_gap(g, s, i) for i in range(g.n)])
-    epsilon = float(gaps.max())
+    phis, epsilon = _improvement(g, s)
+    gaps = np.array([float(phi.max()) for phi in phis])
     return EquilibriumReport(profile=s, gaps=gaps, epsilon=epsilon,
                              method="verified_input", converged=epsilon <= eps)
 
@@ -105,8 +103,12 @@ def nash_map(g: GameSpec, s: StrategyProfile) -> StrategyProfile:
     """
     _require_match(g, s)
     phis, _ = _improvement(g, s)
-    return StrategyProfile([(b + phi) / (1.0 + phi.sum())
-                            for b, phi in zip(s.blocks, phis)])
+    return StrategyProfile(_mapped_blocks(s, phis))
+
+
+def _mapped_blocks(s: StrategyProfile, phis) -> list[np.ndarray]:
+    """The Nash-map image of each block, given the profile's gains."""
+    return [(b + phi) / (1.0 + phi.sum()) for b, phi in zip(s.blocks, phis)]
 
 
 def _nearest_vertex(s: StrategyProfile) -> tuple[int, ...]:
@@ -136,9 +138,8 @@ def _search_from(g: GameSpec, start: StrategyProfile, max_iter: int,
                 break
         if it == max_iter:
             break
-        mapped = [(b + phi) / (1.0 + phi.sum()) for b, phi in zip(cur.blocks, phis)]
         cur = StrategyProfile([(1.0 - DAMPING) * b + DAMPING * mb
-                               for b, mb in zip(cur.blocks, mapped)])
+                               for b, mb in zip(cur.blocks, _mapped_blocks(cur, phis))])
     return best_profile, best_gap
 
 

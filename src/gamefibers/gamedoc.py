@@ -24,11 +24,10 @@ reproduces canonical bytes exactly.
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
-from .games import MAX_PROFILES, GameSpec, validate_game
+from .games import GameSpec, _check_profile_count, validate_game
 
 
 class GameFormatError(ValueError):
@@ -98,13 +97,14 @@ def parse_game(doc: bytes | str) -> GameSpec:
         labels.append(strategies)
     n = len(names)
     m = tuple(len(row) for row in labels)
-    if math.prod(m) > MAX_PROFILES:
-        raise GameFormatError(f"game too large: {math.prod(m)} pure profiles")
+    try:
+        _check_profile_count(m)
+    except ValueError as exc:
+        raise GameFormatError(str(exc)) from exc
     payoff_entries = data.get("payoffs")
     if not isinstance(payoff_entries, list):
         raise GameFormatError('"payoffs" must be a list')
     entries = []
-    seen = set()
     for k, entry in enumerate(payoff_entries):
         if not isinstance(entry, dict) or set(entry) != {"profile", "values"}:
             raise GameFormatError(f"payoff entry {k} must have exactly profile and values")
@@ -113,28 +113,24 @@ def parse_game(doc: bytes | str) -> GameSpec:
         if not isinstance(profile, list) or len(profile) != n:
             raise GameFormatError(f"payoff entry {k}: profile must list {n} strategy indices")
         idx = tuple(_index(j, f"payoff entry {k}: strategy index") for j in profile)
-        for player, j in enumerate(idx):
-            if not 0 <= j < m[player]:
-                raise GameFormatError(
-                    f"payoff entry {k}: strategy index {j} out of range for player {player}")
-        if idx in seen:
-            raise GameFormatError(f"duplicate profile {list(idx)}")
-        seen.add(idx)
         if not isinstance(values, list) or len(values) != n:
             raise GameFormatError(
                 f"payoff entry {k}: player count mismatch in values "
                 f"(got {len(values) if isinstance(values, list) else 'non-list'}, need {n})")
         vals = [_number(v, f"payoff entry {k}: value") for v in values]
         entries.append((idx, vals))
-    missing = [idx for idx in np.ndindex(*m) if idx not in seen]
-    if missing:
-        raise GameFormatError(f"missing profile {list(missing[0])} "
-                              f"({len(missing)} of {math.prod(m)} profiles absent)")
     meta = data.get("meta")
     if meta is not None and not isinstance(meta, dict):
         raise GameFormatError('"meta" must be an object')
-    return GameSpec.from_entries(m, entries, player_names=names,
-                                 strategy_labels=labels, meta=meta)
+    try:
+        g = GameSpec.from_entries(m, entries, player_names=names,
+                                  strategy_labels=labels, meta=meta)
+    except ValueError as exc:
+        raise GameFormatError(str(exc)) from exc
+    if g.missing:
+        raise GameFormatError(f"missing profile {list(min(g.missing))} "
+                              f"({len(g.missing)} of {g.num_profiles} profiles absent)")
+    return g
 
 
 def format_number(x) -> str:
@@ -219,8 +215,7 @@ def random_game(n: int, m, seed: int, zero_sum: bool = False,
         raise ValueError(f"need {n} strategy counts, got {len(m)}")
     if any(mi < 2 for mi in m):
         raise ValueError("every player needs at least 2 pure strategies")
-    if math.prod(m) > MAX_PROFILES:
-        raise ValueError(f"game too large: {math.prod(m)} pure profiles")
+    _check_profile_count(m)
     if seed < 0:
         raise ValueError("seed must be non-negative")
     rng = np.random.default_rng(seed)

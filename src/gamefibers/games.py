@@ -24,6 +24,14 @@ TAU_EVAL = 1e-10      # default tolerance for payoff identities (zero-sum etc.)
 MAX_PROFILES = 10 ** 6
 
 
+def _check_profile_count(m) -> None:
+    """Refuse more than MAX_PROFILES pure profiles, before any allocation."""
+    n_profiles = math.prod(m)
+    if n_profiles > MAX_PROFILES:
+        raise ValueError(
+            f"game too large: {n_profiles} pure profiles (limit {MAX_PROFILES})")
+
+
 class GameSpec:
     """Immutable normal-form game.
 
@@ -45,10 +53,7 @@ class GameSpec:
         arr = np.array(payoffs, dtype=float)
         if arr.ndim < 2:
             raise ValueError("payoff tensor needs player axes plus a trailing payoff axis")
-        n_profiles = math.prod(arr.shape[:-1])
-        if n_profiles > MAX_PROFILES:
-            raise ValueError(
-                f"game too large: {n_profiles} pure profiles (limit {MAX_PROFILES})")
+        _check_profile_count(arr.shape[:-1])
         arr.setflags(write=False)
         self.payoffs = arr
         self.player_names = (tuple(str(x) for x in player_names)
@@ -70,8 +75,9 @@ class GameSpec:
         """
         shape = tuple(int(x) for x in m)
         n = len(shape)
+        _check_profile_count(shape)
         arr = np.full(shape + (n,), np.nan)
-        seen = set()
+        seen = np.zeros(shape, dtype=bool)
         for profile, values in entries:
             idx = tuple(int(j) for j in profile)
             if len(idx) != n:
@@ -80,14 +86,14 @@ class GameSpec:
                 if not 0 <= j < shape[player]:
                     raise ValueError(
                         f"profile {idx}: strategy index {j} out of range for player {player}")
-            if idx in seen:
+            if seen[idx]:
                 raise ValueError(f"duplicate profile {idx}")
             vals = np.asarray(values, dtype=float)
             if vals.shape != (n,):
                 raise ValueError(f"profile {idx}: expected {n} payoff values")
             arr[idx] = vals
-            seen.add(idx)
-        missing = [idx for idx in np.ndindex(*shape) if idx not in seen]
+            seen[idx] = True
+        missing = np.argwhere(~seen).tolist()
         return cls(arr, player_names, strategy_labels, missing=missing, meta=meta)
 
     @property

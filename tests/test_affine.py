@@ -30,6 +30,75 @@ def test_affinity_matches_loop_oracle():
         assert gf.is_jointly_affine(general) == loop_is_jointly_affine(general, 1e-9)
 
 
+def test_affinity_tolerance_bounds_against_loop_oracle():
+    # The residual test and the cross-difference oracle bound each other:
+    # max|cross| <= 4 * max|residual| and max|residual| <= n(n-1)/2 * max|cross|.
+    # A single perturbed entry away from the anchor (all last strategies)
+    # moves both maxima by exactly its size, so there the decisions agree.
+    rng = np.random.default_rng(1100)
+    slack = 1e-12           # rounding in both computations
+    fired = {"residual": 0, "cross": 0}
+    for seed in range(40):
+        n = 2 + seed % 3
+        m = [2 + (seed + j) % 3 for j in range(n)]
+        payoffs = gf.random_game(n, m, seed=1100 + seed, jointly_affine=True).payoffs.copy()
+        size = 10.0 ** rng.uniform(-11.0, -7.0)
+        at = tuple(int(rng.integers(mi)) for mi in m)
+        single = seed % 2 == 0 and at != tuple(mi - 1 for mi in m)
+        if seed % 2:
+            payoffs += size * rng.uniform(-1.0, 1.0, size=payoffs.shape)
+        else:
+            payoffs[at] += size
+        g = gf.GameSpec(payoffs)
+        for tol in (1e-10, 1e-9, 1e-8):
+            affine = gf.is_jointly_affine(g, tol)
+            if affine:
+                fired["residual"] += 1
+                assert loop_is_jointly_affine(g, 4 * tol + slack)
+            if loop_is_jointly_affine(g, tol):
+                fired["cross"] += 1
+                assert gf.is_jointly_affine(g, n * (n - 1) / 2 * tol + slack)
+            if single and abs(size - tol) > 1e-3 * tol:
+                assert affine == (size <= tol)
+    assert min(fired.values()) >= 10
+
+
+def test_affinity_of_degenerate_shapes():
+    for shape in [(0, 2, 2), (2, 0, 2), (2, 3, 0, 3)]:     # an empty strategy set
+        g = gf.GameSpec(np.zeros(shape))
+        assert gf.is_jointly_affine(g)
+        with pytest.raises(ValueError):
+            gf.extract_affine(g)
+    # three payoff components for two players
+    additive = np.arange(2.0)[:, None, None] + np.arange(3.0)[None, :, None] * [1.0, 2.0, 3.0]
+    assert gf.is_jointly_affine(gf.GameSpec(additive))
+    interacting = additive.copy()
+    interacting[0, 0, 2] += 1.0
+    assert not gf.is_jointly_affine(gf.GameSpec(interacting))
+
+
+def test_extract_columns_are_pure_profile_differences():
+    for seed in range(12):
+        n = 2 + seed % 3
+        m = [2 + (seed + j) % 3 for j in range(n)]
+        g = gf.random_game(n, m, seed=1200 + seed, zero_sum=seed % 2 == 0,
+                           jointly_affine=True)
+        rep = gf.extract_affine(g)
+        anchor = [mi - 1 for mi in m]
+        offset = gf.total_payoff(g, gf.pure_profile(g, anchor))
+        assert np.array_equal(rep.offset, offset)
+        columns = []
+        for p, mi in enumerate(m):
+            for j in range(mi - 1):
+                moved = anchor[:p] + [j] + anchor[p + 1:]
+                columns.append(gf.total_payoff(g, gf.pure_profile(g, moved)) - offset)
+        assert np.array_equal(rep.matrix, np.column_stack(columns))
+        if seed % 2 == 0:
+            reduced = gf.extract_affine(g, use_zero_sum_reduction=True)
+            assert np.array_equal(reduced.matrix, rep.matrix[:-1])
+            assert np.array_equal(reduced.offset, rep.offset[:-1])
+
+
 def test_extract_bar_matrices(bar):
     rep = gf.extract_affine(bar, use_zero_sum_reduction=True)
     assert rep.matrix.tolist() == [[1.0, -1.0]]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,18 @@ def test_parse_rejects_bad_payoff_entries():
     non_integer = head + '{"profile": [0.5, 0], "values": [1, 2]}]}'
     with pytest.raises(GameFormatError, match="integer"):
         gf.parse_game(non_integer)
+
+
+def test_parse_names_first_missing_profile_and_rejects_huge_headers():
+    head = '{"players": [{"name": "a", "strategies": ["x", "y"]},' \
+           '{"name": "b", "strategies": ["x", "y"]}], "payoffs": ['
+    doc = head + '{"profile": [1, 1], "values": [1, 2]}, {"profile": [0, 0], "values": [1, 2]}]}'
+    with pytest.raises(GameFormatError, match=r"missing profile \[0, 1\] \(2 of 4"):
+        gf.parse_game(doc)
+    labels = json.dumps([f"s{j}" for j in range(101)])
+    players = ", ".join(f'{{"name": "p{i}", "strategies": {labels}}}' for i in range(3))
+    with pytest.raises(GameFormatError, match="game too large"):
+        gf.parse_game('{"players": [' + players + '], "payoffs": []}')
 
 
 def test_parse_keeps_non_finite_for_validation():

@@ -48,6 +48,12 @@ def test_game_too_large_rejected():
         gf.GameSpec(np.zeros((101, 101, 101, 3)))
 
 
+def test_from_entries_checks_size_before_allocating():
+    # 10**12 profiles: the payoff tensor could never be allocated
+    with pytest.raises(ValueError, match="game too large"):
+        gf.GameSpec.from_entries((10 ** 4,) * 3, [])
+
+
 def test_profile_probability_uniform_and_pure(rps):
     u = gf.uniform_profile(rps)
     for v in np.ndindex(*rps.m):
