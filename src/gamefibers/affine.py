@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .games import GameSpec, is_zero_sum
 from .fibers import nullspace, numerical_rank
@@ -109,7 +108,10 @@ def _chart_box(g: GameSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def _simplex_feasible(g: GameSpec, matrix: np.ndarray, rhs: np.ndarray) -> bool:
     """Whether matrix * r = rhs has a solution inside the chart's box
-    constraints: a small LP feasibility problem."""
+    constraints: a small LP feasibility problem.  scipy is imported here,
+    so only callers that reach the LP pay for it."""
+    from scipy.optimize import linprog
+
     shift, rows = _chart_box(g)
     res = linprog(c=np.zeros(matrix.shape[1]), A_eq=matrix, b_eq=rhs,
                   A_ub=np.vstack([rows, -rows]),

@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -53,6 +54,36 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
+
+
+def _finite(text: str) -> float:
+    """argparse type: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _finite_non_negative(text: str) -> float:
+    """argparse type: a finite float that is not negative."""
+    value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {text!r}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type: an int that is not negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {text!r}")
+    return value
 
 
 def _yn(flag: bool) -> str:
@@ -284,16 +315,16 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_analyze)
 
     p = add("equilibria", "pure, support-enumeration, and searched equilibria")
-    p.add_argument("--eps", type=float, default=1e-6)
+    p.add_argument("--eps", type=_finite_non_negative, default=1e-6)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_equilibria)
 
     p = add("trace", "walk inside a level set of the payoff map")
     p.add_argument("--start", required=True, help="starting profile (same syntax as eval)")
     p.add_argument("--direction", type=int, required=True)
-    p.add_argument("--step", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--step", type=_finite, required=True)
+    p.add_argument("--steps", type=_non_negative_int, required=True)
+    p.add_argument("--tol", type=_finite, default=1e-10)
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("gen", help="write a game document to stdout")

@@ -18,16 +18,31 @@ entry per pure profile:
 The writer is canonical: profiles in lexicographic order, integral numbers
 without a decimal point, other numbers in shortest round-trip decimal.
 Writing then parsing reproduces the game exactly, and parsing then writing
-reproduces canonical bytes exactly.
+reproduces canonical bytes exactly.  The writer formats the payoff tensor
+one row (one profile) at a time, with the rule of ``format_number``.
+
+The parser works a whole array at a time.  After ``json.loads`` it checks
+each payoff entry's structure (an object with exactly ``profile`` and
+``values``, both lists of one item per player), then the scalar types once
+over the flattened lists (indices are ints, values ints or floats, never
+booleans), and builds one index array and one float array from them.
+The fill it shares with ``GameSpec.from_entries`` then gives every entry
+one flat profile index, fills the tensor with one scatter and finds
+out-of-range, duplicate and missing profiles from the same indices.  Whatever fails, the error
+names the first entry at fault, as an entry-by-entry check would: type and
+structure errors first, then range and duplicate errors, then the first
+missing profile.  Hostile input (an integer beyond the float range, nesting
+deeper than the interpreter's recursion limit) raises GameFormatError too.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain, product
 
 import numpy as np
 
-from .games import GameSpec, _check_profile_count, validate_game
+from .games import GameSpec, _check_profile_count, _fill, validate_game
 
 
 class GameFormatError(ValueError):
@@ -41,16 +56,31 @@ class GameFormatError(ValueError):
         self.col = col
 
 
-def _number(x, what):
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise GameFormatError(f"{what} must be a number, got {x!r}")
-    return float(x)
+def _first_bad(flat, allowed):
+    """Position of the first scalar whose type is not in ``allowed``, or
+    None.  Types are matched exactly, so ``bool`` never passes for ``int``."""
+    if set(map(type, flat)) <= allowed:
+        return None
+    return next(i for i, x in enumerate(flat) if type(x) not in allowed)
 
 
-def _index(x, what):
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise GameFormatError(f"{what} must be an integer, got {x!r}")
-    return x
+def _load_json(doc: bytes | str):
+    """The decoded JSON value; the decoded text is dropped on return, so it
+    does not stay alive beside the parsed objects."""
+    if isinstance(doc, bytes):
+        try:
+            doc = doc.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise GameFormatError(f"document is not UTF-8: {exc}") from exc
+    try:
+        return json.loads(doc)
+    except json.JSONDecodeError as exc:
+        raise GameFormatError(f"parse error: {exc.msg}",
+                              line=exc.lineno, col=exc.colno) from exc
+    except RecursionError as exc:
+        raise GameFormatError("parse error: document nested too deeply") from exc
+    except ValueError as exc:   # e.g. an integer literal past the digit limit
+        raise GameFormatError(f"parse error: {exc}") from exc
 
 
 def parse_game(doc: bytes | str) -> GameSpec:
@@ -61,18 +91,7 @@ def parse_game(doc: bytes | str) -> GameSpec:
     and payoff rows whose length does not match the player count.  Value
     problems such as non-finite payoffs are left for ``validate_game``.
     """
-    if isinstance(doc, bytes):
-        try:
-            text = doc.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise GameFormatError(f"document is not UTF-8: {exc}") from exc
-    else:
-        text = doc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GameFormatError(f"parse error: {exc.msg}",
-                              line=exc.lineno, col=exc.colno) from exc
+    data = _load_json(doc)
     if not isinstance(data, dict):
         raise GameFormatError("document must be a JSON object")
     unknown = set(data) - {"players", "payoffs", "meta"}
@@ -104,39 +123,74 @@ def parse_game(doc: bytes | str) -> GameSpec:
     payoff_entries = data.get("payoffs")
     if not isinstance(payoff_entries, list):
         raise GameFormatError('"payoffs" must be a list')
-    entries = []
+    # Structure entry by entry, stopping at the first bad one; then scalar
+    # types over the flattened lists of the entries before it.  Each error is
+    # ranked by (entry, check order within an entry), so the one reported is
+    # the first in document order.
+    profiles, values, errors = [], [], []
     for k, entry in enumerate(payoff_entries):
-        if not isinstance(entry, dict) or set(entry) != {"profile", "values"}:
-            raise GameFormatError(f"payoff entry {k} must have exactly profile and values")
+        if not isinstance(entry, dict) or entry.keys() != {"profile", "values"}:
+            errors.append((k, 0, f"payoff entry {k} must have exactly profile and values"))
+            break
         profile = entry["profile"]
-        values = entry["values"]
         if not isinstance(profile, list) or len(profile) != n:
-            raise GameFormatError(f"payoff entry {k}: profile must list {n} strategy indices")
-        idx = tuple(_index(j, f"payoff entry {k}: strategy index") for j in profile)
-        if not isinstance(values, list) or len(values) != n:
-            raise GameFormatError(
-                f"payoff entry {k}: player count mismatch in values "
-                f"(got {len(values) if isinstance(values, list) else 'non-list'}, need {n})")
-        vals = [_number(v, f"payoff entry {k}: value") for v in values]
-        entries.append((idx, vals))
+            errors.append((k, 0, f"payoff entry {k}: profile must list {n} strategy indices"))
+            break
+        profiles.append(profile)
+        vals = entry["values"]
+        if not isinstance(vals, list) or len(vals) != n:
+            errors.append((k, 2, f"payoff entry {k}: player count mismatch in values "
+                                 f"(got {len(vals) if isinstance(vals, list) else 'non-list'}, "
+                                 f"need {n})"))
+            break
+        values.append(vals)
+    flat_idx = list(chain.from_iterable(profiles))
+    flat_vals = list(chain.from_iterable(values))
+    at = _first_bad(flat_idx, {int})
+    if at is not None:
+        errors.append((at // n, 1, f"payoff entry {at // n}: strategy index must be "
+                                   f"an integer, got {flat_idx[at]!r}"))
+    at = _first_bad(flat_vals, {int, float})
+    try:
+        numbers = np.array(flat_vals[:at], dtype=float)
+    except OverflowError:
+        at = next(i for i, x in enumerate(flat_vals) if _overflows(x))
+        errors.append((at // n, 3, f"payoff entry {at // n}: integer value "
+                                   "too large for a float"))
+    else:
+        if at is not None:
+            errors.append((at // n, 3, f"payoff entry {at // n}: value must be a number, "
+                                       f"got {flat_vals[at]!r}"))
+    if errors:
+        raise GameFormatError(min(errors)[2])
     meta = data.get("meta")
     if meta is not None and not isinstance(meta, dict):
         raise GameFormatError('"meta" must be an object')
     try:
-        g = GameSpec.from_entries(m, entries, player_names=names,
-                                  strategy_labels=labels, meta=meta)
+        payoffs, seen = _fill(m, flat_idx, numbers.reshape(-1, n))
     except ValueError as exc:
         raise GameFormatError(str(exc)) from exc
-    if g.missing:
-        raise GameFormatError(f"missing profile {list(min(g.missing))} "
-                              f"({len(g.missing)} of {g.num_profiles} profiles absent)")
-    return g
+    if not seen.all():
+        first = np.unravel_index(np.argmin(seen), m)
+        raise GameFormatError(f"missing profile {[int(j) for j in first]} "
+                              f"({seen.size - np.count_nonzero(seen)} of {seen.size} "
+                              "profiles absent)")
+    return GameSpec(payoffs, player_names=names, strategy_labels=labels, meta=meta)
+
+
+def _overflows(x: int) -> bool:
+    try:
+        float(x)
+    except OverflowError:
+        return True
+    return False
 
 
 def format_number(x) -> str:
-    """Shortest decimal that round-trips; integral values print as integers."""
+    """Shortest decimal that round-trips; integral values up to 2**53 in
+    magnitude print as integers.  The document writer uses the same rule."""
     f = float(x)
-    if f == int(f) and abs(f) <= 2 ** 53:
+    if f.is_integer() and -2 ** 53 <= f <= 2 ** 53:
         return str(int(f))
     return repr(f)
 
@@ -153,20 +207,20 @@ def write_game(g: GameSpec) -> bytes:
         entry = json.dumps({"name": names[i], "strategies": list(labels[i])})
         lines.append("    " + entry + ("," if i < g.n - 1 else ""))
     lines.append("  ],")
-    profiles = list(np.ndindex(*g.m))
     lines.append('  "payoffs": [')
-    for k, idx in enumerate(profiles):
-        cells = ", ".join(str(int(j)) for j in idx)
-        vals = ", ".join(format_number(v) for v in g.payoffs[idx])
-        entry = '{"profile": [' + cells + '], "values": [' + vals + "]}"
-        lines.append("    " + entry + ("," if k < len(profiles) - 1 else ""))
+    # profiles in lexicographic order, which is the C order of the tensor
+    cells = product(*([str(j) for j in range(mi)] for mi in g.m))
+    lines += ['    {"profile": [' + ", ".join(idx) + '], "values": ['
+              + ", ".join(map(format_number, row)) + "]},"
+              for idx, row in zip(cells, g.payoffs.reshape(-1, g.n).tolist())]
+    lines[-1] = lines[-1][:-1]     # no comma after the last entry
     if g.meta:
         lines.append("  ],")
         lines.append('  "meta": ' + json.dumps(g.meta, sort_keys=True))
     else:
         lines.append("  ]")
-    lines.append("}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    lines.append("}\n")
+    return "\n".join(lines).encode("utf-8")
 
 
 def builtin_game(name: str) -> GameSpec:

@@ -32,6 +32,42 @@ def _check_profile_count(m) -> None:
             f"game too large: {n_profiles} pure profiles (limit {MAX_PROFILES})")
 
 
+def _fill(shape, profiles, values) -> tuple[np.ndarray, np.ndarray]:
+    """Payoff tensor (NaN where no entry) and the mask of profiles seen.
+
+    ``values`` has one row of payoffs per entry and ``profiles`` the
+    matching strategy indices (any nesting of E * n ints).  Each entry gets
+    one flat profile index; one scatter fills the tensor and one marks the
+    profiles seen.  The first entry that is out of range or repeats an
+    earlier profile raises ValueError.  Shared by ``GameSpec.from_entries``
+    and the document parser.
+    """
+    n = len(shape)
+    try:
+        idx = np.array(profiles, dtype=np.int64)
+    except OverflowError:   # too big for int64, so out of range: keep it exact
+        idx = np.array(profiles, dtype=object)
+    idx = idx.reshape(values.shape)
+    in_range = ((idx >= 0) & (idx < np.array(shape, dtype=np.int64))).all(axis=1)
+    good = len(idx) if in_range.all() else int(np.argmin(in_range))
+    strides = np.array([math.prod(shape[p + 1:]) for p in range(n)], dtype=np.int64)
+    flat = idx[:good].astype(np.int64) @ strides
+    seen = np.zeros(math.prod(shape), dtype=bool)
+    seen[flat] = True
+    if np.count_nonzero(seen) < good:
+        order = np.argsort(flat, kind="stable")
+        repeats = order[1:][flat[order[1:]] == flat[order[:-1]]]
+        raise ValueError(f"duplicate profile {tuple(int(j) for j in idx[repeats.min()])}")
+    if good < len(idx):
+        row = tuple(int(j) for j in idx[good])
+        player = next(p for p, (j, mi) in enumerate(zip(row, shape)) if not 0 <= j < mi)
+        raise ValueError(f"profile {row}: strategy index {row[player]} "
+                         f"out of range for player {player}")
+    payoffs = np.full(shape + (n,), np.nan)
+    payoffs.reshape(seen.size, n)[flat] = values
+    return payoffs, seen.reshape(shape)
+
+
 class GameSpec:
     """Immutable normal-form game.
 
@@ -71,30 +107,25 @@ class GameSpec:
 
         Duplicate profiles and malformed entries are rejected outright;
         profiles never supplied are recorded in ``missing`` so that
-        ``validate_game`` can report the tensor as incomplete.
+        ``validate_game`` can report the tensor as incomplete.  Length
+        errors are reported first, then range and duplicate errors, each
+        naming the first entry at fault.
         """
         shape = tuple(int(x) for x in m)
         n = len(shape)
         _check_profile_count(shape)
-        arr = np.full(shape + (n,), np.nan)
-        seen = np.zeros(shape, dtype=bool)
-        for profile, values in entries:
-            idx = tuple(int(j) for j in profile)
-            if len(idx) != n:
-                raise ValueError(f"profile {idx} does not have {n} entries")
-            for player, j in enumerate(idx):
-                if not 0 <= j < shape[player]:
-                    raise ValueError(
-                        f"profile {idx}: strategy index {j} out of range for player {player}")
-            if seen[idx]:
-                raise ValueError(f"duplicate profile {idx}")
-            vals = np.asarray(values, dtype=float)
-            if vals.shape != (n,):
-                raise ValueError(f"profile {idx}: expected {n} payoff values")
-            arr[idx] = vals
-            seen[idx] = True
-        missing = np.argwhere(~seen).tolist()
-        return cls(arr, player_names, strategy_labels, missing=missing, meta=meta)
+        pairs = list(entries)
+        profiles = [tuple(int(j) for j in profile) for profile, _ in pairs]
+        short = next((idx for idx in profiles if len(idx) != n), None)
+        if short is not None:
+            raise ValueError(f"profile {short} does not have {n} entries")
+        values = [np.asarray(v, dtype=float) for _, v in pairs]
+        bad = next((k for k, v in enumerate(values) if v.shape != (n,)), None)
+        if bad is not None:
+            raise ValueError(f"profile {profiles[bad]}: expected {n} payoff values")
+        payoffs, seen = _fill(shape, profiles, np.reshape(values, (len(pairs), n)))
+        return cls(payoffs, player_names, strategy_labels,
+                   missing=np.argwhere(~seen).tolist(), meta=meta)
 
     @property
     def n(self) -> int:

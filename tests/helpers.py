@@ -104,3 +104,22 @@ def corpus_shapes(count, seed, n_choices=(2, 3), m_choices=(2, 3, 4)):
         m = [int(rng.choice(m_choices)) for _ in range(n)]
         shapes.append((n, m))
     return shapes
+
+
+def loop_fill(m, entries):
+    """Entry-by-entry fill: (payoffs with NaN where missing, sorted missing
+    profiles), or the ValueError message naming the first entry that is out
+    of range or repeats an earlier profile."""
+    payoffs = np.full(tuple(m) + (len(m),), np.nan)
+    seen = set()
+    for profile, values in entries:
+        idx = tuple(int(j) for j in profile)
+        for player, j in enumerate(idx):
+            if not 0 <= j < m[player]:
+                return f"profile {idx}: strategy index {j} out of range for player {player}"
+        if idx in seen:
+            return f"duplicate profile {idx}"
+        seen.add(idx)
+        payoffs[idx] = values
+    missing = sorted(set(itertools.product(*(range(mi) for mi in m))) - seen)
+    return payoffs, missing

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,6 +66,15 @@ def test_validate_parse_error_exit_code():
     code, _, err = cli("validate", stdin=b"{not json")
     assert code == 1
     assert "parse error" in err
+
+
+def test_hostile_documents_exit_1(bar_doc):
+    huge = bar_doc.replace(b'"values": [1, -1]', b'"values": [1' + b"0" * 400 + b", -1]")
+    deep = b"[" * 100_000 + b"]" * 100_000
+    for doc in (huge, deep):
+        code, out, err = cli("validate", stdin=doc)
+        assert (code, out) == (1, b"")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_eval_uniform_and_explicit(rps_doc, bar_doc):
@@ -185,3 +197,43 @@ def test_help_exits_zero():
     code, out, err = cli("--help")
     assert code == 0 and b"usage" in out.lower() and err == ""
     assert cli()[0] == 2
+
+
+TRACE = {"--start": "uniform", "--direction": "0", "--step": "0.05", "--steps": "5"}
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("trace", "--step", "nan"),
+    ("trace", "--step", "inf"),
+    ("trace", "--steps", "-5"),
+    ("trace", "--tol", "nan"),
+    ("trace", "--tol", "-inf"),
+    ("equilibria", "--eps", "-1"),
+    ("equilibria", "--eps", "nan"),
+])
+def test_bad_numbers_exit_2_with_usage(command, flag, value, rps_doc):
+    options = dict(TRACE if command == "trace" else {}, **{flag: value})
+    code, out, err = cli(command, *[f"{k}={v}" for k, v in options.items()], stdin=rps_doc)
+    assert (code, out) == (2, b"")
+    assert err.startswith(f"gamefibers {command}: error: argument {flag}: ")
+    assert f"usage: gamefibers {command}" in err
+    assert "Traceback" not in err and "DLASCL" not in err
+
+
+def test_scipy_is_imported_only_by_the_lp():
+    script = (
+        "import sys\n"
+        "import gamefibers as gf\n"
+        "import gamefibers.cli\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(loaded())\n"
+        "doc = gf.write_game(gf.builtin_game('rps'))\n"
+        "assert gamefibers.cli.run(['analyze'], read_stdin=lambda: doc)[0] == 0\n"
+        "print(loaded())\n"
+    )
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout == "[]\n[]\n"

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gamefibers as gf
 from gamefibers.gamedoc import GameFormatError, format_number
@@ -64,6 +65,11 @@ def test_number_formatting():
     assert format_number(2.5) == "2.5"
     assert format_number(1 / 3) == "0.3333333333333333"
     assert float(format_number(0.1 + 0.2)) == 0.1 + 0.2
+    assert format_number(-0.0) == "0"
+    assert format_number(2.0 ** 53) == "9007199254740992"
+    assert format_number(-(2.0 ** 53 + 2)) == "-9007199254740994.0"
+    assert format_number(1e308) == "1e+308"
+    assert format_number(5e-324) == "5e-324"
 
 
 def test_meta_round_trip(bar):
@@ -190,3 +196,126 @@ def test_random_game_argument_errors():
         gf.random_game(2, [2, 1], seed=0)
     with pytest.raises(ValueError, match="game too large"):
         gf.random_game(2, [1001, 1001], seed=0)
+
+
+EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.0 ** 53 - 1,
+               2.0 ** 53, 2.0 ** 53 + 2, -(2.0 ** 53 + 2), 1e308, -1e308, 0.1]
+
+
+@st.composite
+def finite_games(draw):
+    n = draw(st.integers(2, 3))
+    m = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    size = int(np.prod(m)) * n
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                           | st.sampled_from(EDGE_FLOATS),
+                           min_size=size, max_size=size))
+    return gf.GameSpec(np.array(values).reshape(m + (n,)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(finite_games())
+def test_write_parse_write_is_byte_identical(g):
+    doc = gf.write_game(g)
+    parsed = gf.parse_game(doc)
+    assert np.array_equal(parsed.payoffs, g.payoffs)
+    assert gf.write_game(parsed) == doc
+
+
+def test_integer_payoffs_parse_to_their_float():
+    ints = [2 ** 53 + 1, -(2 ** 53 + 1), 2 ** 53 + 3, 2 ** 63 + 5,
+            -(2 ** 70) + 3, 10 ** 300, 2 ** 1024 - 2 ** 970 - 1, 7]
+    entries = ", ".join(
+        f'{{"profile": [{i}, {j}], "values": [{ints[4 * i + 2 * j]}, {ints[4 * i + 2 * j + 1]}]}}'
+        for i in range(2) for j in range(2))
+    g = gf.parse_game(TWO_BY_TWO + entries + "]}")
+    assert g.payoffs.ravel().tolist() == [float(x) for x in ints]
+
+
+TWO_BY_TWO = ('{"players": [{"name": "a", "strategies": ["x", "y"]},'
+              '{"name": "b", "strategies": ["x", "y"]}], "payoffs": [')
+
+
+def _doc(*entries, meta=None):
+    tail = "]" + (f', "meta": {meta}' if meta is not None else "") + "}"
+    return TWO_BY_TWO + ", ".join(
+        e if isinstance(e, str) else
+        json.dumps({"profile": e[0], "values": e[1]}) for e in entries) + tail
+
+
+@pytest.mark.parametrize("doc, message", [
+    # type and structure errors, in entry order, before range/duplicate errors
+    (_doc(([0, 0], [1, 2]), ([0, True], [1, 2]), ([1, 0], ["a", 2]), ([5, 5], [1, 2])),
+     "payoff entry 1: strategy index must be an integer, got True"),
+    (_doc(([0, 0], [1, 2]), ([False, 0], ["a"])),
+     "payoff entry 1: strategy index must be an integer, got False"),
+    (_doc(([9, 9], [1, 2]), ([0, 1.5], [1, 2])),
+     "payoff entry 1: strategy index must be an integer, got 1.5"),
+    (_doc(([0, 0], [1, 2]), ([0, 1], [1, None]), ([True, 0], [1, 2])),
+     "payoff entry 1: value must be a number, got None"),
+    (_doc(([0, 0], [1, 2]), ([0, 1], [True, 0]), ([1, 0], [1]), ([0, 0], [1, 2])),
+     "payoff entry 1: value must be a number, got True"),
+    (_doc(([0, 0], [1, "2"]), ([0, 1], [1, 2])),
+     "payoff entry 0: value must be a number, got '2'"),
+    (_doc(([0, 0], [1, 2]), ([0, 1], [1]), ([0, 0.5], [1, 2])),
+     "payoff entry 1: player count mismatch in values (got 1, need 2)"),
+    (_doc(([0, 0], [1, 2]), ([0, 1], {"v": 1}), ([0, 0.5], [1, 2])),
+     "payoff entry 1: player count mismatch in values (got non-list, need 2)"),
+    (_doc(([0, 0], [1, 2]), ([0], [1, 2]), ([0, True], [1, 2])),
+     "payoff entry 1: profile must list 2 strategy indices"),
+    (_doc(([0, 0], [1, 2]), ([0, 1], [1, "x"]), "[]"),
+     "payoff entry 1: value must be a number, got 'x'"),
+    (_doc(([0, 0], [1, 2]), '{"profile": [0, 1]}', ([0, True], [1, 2])),
+     "payoff entry 1 must have exactly profile and values"),
+    (_doc(([0, 2], [1, 2]), ([0, 1], [1, 2]), meta="[]"), '"meta" must be an object'),
+    # range and duplicate errors, in entry order
+    (_doc(([0, 0], [1, 2]), ([0, 2], [1, 2]), ([0, 0], [1, 2])),
+     "profile (0, 2): strategy index 2 out of range for player 1"),
+    (_doc(([0, 0], [1, 2]), ([-1, 0], [1, 2]), ([0, 0], [1, 2])),
+     "profile (-1, 0): strategy index -1 out of range for player 0"),
+    (_doc(([0, 0], [1, 2]), ([10 ** 30, 5], [1, 2])),
+     f"profile ({10 ** 30}, 5): strategy index {10 ** 30} out of range for player 0"),
+    (_doc(([0, 0], [1, 2]), ([1, 1], [1, 2]), ([0, 0], [1, 2]), ([0, 5], [1, 2])),
+     "duplicate profile (0, 0)"),
+    (_doc(([0, 0], [1, 2]), ([1, 1], [1, 2]), ([1, 1], [1, 2]), ([0, 0], [1, 2])),
+     "duplicate profile (1, 1)"),
+    (_doc(([1, 1], [1, 2]), ([1, 0], [1, 2])),
+     "missing profile [0, 0] (2 of 4 profiles absent)"),
+    (_doc(([0, 0], [1, 2]), ([1, 0], [1, 2]), ([1, 1], [1, 2])),
+     "missing profile [0, 1] (1 of 4 profiles absent)"),
+    (_doc(), "missing profile [0, 0] (4 of 4 profiles absent)"),
+], ids=["bool-index", "index-before-values-length", "float-index-before-range",
+        "null-value", "bool-value", "string-value", "values-length", "values-not-list",
+        "profile-length", "value-before-non-object", "missing-key", "meta-before-range",
+        "out-of-range", "negative-index", "huge-index", "duplicate", "first-duplicate",
+        "first-missing", "one-missing", "no-entries"])
+def test_parse_names_first_failing_entry(doc, message):
+    with pytest.raises(GameFormatError) as info:
+        gf.parse_game(doc)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_doc(([0, 0], [1, 2]), f'{{"profile": [0, 1], "values": [1, 1{"0" * 400}]}}'),
+     "payoff entry 1: integer value too large for a float"),
+    (_doc(([0, 0], [1, 2]), f'{{"profile": [0, 1], "values": [1, 1{"0" * 400}]}}',
+          ([0, True], [1, 2])),
+     "payoff entry 1: integer value too large for a float"),
+    (_doc(([0, 0], [-(2 ** 1024), 2])), "payoff entry 0: integer value too large for a float"),
+    (_doc(([0, 0], [1, 2]), ([0, 1], [1, 2 ** 1024]), ([1, 0], [1, "2"])),
+     "payoff entry 1: integer value too large for a float"),
+    (_doc(([0, 0], [1, "2"]), ([0, 1], [1, 2 ** 1024])),
+     "payoff entry 0: value must be a number, got '2'"),
+    ("[" * 100_000 + "]" * 100_000, "parse error: document nested too deeply"),
+    ('{"players": [' + ", ".join([json.dumps({"name": "p", "strategies": list("abcdefghij")})] * 6)
+     + '], "payoffs": []}',
+     "missing profile [0, 0, 0, 0, 0, 0] (1000000 of 1000000 profiles absent)"),
+    ('{"meta": ' + "{\"a\": " * 100_000 + "1" + "}" * 100_001,
+     "parse error: document nested too deeply"),
+], ids=["overflow", "overflow-before-bool-index", "negative-overflow",
+        "overflow-before-string", "string-before-overflow", "deep-list",
+        "million-profiles-none-given", "deep-meta"])
+def test_hostile_documents_raise_format_errors(doc, message):
+    with pytest.raises(GameFormatError) as info:
+        gf.parse_game(doc)
+    assert str(info.value) == message

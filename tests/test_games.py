@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gamefibers as gf
-from helpers import grid_project, loop_expected_payoff
+from helpers import grid_project, loop_expected_payoff, loop_fill
 
 
 def test_validate_rps_ok(rps):
@@ -41,6 +42,47 @@ def test_from_entries_rejects_duplicates_and_bad_indices():
         gf.GameSpec.from_entries((2, 2), [((0, 5), (0, 0))])
     with pytest.raises(ValueError, match="payoff values"):
         gf.GameSpec.from_entries((2, 2), [((0, 0), (0, 0, 0))])
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([((0,), (1, 2))], "profile (0,) does not have 2 entries"),
+    ([((0, 5), (0, 0))], "profile (0, 5): strategy index 5 out of range for player 1"),
+    ([((np.int64(1), -1), (0, 0))], "profile (1, -1): strategy index -1 out of range for player 1"),
+    ([((10 ** 30, 0), (0, 0))],
+     f"profile ({10 ** 30}, 0): strategy index {10 ** 30} out of range for player 0"),
+    ([((0, 0), (0, 0)), ((1, 1), (0, 0)), ((0, 0), (1, 1))], "duplicate profile (0, 0)"),
+    ([((0, 0), (0, 0, 0))], "profile (0, 0): expected 2 payoff values"),
+    ([((1, 0), np.zeros((2, 1)))], "profile (1, 0): expected 2 payoff values"),
+], ids=["profile-length", "out-of-range", "numpy-index", "huge-index", "duplicate",
+        "values-length", "values-shape"])
+def test_from_entries_messages(entries, message):
+    with pytest.raises(ValueError) as info:
+        gf.GameSpec.from_entries((2, 2), entries)
+    assert str(info.value) == message
+
+
+@st.composite
+def entry_lists(draw):
+    m = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=3)))
+    low, high = (-1, 0) if draw(st.booleans()) else (0, -1)    # half the cases in range
+    profile = st.tuples(*(st.integers(low, mi + high) for mi in m))
+    values = st.tuples(*(st.floats(-1e3, 1e3) for _ in m))
+    return m, draw(st.lists(st.tuples(profile, values), max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(entry_lists())
+def test_from_entries_matches_loop_fill(case):
+    m, entries = case
+    expected = loop_fill(m, entries)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as info:
+            gf.GameSpec.from_entries(m, entries)
+        assert str(info.value) == expected
+        return
+    g = gf.GameSpec.from_entries(m, iter(entries))
+    assert np.array_equal(g.payoffs, expected[0], equal_nan=True)
+    assert sorted(g.missing) == expected[1]
 
 
 def test_game_too_large_rejected():
