@@ -75,15 +75,17 @@ def _finite_non_negative(text: str) -> float:
     return value
 
 
-def _non_negative_int(text: str) -> int:
-    """argparse type: an int that is not negative."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text!r}")
+        return value
+    return parse
 
 
 def _yn(flag: bool) -> str:
@@ -310,20 +312,20 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_eval)
 
     p = add("analyze", "dimensions, zero-sum/affinity flags, generic rank")
-    p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_int_at_least(1), default=64)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_analyze)
 
     p = add("equilibria", "pure, support-enumeration, and searched equilibria")
     p.add_argument("--eps", type=_finite_non_negative, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_equilibria)
 
     p = add("trace", "walk inside a level set of the payoff map")
     p.add_argument("--start", required=True, help="starting profile (same syntax as eval)")
-    p.add_argument("--direction", type=int, required=True)
+    p.add_argument("--direction", type=_int_at_least(0), required=True)
     p.add_argument("--step", type=_finite, required=True)
-    p.add_argument("--steps", type=_non_negative_int, required=True)
+    p.add_argument("--steps", type=_int_at_least(0), required=True)
     p.add_argument("--tol", type=_finite, default=1e-10)
     p.set_defaults(func=_cmd_trace)
 

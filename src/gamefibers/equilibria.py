@@ -20,11 +20,10 @@ import numpy as np
 from .games import (
     GameSpec,
     StrategyProfile,
+    _deviation,
     _require_match,
-    deviation_payoffs,
     pure_profile,
     random_interior_profile,
-    total_payoff,
     uniform_profile,
 )
 
@@ -81,13 +80,15 @@ def pure_equilibria(g: GameSpec) -> list[tuple[int, ...]]:
 
 def _improvement(g: GameSpec, s: StrategyProfile) -> tuple[list[np.ndarray], float]:
     """Per-player positive-part payoff gains of pure deviations, plus the
-    largest gain (the profile's epsilon)."""
-    pay = total_payoff(g, s)
+    largest gain (the profile's epsilon).  The payoff is the last player's
+    deviations weighted by its block, exactly as ``total_payoff`` has it."""
+    _require_match(g, s)
+    devs = [_deviation(g.payoffs, s.blocks, i) for i in range(g.n)]
+    pay = np.tensordot(s.blocks[-1], devs[-1], axes=(0, 0))
     phis = []
     gap = 0.0
-    for i in range(g.n):
-        dev = deviation_payoffs(g, s, i)[:, i]
-        phi = np.maximum(0.0, dev - pay[i])
+    for i, dev in enumerate(devs):
+        phi = np.maximum(0.0, dev[:, i] - pay[i])
         phis.append(phi)
         gap = max(gap, float(phi.max()))
     return phis, gap
@@ -101,7 +102,6 @@ def nash_map(g: GameSpec, s: StrategyProfile) -> StrategyProfile:
     is at least one, so the output is always a valid profile, and it equals
     the input iff no deviation gains.
     """
-    _require_match(g, s)
     phis, _ = _improvement(g, s)
     return StrategyProfile(_mapped_blocks(s, phis))
 

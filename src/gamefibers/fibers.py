@@ -195,20 +195,21 @@ class FiberPath:
 
 
 def _correct(g: GameSpec, r: np.ndarray, target: np.ndarray,
-             tol: float) -> tuple[np.ndarray, bool]:
-    """Gauss-Newton projection of a chart point back onto the level set."""
+             tol: float) -> tuple[np.ndarray, float]:
+    """Gauss-Newton projection of a chart point back onto the level set:
+    the last point and its largest payoff residual (success iff <= tol)."""
     cur = np.asarray(r, dtype=float)
     for _ in range(CORRECTOR_MAX_ITER):
         f = _payoff_reduced(g, cur) - target
-        if np.abs(f).max() <= tol:
-            return cur, True
+        residual = float(np.abs(f).max())
+        if residual <= tol:
+            return cur, residual
         jac = _jacobian_reduced(g, cur)
         delta, *_ = np.linalg.lstsq(jac, -f, rcond=None)
         if not np.all(np.isfinite(delta)):
-            return cur, False
+            return cur, residual
         cur = cur + delta
-    f = _payoff_reduced(g, cur) - target
-    return cur, bool(np.abs(f).max() <= tol)
+    return cur, float(np.abs(_payoff_reduced(g, cur) - target).max())
 
 
 def trace_fiber(g: GameSpec, s0: StrategyProfile, direction_index: int,
@@ -256,8 +257,8 @@ def trace_fiber(g: GameSpec, s0: StrategyProfile, direction_index: int,
     terminated = "step_budget"
     for _ in range(max_steps):
         predicted = points[-1] + step * tangent
-        corrected, ok = _correct(g, predicted, target, tol)
-        if not ok:
+        corrected, residual = _correct(g, predicted, target, tol)
+        if not residual <= tol:     # a NaN residual fails too
             terminated = "corrector_failure"
             break
         blocks = _blocks_from_reduced(g.m, corrected)
@@ -265,7 +266,7 @@ def trace_fiber(g: GameSpec, s0: StrategyProfile, direction_index: int,
             terminated = "boundary"
             break
         points.append(corrected)
-        drift = max(drift, float(np.abs(_payoff_reduced(g, corrected) - target).max()))
+        drift = max(drift, residual)
         basis = nullspace(_jacobian_reduced(g, corrected), tau)
         if basis.shape[0] == 0:
             terminated = "corrector_failure"

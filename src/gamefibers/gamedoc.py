@@ -167,14 +167,9 @@ def parse_game(doc: bytes | str) -> GameSpec:
     if meta is not None and not isinstance(meta, dict):
         raise GameFormatError('"meta" must be an object')
     try:
-        payoffs, seen = _fill(m, flat_idx, numbers.reshape(-1, n))
+        payoffs = _fill(m, flat_idx, numbers.reshape(-1, n))
     except ValueError as exc:
         raise GameFormatError(str(exc)) from exc
-    if not seen.all():
-        first = np.unravel_index(np.argmin(seen), m)
-        raise GameFormatError(f"missing profile {[int(j) for j in first]} "
-                              f"({seen.size - np.count_nonzero(seen)} of {seen.size} "
-                              "profiles absent)")
     return GameSpec(payoffs, player_names=names, strategy_labels=labels, meta=meta)
 
 

@@ -32,14 +32,15 @@ def _check_profile_count(m) -> None:
             f"game too large: {n_profiles} pure profiles (limit {MAX_PROFILES})")
 
 
-def _fill(shape, profiles, values) -> tuple[np.ndarray, np.ndarray]:
-    """Payoff tensor (NaN where no entry) and the mask of profiles seen.
+def _fill(shape, profiles, values) -> np.ndarray:
+    """Payoff tensor holding one entry at every pure profile.
 
     ``values`` has one row of payoffs per entry and ``profiles`` the
     matching strategy indices (any nesting of E * n ints).  Each entry gets
-    one flat profile index; one scatter fills the tensor and one marks the
-    profiles seen.  The first entry that is out of range or repeats an
-    earlier profile raises ValueError.  Shared by ``GameSpec.from_entries``
+    one flat profile index and one scatter fills the tensor.  The first
+    entry that is out of range or repeats an earlier profile raises
+    ValueError; so does a profile no entry names, reported as the first
+    such profile with the count absent.  Shared by ``GameSpec.from_entries``
     and the document parser.
     """
     n = len(shape)
@@ -54,7 +55,8 @@ def _fill(shape, profiles, values) -> tuple[np.ndarray, np.ndarray]:
     flat = idx[:good].astype(np.int64) @ strides
     seen = np.zeros(math.prod(shape), dtype=bool)
     seen[flat] = True
-    if np.count_nonzero(seen) < good:
+    filled = np.count_nonzero(seen)
+    if filled < good:
         order = np.argsort(flat, kind="stable")
         repeats = order[1:][flat[order[1:]] == flat[order[:-1]]]
         raise ValueError(f"duplicate profile {tuple(int(j) for j in idx[repeats.min()])}")
@@ -63,9 +65,13 @@ def _fill(shape, profiles, values) -> tuple[np.ndarray, np.ndarray]:
         player = next(p for p, (j, mi) in enumerate(zip(row, shape)) if not 0 <= j < mi)
         raise ValueError(f"profile {row}: strategy index {row[player]} "
                          f"out of range for player {player}")
-    payoffs = np.full(shape + (n,), np.nan)
+    if filled < seen.size:
+        first = np.unravel_index(np.argmin(seen), shape)
+        raise ValueError(f"missing profile {[int(j) for j in first]} "
+                         f"({seen.size - filled} of {seen.size} profiles absent)")
+    payoffs = np.empty(shape + (n,))
     payoffs.reshape(seen.size, n)[flat] = values
-    return payoffs, seen.reshape(shape)
+    return payoffs
 
 
 class GameSpec:
@@ -77,15 +83,11 @@ class GameSpec:
         Payoff vector at every pure-strategy profile.
     player_names, strategy_labels : optional
         Display names; the document writer synthesizes defaults when absent.
-    missing : iterable of profiles, optional
-        Profiles that were never assigned a payoff entry, tracked so that
-        ``validate_game`` can name them (see :meth:`from_entries`).
     meta : dict, optional
         Free-form annotations carried through serialization.
     """
 
-    def __init__(self, payoffs, player_names=None, strategy_labels=None,
-                 missing=(), meta=None):
+    def __init__(self, payoffs, player_names=None, strategy_labels=None, meta=None):
         arr = np.array(payoffs, dtype=float)
         if arr.ndim < 2:
             raise ValueError("payoff tensor needs player axes plus a trailing payoff axis")
@@ -97,7 +99,6 @@ class GameSpec:
         self.strategy_labels = (
             tuple(tuple(str(x) for x in row) for row in strategy_labels)
             if strategy_labels is not None else None)
-        self.missing = frozenset(tuple(int(j) for j in p) for p in missing)
         self.meta = dict(meta) if meta else None
 
     @classmethod
@@ -105,11 +106,10 @@ class GameSpec:
                      meta=None):
         """Build a game from (profile, values) pairs.
 
-        Duplicate profiles and malformed entries are rejected outright;
-        profiles never supplied are recorded in ``missing`` so that
-        ``validate_game`` can report the tensor as incomplete.  Length
-        errors are reported first, then range and duplicate errors, each
-        naming the first entry at fault.
+        Every pure profile needs exactly one entry, as in a game document.
+        Length errors are reported first, then range and duplicate errors,
+        each naming the first entry at fault, then the first missing
+        profile.
         """
         shape = tuple(int(x) for x in m)
         n = len(shape)
@@ -123,9 +123,8 @@ class GameSpec:
         bad = next((k for k, v in enumerate(values) if v.shape != (n,)), None)
         if bad is not None:
             raise ValueError(f"profile {profiles[bad]}: expected {n} payoff values")
-        payoffs, seen = _fill(shape, profiles, np.reshape(values, (len(pairs), n)))
-        return cls(payoffs, player_names, strategy_labels,
-                   missing=np.argwhere(~seen).tolist(), meta=meta)
+        payoffs = _fill(shape, profiles, np.reshape(values, (len(pairs), n)))
+        return cls(payoffs, player_names, strategy_labels, meta=meta)
 
     @property
     def n(self) -> int:
@@ -163,7 +162,6 @@ class GameSpec:
                 and np.array_equal(self.payoffs, other.payoffs)
                 and self.player_names == other.player_names
                 and self.strategy_labels == other.strategy_labels
-                and self.missing == other.missing
                 and self.meta == other.meta)
 
     def __repr__(self):
@@ -194,18 +192,12 @@ def validate_game(g: GameSpec) -> list[Defect]:
         defects.append(Defect(
             "payoff vector length",
             f"payoff axis has length {g.payoffs.shape[-1]}, expected {g.n}"))
-    for idx in sorted(g.missing):
-        defects.append(Defect("incomplete tensor", f"no payoff entry for profile {idx}"))
-    finite = np.isfinite(g.payoffs)
-    if not finite.all():
-        for at in np.argwhere(~finite):
-            profile = tuple(int(j) for j in at[:-1])
-            if profile in g.missing:
-                continue
-            defects.append(Defect(
-                "non-finite payoff",
-                f"payoff to player {int(at[-1])} at profile {profile} "
-                f"is {g.payoffs[tuple(at)]!r}"))
+    for at in np.argwhere(~np.isfinite(g.payoffs)):
+        profile = tuple(int(j) for j in at[:-1])
+        defects.append(Defect(
+            "non-finite payoff",
+            f"payoff to player {int(at[-1])} at profile {profile} "
+            f"is {g.payoffs[tuple(at)]!r}"))
     if g.player_names is not None and len(g.player_names) != g.n:
         defects.append(Defect("label shape", "player_names length does not match player count"))
     if g.strategy_labels is not None:
@@ -305,14 +297,6 @@ def profile_probability(s: StrategyProfile, profile) -> float:
     return p
 
 
-def _fold(tensor: np.ndarray, blocks) -> np.ndarray:
-    """Contract the leading axes of ``tensor`` with one vector per axis."""
-    out = tensor
-    for b in blocks:
-        out = np.tensordot(b, out, axes=(0, 0))
-    return out
-
-
 def _deviation(payoffs: np.ndarray, blocks, player: int) -> np.ndarray:
     """Contract every player axis except ``player``; result is (m_p, n)."""
     out = payoffs
@@ -321,6 +305,13 @@ def _deviation(payoffs: np.ndarray, blocks, player: int) -> np.ndarray:
     for q in range(player + 1, len(blocks)):
         out = np.tensordot(blocks[q], out, axes=(0, 1))
     return out
+
+
+def _fold(tensor: np.ndarray, blocks) -> np.ndarray:
+    """Contract the leading axes of ``tensor`` with one vector per axis: the
+    last player's ``_deviation`` weighted by the last block."""
+    last = len(blocks) - 1
+    return np.tensordot(blocks[last], _deviation(tensor, blocks, last), axes=(0, 0))
 
 
 def expected_payoff(g: GameSpec, s: StrategyProfile, player: int) -> float:

@@ -107,9 +107,9 @@ def corpus_shapes(count, seed, n_choices=(2, 3), m_choices=(2, 3, 4)):
 
 
 def loop_fill(m, entries):
-    """Entry-by-entry fill: (payoffs with NaN where missing, sorted missing
-    profiles), or the ValueError message naming the first entry that is out
-    of range or repeats an earlier profile."""
+    """Entry-by-entry fill: the payoff tensor, or the ValueError message
+    naming the first entry that is out of range or repeats an earlier
+    profile, else the first profile no entry names."""
     payoffs = np.full(tuple(m) + (len(m),), np.nan)
     seen = set()
     for profile, values in entries:
@@ -122,4 +122,7 @@ def loop_fill(m, entries):
         seen.add(idx)
         payoffs[idx] = values
     missing = sorted(set(itertools.product(*(range(mi) for mi in m))) - seen)
-    return payoffs, missing
+    if missing:
+        return (f"missing profile {list(missing[0])} "
+                f"({len(missing)} of {payoffs[..., 0].size} profiles absent)")
+    return payoffs

@@ -210,6 +210,10 @@ TRACE = {"--start": "uniform", "--direction": "0", "--step": "0.05", "--steps": 
     ("trace", "--tol", "-inf"),
     ("equilibria", "--eps", "-1"),
     ("equilibria", "--eps", "nan"),
+    ("analyze", "--samples", "0"),
+    ("analyze", "--seed", "-1"),
+    ("equilibria", "--seed", "-1"),
+    ("trace", "--direction", "-1"),
 ])
 def test_bad_numbers_exit_2_with_usage(command, flag, value, rps_doc):
     options = dict(TRACE if command == "trace" else {}, **{flag: value})

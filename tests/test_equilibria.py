@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gamefibers as gf
+from gamefibers.equilibria import _improvement
 from helpers import interior_profile
 
 
@@ -37,6 +38,22 @@ def test_verify_equilibrium(bar):
     assert report.epsilon == report.gaps.max()
     report = gf.verify_equilibrium(constant_game(), gf.uniform_profile(constant_game()), eps=0.0)
     assert report.converged and report.epsilon == 0.0
+
+
+def test_improvement_gains_use_the_exact_total_payoff():
+    # the payoff is read from the last player's deviations; it must equal
+    # total_payoff bit for bit, so every gain matches the direct formula
+    rng = np.random.default_rng(17)
+    for seed in range(60):
+        n = 2 + seed % 3
+        g = gf.random_game(n, [2 + (seed + j) % 3 for j in range(n)], seed=seed)
+        s = gf.random_interior_profile(g, rng)
+        pay = gf.total_payoff(g, s)
+        expected = [np.maximum(0.0, gf.deviation_payoffs(g, s, i)[:, i] - pay[i])
+                    for i in range(n)]
+        phis, gap = _improvement(g, s)
+        assert all(np.array_equal(a, b) for a, b in zip(phis, expected, strict=True))
+        assert gap == max(float(phi.max()) for phi in expected)
 
 
 def test_pure_equilibria(bar, rps):

@@ -139,7 +139,9 @@ def test_parse_keeps_non_finite_for_validation():
 
 
 def test_write_rejects_invalid_game():
-    g = gf.GameSpec.from_entries((2, 2), [((0, 0), (0, 0))])
+    payoffs = np.zeros((2, 2, 2))
+    payoffs[1, 1, 0] = np.nan
+    g = gf.GameSpec(payoffs)
     with pytest.raises(ValueError, match="invalid game"):
         gf.write_game(g)
 

@@ -10,12 +10,11 @@ def test_validate_rps_ok(rps):
     assert gf.validate_game(rps) == []
 
 
-def test_validate_reports_incomplete_tensor():
+def test_from_entries_rejects_incomplete_tensor():
     entries = [((0, 0), (0.0, 0.0)), ((0, 1), (1.0, -1.0)), ((1, 0), (-1.0, 1.0))]
-    g = gf.GameSpec.from_entries((2, 2), entries)
-    codes = [d.code for d in gf.validate_game(g)]
-    assert codes == ["incomplete tensor"]
-    assert "(1, 1)" in str(gf.validate_game(g)[0])
+    with pytest.raises(ValueError) as info:
+        gf.GameSpec.from_entries((2, 2), entries)
+    assert str(info.value) == "missing profile [1, 1] (1 of 4 profiles absent)"
 
 
 def test_validate_reports_non_finite():
@@ -44,29 +43,35 @@ def test_from_entries_rejects_duplicates_and_bad_indices():
         gf.GameSpec.from_entries((2, 2), [((0, 0), (0, 0, 0))])
 
 
-@pytest.mark.parametrize("entries, message", [
-    ([((0,), (1, 2))], "profile (0,) does not have 2 entries"),
-    ([((0, 5), (0, 0))], "profile (0, 5): strategy index 5 out of range for player 1"),
-    ([((np.int64(1), -1), (0, 0))], "profile (1, -1): strategy index -1 out of range for player 1"),
-    ([((10 ** 30, 0), (0, 0))],
+@pytest.mark.parametrize("m, entries, message", [
+    ((2, 2), [((0,), (1, 2))], "profile (0,) does not have 2 entries"),
+    ((2, 2), [((0, 5), (0, 0))], "profile (0, 5): strategy index 5 out of range for player 1"),
+    ((2, 2), [((np.int64(1), -1), (0, 0))],
+     "profile (1, -1): strategy index -1 out of range for player 1"),
+    ((2, 2), [((10 ** 30, 0), (0, 0))],
      f"profile ({10 ** 30}, 0): strategy index {10 ** 30} out of range for player 0"),
-    ([((0, 0), (0, 0)), ((1, 1), (0, 0)), ((0, 0), (1, 1))], "duplicate profile (0, 0)"),
-    ([((0, 0), (0, 0, 0))], "profile (0, 0): expected 2 payoff values"),
-    ([((1, 0), np.zeros((2, 1)))], "profile (1, 0): expected 2 payoff values"),
+    ((2, 2), [((0, 0), (0, 0)), ((1, 1), (0, 0)), ((0, 0), (1, 1))],
+     "duplicate profile (0, 0)"),
+    ((2, 2), [((0, 0), (0, 0, 0))], "profile (0, 0): expected 2 payoff values"),
+    ((2, 2), [((1, 0), np.zeros((2, 1)))], "profile (1, 0): expected 2 payoff values"),
+    ((10,) * 6, [], "missing profile [0, 0, 0, 0, 0, 0] (1000000 of 1000000 profiles absent)"),
 ], ids=["profile-length", "out-of-range", "numpy-index", "huge-index", "duplicate",
-        "values-length", "values-shape"])
-def test_from_entries_messages(entries, message):
+        "values-length", "values-shape", "no-entries-1e6"])
+def test_from_entries_messages(m, entries, message):
     with pytest.raises(ValueError) as info:
-        gf.GameSpec.from_entries((2, 2), entries)
+        gf.GameSpec.from_entries(m, entries)
     assert str(info.value) == message
 
 
 @st.composite
 def entry_lists(draw):
     m = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=3)))
-    low, high = (-1, 0) if draw(st.booleans()) else (0, -1)    # half the cases in range
-    profile = st.tuples(*(st.integers(low, mi + high) for mi in m))
     values = st.tuples(*(st.floats(-1e3, 1e3) for _ in m))
+    if draw(st.booleans()):     # half the cases list every profile once, shuffled
+        profiles = draw(st.permutations(list(np.ndindex(*m))))
+        return m, [(profile, draw(values)) for profile in profiles]
+    low, high = (-1, 0) if draw(st.booleans()) else (0, -1)    # half of the rest in range
+    profile = st.tuples(*(st.integers(low, mi + high) for mi in m))
     return m, draw(st.lists(st.tuples(profile, values), max_size=40))
 
 
@@ -81,8 +86,7 @@ def test_from_entries_matches_loop_fill(case):
         assert str(info.value) == expected
         return
     g = gf.GameSpec.from_entries(m, iter(entries))
-    assert np.array_equal(g.payoffs, expected[0], equal_nan=True)
-    assert sorted(g.missing) == expected[1]
+    assert np.array_equal(g.payoffs, expected)
 
 
 def test_game_too_large_rejected():
