@@ -20,7 +20,7 @@ import numpy as np
 from .games import (
     GameSpec,
     StrategyProfile,
-    _deviation,
+    _deviations,
     _require_match,
     pure_profile,
     random_interior_profile,
@@ -80,11 +80,12 @@ def pure_equilibria(g: GameSpec) -> list[tuple[int, ...]]:
 
 def _improvement(g: GameSpec, s: StrategyProfile) -> tuple[list[np.ndarray], float]:
     """Per-player positive-part payoff gains of pure deviations, plus the
-    largest gain (the profile's epsilon).  The payoff is the last player's
+    largest gain (the profile's epsilon).  Every player's deviations come
+    from one ``_deviations`` sweep; the payoff is the last player's
     deviations weighted by its block, exactly as ``total_payoff`` has it."""
     _require_match(g, s)
-    devs = [_deviation(g.payoffs, s.blocks, i) for i in range(g.n)]
-    pay = np.tensordot(s.blocks[-1], devs[-1], axes=(0, 0))
+    devs = _deviations(g.payoffs, s.blocks)
+    pay = s.blocks[-1] @ devs[-1]
     phis = []
     gap = 0.0
     for i, dev in enumerate(devs):

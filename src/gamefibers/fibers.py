@@ -24,7 +24,7 @@ from .games import (
     GameSpec,
     StrategyProfile,
     _blocks_from_reduced,
-    _deviation,
+    _deviations,
     _payoff_reduced,
     _require_match,
     random_interior_profile,
@@ -81,32 +81,29 @@ def nullspace(mat, tau: float | None = None) -> np.ndarray:
     return vt[rank:]
 
 
-def _jacobian_blocks(payoffs: np.ndarray, blocks) -> np.ndarray:
-    """Payoff Jacobian on the chart, via own-block linearity.
+def _jacobian_blocks(payoffs: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Payoff and payoff Jacobian on the chart, from one ``_deviations``
+    sweep.
 
-    The derivative of component i along player p's chart coordinate j is
-    the payoff difference between the pure replacements e_j and e_{m_p}.
+    The payoff is the last player's deviations weighted by the last block,
+    exactly as ``_fold`` has it.  By own-block linearity the derivative of
+    component i along player p's chart coordinate j is the payoff
+    difference between the pure replacements e_j and e_{m_p}.
     """
-    n = payoffs.ndim - 1
-    cols = []
-    for p in range(n):
-        dev = _deviation(payoffs, blocks, p)        # (m_p, n)
-        if dev.shape[0] > 1:
-            cols.append((dev[:-1] - dev[-1]).T)     # (n, m_p - 1)
-    if not cols:
-        return np.zeros((n, 0))
-    return np.concatenate(cols, axis=1)
+    devs = _deviations(payoffs, blocks)
+    jac = np.concatenate([(dev[:-1] - dev[-1]).T for dev in devs], axis=1)
+    return blocks[-1] @ devs[-1], jac
 
 
 def _jacobian_reduced(g: GameSpec, r) -> np.ndarray:
-    return _jacobian_blocks(g.payoffs, _blocks_from_reduced(g.m, r))
+    return _jacobian_blocks(g.payoffs, _blocks_from_reduced(g.m, r))[1]
 
 
 def payoff_jacobian(g: GameSpec, s: StrategyProfile) -> np.ndarray:
     """Analytic Jacobian of the payoff map on the reduced chart,
     shape (n, N - n)."""
     _require_match(g, s)
-    return _jacobian_blocks(g.payoffs, list(s.blocks))
+    return _jacobian_blocks(g.payoffs, s.blocks)[1]
 
 
 def generic_rank(g: GameSpec, samples: int = DEFAULT_SAMPLES, seed: int = 0,
@@ -168,7 +165,7 @@ def fiber_report(g: GameSpec, s: StrategyProfile, k_generic: int,
     r = reduce_profile(s)
     # Jacobian from the exact blocks: rebuilding them from r can inject
     # rounding crumbs that turn an exactly-zero Jacobian into noise rank.
-    jac = _jacobian_blocks(g.payoffs, list(s.blocks))
+    jac = _jacobian_blocks(g.payoffs, s.blocks)[1]
     rank, svals = numerical_rank(jac, tau)
     basis = nullspace(jac, tau)
     base = _payoff_reduced(g, r)
@@ -195,21 +192,23 @@ class FiberPath:
 
 
 def _correct(g: GameSpec, r: np.ndarray, target: np.ndarray,
-             tol: float) -> tuple[np.ndarray, float]:
+             tol: float) -> tuple[np.ndarray, float, np.ndarray]:
     """Gauss-Newton projection of a chart point back onto the level set:
-    the last point and its largest payoff residual (success iff <= tol)."""
+    the last point, its largest payoff residual (success iff <= tol) and
+    the Jacobian there.  Each iteration takes the payoff and the Jacobian
+    from one ``_jacobian_blocks`` call."""
     cur = np.asarray(r, dtype=float)
-    for _ in range(CORRECTOR_MAX_ITER):
-        f = _payoff_reduced(g, cur) - target
+    for it in range(CORRECTOR_MAX_ITER + 1):
+        pay, jac = _jacobian_blocks(g.payoffs, _blocks_from_reduced(g.m, cur))
+        f = pay - target
         residual = float(np.abs(f).max())
-        if residual <= tol:
-            return cur, residual
-        jac = _jacobian_reduced(g, cur)
+        if residual <= tol or it == CORRECTOR_MAX_ITER:
+            break
         delta, *_ = np.linalg.lstsq(jac, -f, rcond=None)
         if not np.all(np.isfinite(delta)):
-            return cur, residual
+            break
         cur = cur + delta
-    return cur, float(np.abs(_payoff_reduced(g, cur) - target).max())
+    return cur, residual, jac
 
 
 def trace_fiber(g: GameSpec, s0: StrategyProfile, direction_index: int,
@@ -221,12 +220,17 @@ def trace_fiber(g: GameSpec, s0: StrategyProfile, direction_index: int,
     Each step moves by ``step`` along a nullspace direction of the payoff
     Jacobian, then corrects back to the starting payoff value with
     Gauss-Newton until the residual is below ``tol``.  The nullspace is
-    recomputed at every accepted point and the followed direction is the
-    basis vector closest to the previous tangent, sign-aligned, which keeps
-    the walk from flipping orientation on a smooth fiber.  The trace stops
-    when the step budget runs out, when a corrected point leaves the
-    interior of the simplex (coordinate below 1e-6), or when the corrector
-    fails to converge.
+    recomputed at every accepted point, from the corrector's Jacobian
+    there, and the followed direction is the basis vector closest to the
+    previous tangent, sign-aligned, which keeps the walk from flipping
+    orientation on a smooth fiber.  The trace stops when the step budget
+    runs out, when a corrected point leaves the interior of the simplex
+    (coordinate below 1e-6), or when the corrector fails to converge.
+
+    Where the Jacobian has a singular value at rounding level (the n-th
+    one of a zero-sum game), the nullspace basis, and so the direction
+    ``direction_index`` picks, is fixed only by rounding and can change
+    with any ulp of the Jacobian.
 
     A start whose rank exceeds the generic rank is rejected.  A start of
     lower rank (a critical point of the map) is allowed: the nullspace is
@@ -239,7 +243,7 @@ def trace_fiber(g: GameSpec, s0: StrategyProfile, direction_index: int,
     if k_generic is None:
         k_generic = generic_rank(g, tau=tau)
     r0 = reduce_profile(s0)
-    jac0 = _jacobian_blocks(g.payoffs, list(s0.blocks))
+    jac0 = _jacobian_blocks(g.payoffs, s0.blocks)[1]
     rank0, _ = numerical_rank(jac0, tau)
     if rank0 > k_generic:
         raise ValueError(
@@ -257,7 +261,7 @@ def trace_fiber(g: GameSpec, s0: StrategyProfile, direction_index: int,
     terminated = "step_budget"
     for _ in range(max_steps):
         predicted = points[-1] + step * tangent
-        corrected, residual = _correct(g, predicted, target, tol)
+        corrected, residual, jac = _correct(g, predicted, target, tol)
         if not residual <= tol:     # a NaN residual fails too
             terminated = "corrector_failure"
             break
@@ -267,7 +271,7 @@ def trace_fiber(g: GameSpec, s0: StrategyProfile, direction_index: int,
             break
         points.append(corrected)
         drift = max(drift, residual)
-        basis = nullspace(_jacobian_reduced(g, corrected), tau)
+        basis = nullspace(jac, tau)
         if basis.shape[0] == 0:
             terminated = "corrector_failure"
             break

@@ -297,21 +297,36 @@ def profile_probability(s: StrategyProfile, profile) -> float:
     return p
 
 
-def _deviation(payoffs: np.ndarray, blocks, player: int) -> np.ndarray:
-    """Contract every player axis except ``player``; result is (m_p, n)."""
-    out = payoffs
-    for q in range(player):
-        out = np.tensordot(blocks[q], out, axes=(0, 0))
-    for q in range(player + 1, len(blocks)):
-        out = np.tensordot(blocks[q], out, axes=(0, 1))
-    return out
+def _deviations(payoffs: np.ndarray, blocks) -> list[np.ndarray]:
+    """Every player's deviation payoffs from one sweep: entry p is (m_p, n).
+
+    The prefix chain contracts the player axes one at a time, first to
+    last, as ``_fold`` does.  Before player p's axis goes, the chain's
+    head is read as (m_p, R_p, n) and all later axes are contracted at
+    once by one matmul with w_p, the flattened outer product of blocks
+    p+1, ..., n-1: a pass over contiguous memory, with no transposed copy.
+    The last player's entry is the chain itself, so it equals ``_fold``'s
+    last step bit for bit.  The tensor is read about twice per call.
+    """
+    suffix = [blocks[-1]]
+    for b in blocks[-2:0:-1]:
+        suffix.append(np.multiply.outer(b, suffix[-1]).ravel())
+    devs = []
+    head = payoffs
+    for b, w in zip(blocks[:-1], reversed(suffix)):
+        devs.append(w @ head.reshape(b.size, w.size, -1))
+        head = np.tensordot(b, head, axes=(0, 0))
+    devs.append(head)
+    return devs
 
 
 def _fold(tensor: np.ndarray, blocks) -> np.ndarray:
-    """Contract the leading axes of ``tensor`` with one vector per axis: the
-    last player's ``_deviation`` weighted by the last block."""
-    last = len(blocks) - 1
-    return np.tensordot(blocks[last], _deviation(tensor, blocks, last), axes=(0, 0))
+    """Contract the leading axes of ``tensor`` with one vector per axis,
+    first to last: the prefix chain of ``_deviations`` finished with the
+    last block."""
+    for b in blocks:
+        tensor = np.tensordot(b, tensor, axes=(0, 0))
+    return tensor
 
 
 def expected_payoff(g: GameSpec, s: StrategyProfile, player: int) -> float:
@@ -339,7 +354,7 @@ def deviation_payoffs(g: GameSpec, s: StrategyProfile, player: int) -> np.ndarra
     _require_match(g, s)
     if not 0 <= player < g.n:
         raise IndexError(f"player index {player} out of range")
-    return _deviation(g.payoffs, s.blocks, player)
+    return _deviations(g.payoffs, s.blocks)[player]
 
 
 def unilateral_replace(s: StrategyProfile, player: int, sigma) -> StrategyProfile:

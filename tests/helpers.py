@@ -24,6 +24,20 @@ def loop_expected_payoff(g, s, player):
     return total
 
 
+def loop_deviation_payoffs(g, s, player):
+    """Literal loop: every pure profile's payoff vector, weighted by the
+    other players' probabilities, added to the row of the deviating
+    player's strategy."""
+    out = np.zeros((g.m[player], g.n))
+    for idx in itertools.product(*(range(mi) for mi in g.m)):
+        prob = 1.0
+        for q, (block, j) in enumerate(zip(s.blocks, idx)):
+            if q != player:
+                prob *= float(block[j])
+        out[idx[player]] += prob * g.payoffs[idx]
+    return out
+
+
 def fd_jacobian(g, s, h=1e-5):
     """Central finite differences of the payoff map through embed_profile."""
     r0 = gf.reduce_profile(s)

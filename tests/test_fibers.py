@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gamefibers as gf
+from gamefibers import fibers
 from helpers import fd_jacobian, interior_profile
 
 
@@ -177,6 +178,40 @@ def test_trace_zero_step(bar):
     assert path.max_payoff_drift == 0.0
     assert len(path.points) == 6
     assert all(np.array_equal(p, path.points[0]) for p in path.points)
+
+
+def test_trace_reuses_the_corrector_jacobian(monkeypatch):
+    # the nullspace at an accepted point comes from the corrector's last
+    # Jacobian: one deviation sweep per corrector evaluation, plus the start
+    g = gf.random_game(3, [3, 3, 3], seed=3)
+    start = gf.uniform_profile(g)
+    k = gf.generic_rank(g, samples=8)
+    counts = {"sweeps": 0, "evaluations": 0}
+    inside = [False]
+    sweep, rebuild, correct = fibers._deviations, fibers._blocks_from_reduced, fibers._correct
+
+    def counting_sweep(payoffs, blocks):
+        counts["sweeps"] += 1
+        return sweep(payoffs, blocks)
+
+    def counting_rebuild(m, r):
+        counts["evaluations"] += inside[0]
+        return rebuild(m, r)
+
+    def flagged_correct(*args):
+        inside[0] = True
+        try:
+            return correct(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(fibers, "_deviations", counting_sweep)
+    monkeypatch.setattr(fibers, "_blocks_from_reduced", counting_rebuild)
+    monkeypatch.setattr(fibers, "_correct", flagged_correct)
+    path = gf.trace_fiber(g, start, 0, step=0.01, max_steps=10, k_generic=k)
+    assert path.terminated_by == "step_budget" and len(path.points) == 11
+    assert counts["evaluations"] >= 10
+    assert counts["sweeps"] == counts["evaluations"] + 1
 
 
 def test_trace_errors(bar, rps):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gamefibers as gf
-from helpers import grid_project, loop_expected_payoff, loop_fill
+from gamefibers.games import _deviations
+from helpers import grid_project, loop_deviation_payoffs, loop_expected_payoff, loop_fill
 
 
 def test_validate_rps_ok(rps):
@@ -160,6 +161,30 @@ def test_expected_payoff_matches_literal_loop():
         i = seed % n
         assert gf.expected_payoff(g, s, i) == pytest.approx(
             loop_expected_payoff(g, s, i), abs=1e-12)
+
+
+@pytest.mark.parametrize("m", [
+    (2, 3), (1, 4), (3, 1), (2, 1, 3), (4, 3, 2), (3, 1, 1, 2), (2, 3, 2, 2),
+    (2, 2, 1, 3, 2), (3, 2, 2, 2, 2), (2, 1, 2, 2, 3, 2), (2, 2, 2, 2, 2, 2),
+])
+def test_deviation_payoffs_match_loop_oracle(m):
+    rng = np.random.default_rng(list(m))
+    n = len(m)
+    payoffs = rng.uniform(-1.0, 1.0, size=m + (n,)) * 10.0 ** rng.integers(-3, 4)
+    g = gf.GameSpec(payoffs)
+    # float64 sums of at most 64 products: 1e-12 of the scale is ample
+    tol = 1e-12 * max(1.0, float(np.abs(payoffs).max()))
+    for _ in range(3):
+        s = gf.random_interior_profile(g, rng)
+        for p in range(n):
+            assert np.abs(gf.deviation_payoffs(g, s, p)
+                          - loop_deviation_payoffs(g, s, p)).max() <= tol
+        devs = _deviations(g.payoffs, s.blocks)
+        chain = g.payoffs
+        for b in s.blocks[:-1]:
+            chain = np.tensordot(b, chain, axes=(0, 0))
+        assert np.array_equal(devs[-1], chain)
+        assert np.array_equal(gf.total_payoff(g, s), s.blocks[-1] @ devs[-1])
 
 
 def test_single_strategy_player_supported():
