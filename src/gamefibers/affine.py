@@ -24,6 +24,7 @@ from .fibers import nullspace, numerical_rank
 
 AFFINITY_TOL = 1e-9
 LEVEL_SET_RESIDUAL = 1e-8
+INTERVAL_TOL = 1e-12      # slack of simplex_interval's box tests
 
 
 def _decompose(g: GameSpec) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
@@ -74,8 +75,7 @@ class AffineLevelSet:
     dimension: int
 
 
-def extract_affine(g: GameSpec, use_zero_sum_reduction: bool = False,
-                   tol: float = AFFINITY_TOL) -> AffineRepresentation:
+def extract_affine(g: GameSpec, use_zero_sum_reduction: bool = False) -> AffineRepresentation:
     """Exact affine representation of a jointly-affine game.
 
     The offset is the payoff at the chart origin (the anchor) and column j
@@ -83,7 +83,7 @@ def extract_affine(g: GameSpec, use_zero_sum_reduction: bool = False,
     (an effect); for an affine map these are the exact coefficients.
     """
     offset, effects, largest_residual = _decompose(g)
-    if largest_residual > tol:
+    if largest_residual > AFFINITY_TOL:
         raise ValueError("not jointly affine: the payoff map has strategy interactions")
     if use_zero_sum_reduction and not is_zero_sum(g):
         raise ValueError("not zero-sum: cannot apply the zero-sum reduction")
@@ -121,35 +121,33 @@ def _simplex_feasible(g: GameSpec, matrix: np.ndarray, rhs: np.ndarray) -> bool:
 
 
 def affine_level_set(rep: AffineRepresentation, y,
-                     g: GameSpec | None = None,
-                     tau: float | None = None,
-                     residual_tol: float = LEVEL_SET_RESIDUAL) -> AffineLevelSet | None:
+                     g: GameSpec | None = None) -> AffineLevelSet | None:
     """The level set of an affine representation at payoff value y, or None
     when the level set is empty.
 
     The base point is the minimum-norm least-squares solution of
     matrix * r = y - offset; the set is declared empty when the residual
-    exceeds ``residual_tol`` (y outside the affine image) or, when the game
-    is supplied, when the solution set misses the strategy simplex.
+    exceeds ``LEVEL_SET_RESIDUAL`` (y outside the affine image) or, when
+    the game is supplied, when the solution set misses the strategy
+    simplex.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     rows = rep.matrix.shape[0]
     if y.shape != (rows,):
         raise ValueError(f"payoff value has length {y.size}, expected {rows}")
     rhs = y - rep.offset
-    base, *_ = np.linalg.lstsq(rep.matrix, rhs, rcond=tau)
+    base, *_ = np.linalg.lstsq(rep.matrix, rhs, rcond=None)
     residual = np.abs(rep.matrix @ base - rhs).max() if rows else 0.0
-    if residual > residual_tol:
+    if residual > LEVEL_SET_RESIDUAL:
         return None
     if g is not None and not _simplex_feasible(g, rep.matrix, rhs):
         return None
-    basis = nullspace(rep.matrix, tau)
+    basis = nullspace(rep.matrix)
     return AffineLevelSet(base_point=base, kernel_basis=basis,
                           dimension=basis.shape[0])
 
 
-def simplex_interval(g: GameSpec, base, direction,
-                     tol: float = 1e-12) -> tuple[float, float] | None:
+def simplex_interval(g: GameSpec, base, direction) -> tuple[float, float] | None:
     """Parameter range t for which base + t * direction embeds into the
     simplex (all coordinates, implied ones included, inside [0, 1]).
 
@@ -161,8 +159,8 @@ def simplex_interval(g: GameSpec, base, direction,
     lo, hi = -np.inf, np.inf
     for c0, c1 in zip(shift + rows @ np.asarray(base, dtype=float),
                       rows @ np.asarray(direction, dtype=float)):
-        if abs(c1) < tol:
-            if c0 < -tol or c0 > 1.0 + tol:
+        if abs(c1) < INTERVAL_TOL:
+            if c0 < -INTERVAL_TOL or c0 > 1.0 + INTERVAL_TOL:
                 return None
             continue
         t0, t1 = (0.0 - c0) / c1, (1.0 - c0) / c1

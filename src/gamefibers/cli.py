@@ -21,13 +21,14 @@ import numpy as np
 
 from .affine import extract_affine, is_jointly_affine
 from .equilibria import (
+    SEARCH_EPS,
     SUPPORT_MAX_STRATEGIES,
     find_equilibrium,
     pure_equilibria,
     support_enumeration,
     verify_equilibrium,
 )
-from .fibers import generic_rank, trace_fiber
+from .fibers import DEFAULT_SAMPLES, TRACE_TOL, generic_rank, trace_fiber
 from .games import (
     GameSpec,
     StrategyProfile,
@@ -38,7 +39,6 @@ from .games import (
     validate_game,
 )
 from .gamedoc import (
-    GameFormatError,
     builtin_game,
     format_number,
     parse_game,
@@ -312,12 +312,12 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_eval)
 
     p = add("analyze", "dimensions, zero-sum/affinity flags, generic rank")
-    p.add_argument("--samples", type=_int_at_least(1), default=64)
+    p.add_argument("--samples", type=_int_at_least(1), default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_analyze)
 
     p = add("equilibria", "pure, support-enumeration, and searched equilibria")
-    p.add_argument("--eps", type=_finite_non_negative, default=1e-6)
+    p.add_argument("--eps", type=_finite_non_negative, default=SEARCH_EPS)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_equilibria)
 
@@ -326,7 +326,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--direction", type=_int_at_least(0), required=True)
     p.add_argument("--step", type=_finite, required=True)
     p.add_argument("--steps", type=_int_at_least(0), required=True)
-    p.add_argument("--tol", type=_finite, default=1e-10)
+    p.add_argument("--tol", type=_finite, default=TRACE_TOL)
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("gen", help="write a game document to stdout")
@@ -357,9 +357,7 @@ def run(argv, read_stdin=None) -> tuple[int, bytes, str]:
         return args.func(args, read_stdin) + ("",)
     except _UsageError as exc:
         return 2, b"", str(exc).rstrip("\n") + "\n"
-    except OSError as exc:
-        return 1, b"", f"error: {exc}\n"
-    except (GameFormatError, ValueError, IndexError) as exc:
+    except (OSError, ValueError, IndexError) as exc:
         return 1, b"", f"error: {exc}\n"
 
 

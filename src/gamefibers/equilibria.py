@@ -30,6 +30,7 @@ from .games import (
 DAMPING = 0.5
 POLISH_EVERY = 25
 SUPPORT_MAX_STRATEGIES = 6
+SEARCH_EPS = 1e-6          # default epsilon of find_equilibrium and the CLI
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,7 @@ def _lexicographically_before(a: StrategyProfile, b: StrategyProfile) -> bool:
 
 
 def find_equilibrium(g: GameSpec, seed: int = 0, max_iter: int = 10_000,
-                     eps: float = 1e-6, restarts: int = 8) -> EquilibriumReport:
+                     eps: float = SEARCH_EPS, restarts: int = 8) -> EquilibriumReport:
     """Search for an equilibrium by damped improvement iteration.
 
     Starts from the uniform profile, then from seeded random interior

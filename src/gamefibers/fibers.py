@@ -35,50 +35,38 @@ DEFAULT_SAMPLES = 64
 INTERIOR_MIN = 1e-6
 CONSTANCY_EPSILONS = (1e-2, 1e-3, 1e-4)
 CORRECTOR_MAX_ITER = 20
+TRACE_TOL = 1e-10                # largest payoff residual the corrector accepts
 
 # Relative singular-value cutoff: sigma is negligible below
 # max(rows, cols) * 2**-46 times the largest singular value.
 RANK_RTOL_EXPONENT = -46
 
 
-def _rank_rtol(shape) -> float:
-    return max(shape) * 2.0 ** RANK_RTOL_EXPONENT
-
-
-def numerical_rank(mat, tau: float | None = None) -> tuple[int, np.ndarray]:
-    """Rank of a matrix as the number of singular values above a relative
-    cutoff; returns (rank, singular_values).
-
-    ``tau`` is relative to the largest singular value and defaults to
-    max(rows, cols) * 2**-46; the zero matrix has rank 0.
-    """
+def _svd(mat, kernel: bool) -> tuple[int, np.ndarray, np.ndarray | None]:
+    """Rank, singular values and, with ``kernel``, the kernel basis of a
+    finite matrix, all from one SVD: the one place the cutoff is applied."""
     a = np.atleast_2d(np.asarray(mat, dtype=float))
     if not np.all(np.isfinite(a)):
         raise ValueError("rank needs a finite matrix")
-    if a.size == 0:
-        return 0, np.zeros(0)
-    s = np.linalg.svd(a, compute_uv=False)
-    if tau is None:
-        tau = _rank_rtol(a.shape)
-    smax = float(s[0])
-    if smax == 0.0:
-        return 0, s
-    return int(np.sum(s > tau * smax)), s
-
-
-def nullspace(mat, tau: float | None = None) -> np.ndarray:
-    """Orthonormal basis for the kernel, one vector per row."""
-    a = np.atleast_2d(np.asarray(mat, dtype=float))
-    if not np.all(np.isfinite(a)):
-        raise ValueError("nullspace needs a finite matrix")
-    if a.shape[1] == 0:
-        return np.zeros((0, 0))
-    _, s, vt = np.linalg.svd(a)
-    if tau is None:
-        tau = _rank_rtol(a.shape)
+    if kernel:
+        _, s, vt = np.linalg.svd(a)
+    else:
+        s = np.linalg.svd(a, compute_uv=False)
     smax = float(s[0]) if s.size else 0.0
-    rank = int(np.sum(s > tau * smax)) if smax > 0.0 else 0
-    return vt[rank:]
+    rank = int(np.sum(s > max(a.shape) * 2.0 ** RANK_RTOL_EXPONENT * smax))
+    return rank, s, (vt[rank:] if kernel else None)
+
+
+def numerical_rank(mat) -> tuple[int, np.ndarray]:
+    """Rank of a matrix as the number of singular values above the relative
+    cutoff; returns (rank, singular_values).  The zero matrix has rank 0."""
+    rank, s, _ = _svd(mat, kernel=False)
+    return rank, s
+
+
+def nullspace(mat) -> np.ndarray:
+    """Orthonormal basis for the kernel, one vector per row."""
+    return _svd(mat, kernel=True)[2]
 
 
 def _jacobian_blocks(payoffs: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
@@ -106,8 +94,7 @@ def payoff_jacobian(g: GameSpec, s: StrategyProfile) -> np.ndarray:
     return _jacobian_blocks(g.payoffs, s.blocks)[1]
 
 
-def generic_rank(g: GameSpec, samples: int = DEFAULT_SAMPLES, seed: int = 0,
-                 tau: float | None = None) -> int:
+def generic_rank(g: GameSpec, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> int:
     """Generic Jacobian rank k, the dimension of the payoff image.
 
     Estimated as the maximum rank over interior sample points: rank is
@@ -124,7 +111,7 @@ def generic_rank(g: GameSpec, samples: int = DEFAULT_SAMPLES, seed: int = 0,
     for idx in range(samples):
         rng = np.random.default_rng([seed, idx])
         s = random_interior_profile(g, rng)
-        rank, _ = numerical_rank(payoff_jacobian(g, s), tau)
+        rank, _ = numerical_rank(payoff_jacobian(g, s))
         k = max(k, rank)
     return k
 
@@ -149,9 +136,7 @@ def _min_coordinate(blocks) -> float:
     return min(float(b.min()) for b in blocks)
 
 
-def fiber_report(g: GameSpec, s: StrategyProfile, k_generic: int,
-                 tau: float | None = None,
-                 epsilons=CONSTANCY_EPSILONS) -> FiberReport:
+def fiber_report(g: GameSpec, s: StrategyProfile, k_generic: int) -> FiberReport:
     """Rank, nullspace, and payoff-constancy residuals at an interior point.
 
     For each nullspace direction v and each probe size eps, the residual is
@@ -166,11 +151,10 @@ def fiber_report(g: GameSpec, s: StrategyProfile, k_generic: int,
     # Jacobian from the exact blocks: rebuilding them from r can inject
     # rounding crumbs that turn an exactly-zero Jacobian into noise rank.
     jac = _jacobian_blocks(g.payoffs, s.blocks)[1]
-    rank, svals = numerical_rank(jac, tau)
-    basis = nullspace(jac, tau)
+    rank, svals, basis = _svd(jac, kernel=True)
     base = _payoff_reduced(g, r)
     residuals = []
-    for eps in epsilons:
+    for eps in CONSTANCY_EPSILONS:
         worst = 0.0
         for v in basis:
             dev = np.abs(_payoff_reduced(g, r + eps * v) - base).max()
@@ -212,9 +196,8 @@ def _correct(g: GameSpec, r: np.ndarray, target: np.ndarray,
 
 
 def trace_fiber(g: GameSpec, s0: StrategyProfile, direction_index: int,
-                step: float, max_steps: int, tol: float = 1e-10,
-                k_generic: int | None = None,
-                tau: float | None = None) -> FiberPath:
+                step: float, max_steps: int, tol: float = TRACE_TOL,
+                k_generic: int | None = None) -> FiberPath:
     """Predictor-corrector continuation inside the level set through s0.
 
     Each step moves by ``step`` along a nullspace direction of the payoff
@@ -225,7 +208,8 @@ def trace_fiber(g: GameSpec, s0: StrategyProfile, direction_index: int,
     previous tangent, sign-aligned, which keeps the walk from flipping
     orientation on a smooth fiber.  The trace stops when the step budget
     runs out, when a corrected point leaves the interior of the simplex
-    (coordinate below 1e-6), or when the corrector fails to converge.
+    (a coordinate below ``INTERIOR_MIN``), or when the corrector fails to
+    converge.
 
     Where the Jacobian has a singular value at rounding level (the n-th
     one of a zero-sum game), the nullspace basis, and so the direction
@@ -241,15 +225,13 @@ def trace_fiber(g: GameSpec, s0: StrategyProfile, direction_index: int,
         raise ValueError(
             f"boundary point: tracing needs every coordinate >= {INTERIOR_MIN}")
     if k_generic is None:
-        k_generic = generic_rank(g, tau=tau)
+        k_generic = generic_rank(g)
     r0 = reduce_profile(s0)
-    jac0 = _jacobian_blocks(g.payoffs, s0.blocks)[1]
-    rank0, _ = numerical_rank(jac0, tau)
+    rank0, _, basis = _svd(_jacobian_blocks(g.payoffs, s0.blocks)[1], kernel=True)
     if rank0 > k_generic:
         raise ValueError(
             f"irregular start: rank {rank0} at the start point exceeds the "
             f"generic rank {k_generic}")
-    basis = nullspace(jac0, tau)
     if not 0 <= direction_index < basis.shape[0]:
         raise ValueError(
             f"invalid direction: index {direction_index} but the nullspace "
@@ -271,7 +253,7 @@ def trace_fiber(g: GameSpec, s0: StrategyProfile, direction_index: int,
             break
         points.append(corrected)
         drift = max(drift, residual)
-        basis = nullspace(jac, tau)
+        basis = nullspace(jac)
         if basis.shape[0] == 0:
             terminated = "corrector_failure"
             break

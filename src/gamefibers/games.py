@@ -210,7 +210,7 @@ def validate_game(g: GameSpec) -> list[Defect]:
 class StrategyProfile:
     """One probability vector per player (a point of the product simplex)."""
 
-    def __init__(self, blocks, tol: float = TAU_SIMPLEX):
+    def __init__(self, blocks):
         out = []
         for i, block in enumerate(blocks):
             b = np.array(block, dtype=float)
@@ -218,9 +218,9 @@ class StrategyProfile:
                 raise ValueError(f"block {i} must be a nonempty vector")
             if not np.all(np.isfinite(b)):
                 raise ValueError(f"block {i} has non-finite entries")
-            if b.min() < -tol or b.max() > 1.0 + tol:
+            if b.min() < -TAU_SIMPLEX or b.max() > 1.0 + TAU_SIMPLEX:
                 raise ValueError(f"block {i} is off-simplex: entries outside [0, 1]")
-            if abs(b.sum() - 1.0) > tol:
+            if abs(b.sum() - 1.0) > TAU_SIMPLEX:
                 raise ValueError(f"block {i} is off-simplex: sums to {b.sum()!r}")
             b.setflags(write=False)
             out.append(b)
@@ -330,12 +330,11 @@ def _fold(tensor: np.ndarray, blocks) -> np.ndarray:
 
 
 def expected_payoff(g: GameSpec, s: StrategyProfile, player: int) -> float:
-    """Expected payoff to one player: the probability-weighted sum of that
-    player's payoff over all pure profiles."""
+    """Expected payoff to one player: that component of ``total_payoff``."""
     _require_match(g, s)
     if not 0 <= player < g.n:
         raise IndexError(f"player index {player} out of range")
-    return float(_fold(g.payoffs[..., player], s.blocks))
+    return float(total_payoff(g, s)[player])
 
 
 def total_payoff(g: GameSpec, s: StrategyProfile) -> np.ndarray:
@@ -411,21 +410,22 @@ def _payoff_reduced(g: GameSpec, r) -> np.ndarray:
     return _fold(g.payoffs, _blocks_from_reduced(g.m, r))
 
 
-def embed_profile(g: GameSpec, r, tol: float = TAU_SIMPLEX) -> StrategyProfile:
+def embed_profile(g: GameSpec, r) -> StrategyProfile:
     """Inverse of ``reduce_profile``: rebuild a valid profile from chart
     coordinates.
 
-    Coordinates (including each implied last one) must lie within ``tol``
-    of [0, 1]; they are then clamped and the block renormalized, so the
-    round trip with ``reduce_profile`` is the identity on valid profiles.
+    Coordinates (including each implied last one) must lie within
+    ``TAU_SIMPLEX`` of [0, 1]; they are then clamped and the block
+    renormalized, so the round trip with ``reduce_profile`` is the
+    identity on valid profiles.
     """
     blocks = _blocks_from_reduced(g.m, r)
     out = []
     for i, b in enumerate(blocks):
-        if b.min() < -tol or b.max() > 1.0 + tol:
+        if b.min() < -TAU_SIMPLEX or b.max() > 1.0 + TAU_SIMPLEX:
             raise ValueError(
                 f"off-simplex: block {i} of the embedded point leaves [0, 1] "
-                f"beyond tolerance {tol}")
+                f"beyond tolerance {TAU_SIMPLEX}")
         c = np.clip(b, 0.0, 1.0)
         out.append(c / c.sum())
     return StrategyProfile(out)

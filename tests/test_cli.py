@@ -77,6 +77,14 @@ def test_hostile_documents_exit_1(bar_doc):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_unreadable_files_exit_1(tmp_path):
+    for path in (tmp_path / "absent.json", tmp_path):
+        code, out, err = cli("validate", str(path))
+        assert (code, out) == (1, b"")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+
+
 def test_eval_uniform_and_explicit(rps_doc, bar_doc):
     code, out, _ = cli("eval", "--profile", "uniform", stdin=rps_doc)
     assert code == 0

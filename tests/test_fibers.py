@@ -145,6 +145,35 @@ def test_fiber_report_dimension_count():
         assert report.jacobian_rank + report.fiber_dimension == g.reduced_dim
 
 
+def test_report_and_trace_start_make_one_svd(monkeypatch):
+    # rank, singular values and kernel come from one decomposition
+    calls = [0]
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls[0] += 1
+        return svd(*args, **kwargs)
+
+    rng = np.random.default_rng(61)
+    for seed in range(12):
+        n = 2 + seed % 3
+        m = [2 + (seed + j) % 3 for j in range(n)]
+        g = gf.random_game(n, m, seed=900 + seed, zero_sum=(seed % 3 == 1),
+                           jointly_affine=(seed % 3 == 2))
+        k = gf.generic_rank(g, samples=16)
+        s = interior_profile(g, rng)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        calls[0] = 0
+        report = gf.fiber_report(g, s, k)
+        assert calls[0] == 1
+        calls[0] = 0
+        gf.trace_fiber(g, s, 0, step=0.01, max_steps=0, k_generic=k)
+        assert calls[0] == 1
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        assert report.jacobian_rank + report.fiber_dimension == g.reduced_dim
+        assert report.singular_values.shape == (min(n, g.reduced_dim),)
+
+
 def test_fiber_report_boundary_rejected(bar):
     with pytest.raises(ValueError, match="boundary point"):
         gf.fiber_report(bar, gf.pure_profile(bar, (0, 0)), k_generic=1)

@@ -214,6 +214,23 @@ def test_total_payoff_components_match_expected(rps):
     assert abs(pay.sum()) <= 1e-12  # zero-sum game
 
 
+def test_expected_payoff_is_a_total_payoff_component():
+    # one contraction defines every payoff: exact equality, not closeness
+    for k in range(40):
+        rng = np.random.default_rng([5, k])
+        n = 2 + k % 4
+        m = tuple(int(x) for x in rng.integers(1, 5, size=n))
+        payoffs = rng.uniform(-1.0, 1.0, size=m + (n,))
+        if k % 2:
+            payoffs[..., -1] = -payoffs[..., :-1].sum(axis=-1)
+        g = gf.GameSpec(payoffs)
+        for _ in range(3):
+            s = gf.random_interior_profile(g, rng)
+            pay = gf.total_payoff(g, s)
+            for p in range(n):
+                assert gf.expected_payoff(g, s, p) == pay[p]
+
+
 def test_unilateral_replace(rps):
     u = gf.uniform_profile(rps)
     same = gf.unilateral_replace(u, 0, u.blocks[0])
