@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import GameSpec, is_zero_sum
-from .fibers import nullspace, numerical_rank
+from .fibers import _solve, numerical_rank
 
 AFFINITY_TOL = 1e-9
 LEVEL_SET_RESIDUAL = 1e-8
@@ -126,23 +126,25 @@ def affine_level_set(rep: AffineRepresentation, y,
     when the level set is empty.
 
     The base point is the minimum-norm least-squares solution of
-    matrix * r = y - offset; the set is declared empty when the residual
-    exceeds ``LEVEL_SET_RESIDUAL`` (y outside the affine image) or, when
-    the game is supplied, when the solution set misses the strategy
-    simplex.
+    matrix * r = y - offset, so it is orthogonal to the kernel; it and the
+    kernel basis come from the same SVD, with the one rank cutoff of
+    ``fibers``.  The set is declared empty when the residual exceeds
+    ``LEVEL_SET_RESIDUAL`` (y outside the affine image) or, when the game
+    is supplied, when the solution set misses the strategy simplex.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     rows = rep.matrix.shape[0]
     if y.shape != (rows,):
         raise ValueError(f"payoff value has length {y.size}, expected {rows}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("payoff value must be finite")
     rhs = y - rep.offset
-    base, *_ = np.linalg.lstsq(rep.matrix, rhs, rcond=None)
+    base, basis = _solve(rep.matrix, rhs)
     residual = np.abs(rep.matrix @ base - rhs).max() if rows else 0.0
     if residual > LEVEL_SET_RESIDUAL:
         return None
     if g is not None and not _simplex_feasible(g, rep.matrix, rhs):
         return None
-    basis = nullspace(rep.matrix)
     return AffineLevelSet(base_point=base, kernel_basis=basis,
                           dimension=basis.shape[0])
 

@@ -326,7 +326,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--direction", type=_int_at_least(0), required=True)
     p.add_argument("--step", type=_finite, required=True)
     p.add_argument("--steps", type=_int_at_least(0), required=True)
-    p.add_argument("--tol", type=_finite, default=TRACE_TOL)
+    p.add_argument("--tol", type=_finite_non_negative, default=TRACE_TOL)
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("gen", help="write a game document to stdout")

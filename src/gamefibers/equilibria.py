@@ -188,6 +188,7 @@ def _indifference_weights(mat: np.ndarray) -> np.ndarray | None:
     system[rows, :cols] = 1.0       # weights sum to one
     rhs = np.zeros(rows + 1)
     rhs[-1] = 1.0
+    # lstsq beats fibers._solve on these many tiny solves; the residual test decides
     sol, *_ = np.linalg.lstsq(system, rhs, rcond=None)
     if np.abs(system @ sol - rhs).max() > 1e-9:
         return None

@@ -42,31 +42,41 @@ TRACE_TOL = 1e-10                # largest payoff residual the corrector accepts
 RANK_RTOL_EXPONENT = -46
 
 
-def _svd(mat, kernel: bool) -> tuple[int, np.ndarray, np.ndarray | None]:
-    """Rank, singular values and, with ``kernel``, the kernel basis of a
-    finite matrix, all from one SVD: the one place the cutoff is applied."""
+def _svd(mat, vectors: bool) -> tuple[int, np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Rank, singular values and, with ``vectors``, U and V^T of a finite
+    matrix, all from one SVD: the one place the cutoff is applied."""
     a = np.atleast_2d(np.asarray(mat, dtype=float))
     if not np.all(np.isfinite(a)):
         raise ValueError("rank needs a finite matrix")
-    if kernel:
-        _, s, vt = np.linalg.svd(a)
+    if vectors:
+        u, s, vt = np.linalg.svd(a)
     else:
-        s = np.linalg.svd(a, compute_uv=False)
+        u, s, vt = None, np.linalg.svd(a, compute_uv=False), None
     smax = float(s[0]) if s.size else 0.0
     rank = int(np.sum(s > max(a.shape) * 2.0 ** RANK_RTOL_EXPONENT * smax))
-    return rank, s, (vt[rank:] if kernel else None)
+    return rank, s, u, vt
+
+
+def _solve(mat, rhs) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-norm least-squares solution of mat @ x = rhs and the kernel
+    basis of mat from one ``_svd``, so the solve drops exactly the
+    directions the kernel keeps."""
+    rank, s, u, vt = _svd(mat, vectors=True)
+    x = vt[:rank].T @ ((u[:, :rank].T @ rhs) / s[:rank])
+    return x, vt[rank:]
 
 
 def numerical_rank(mat) -> tuple[int, np.ndarray]:
     """Rank of a matrix as the number of singular values above the relative
     cutoff; returns (rank, singular_values).  The zero matrix has rank 0."""
-    rank, s, _ = _svd(mat, kernel=False)
+    rank, s, _, _ = _svd(mat, vectors=False)
     return rank, s
 
 
 def nullspace(mat) -> np.ndarray:
     """Orthonormal basis for the kernel, one vector per row."""
-    return _svd(mat, kernel=True)[2]
+    rank, _, _, vt = _svd(mat, vectors=True)
+    return vt[rank:]
 
 
 def _jacobian_blocks(payoffs: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
@@ -151,7 +161,8 @@ def fiber_report(g: GameSpec, s: StrategyProfile, k_generic: int) -> FiberReport
     # Jacobian from the exact blocks: rebuilding them from r can inject
     # rounding crumbs that turn an exactly-zero Jacobian into noise rank.
     jac = _jacobian_blocks(g.payoffs, s.blocks)[1]
-    rank, svals, basis = _svd(jac, kernel=True)
+    rank, svals, _, vt = _svd(jac, vectors=True)
+    basis = vt[rank:]
     base = _payoff_reduced(g, r)
     residuals = []
     for eps in CONSTANCY_EPSILONS:
@@ -180,18 +191,17 @@ def _correct(g: GameSpec, r: np.ndarray, target: np.ndarray,
     """Gauss-Newton projection of a chart point back onto the level set:
     the last point, its largest payoff residual (success iff <= tol) and
     the Jacobian there.  Each iteration takes the payoff and the Jacobian
-    from one ``_jacobian_blocks`` call."""
+    from one ``_jacobian_blocks`` call and steps by ``_solve``.  A
+    diverging step stops at the first non-finite Jacobian and fails."""
     cur = np.asarray(r, dtype=float)
-    for it in range(CORRECTOR_MAX_ITER + 1):
-        pay, jac = _jacobian_blocks(g.payoffs, _blocks_from_reduced(g.m, cur))
-        f = pay - target
-        residual = float(np.abs(f).max())
-        if residual <= tol or it == CORRECTOR_MAX_ITER:
-            break
-        delta, *_ = np.linalg.lstsq(jac, -f, rcond=None)
-        if not np.all(np.isfinite(delta)):
-            break
-        cur = cur + delta
+    with np.errstate(all="ignore"):
+        for it in range(CORRECTOR_MAX_ITER + 1):
+            pay, jac = _jacobian_blocks(g.payoffs, _blocks_from_reduced(g.m, cur))
+            f = pay - target
+            residual = float(np.abs(f).max())
+            if residual <= tol or it == CORRECTOR_MAX_ITER or not np.isfinite(jac).all():
+                break
+            cur = cur + _solve(jac, -f)[0]
     return cur, residual, jac
 
 
@@ -209,7 +219,8 @@ def trace_fiber(g: GameSpec, s0: StrategyProfile, direction_index: int,
     orientation on a smooth fiber.  The trace stops when the step budget
     runs out, when a corrected point leaves the interior of the simplex
     (a coordinate below ``INTERIOR_MIN``), or when the corrector fails to
-    converge.
+    converge; a step so large that the corrector diverges is a
+    ``corrector_failure`` too.
 
     Where the Jacobian has a singular value at rounding level (the n-th
     one of a zero-sum game), the nullspace basis, and so the direction
@@ -227,7 +238,8 @@ def trace_fiber(g: GameSpec, s0: StrategyProfile, direction_index: int,
     if k_generic is None:
         k_generic = generic_rank(g)
     r0 = reduce_profile(s0)
-    rank0, _, basis = _svd(_jacobian_blocks(g.payoffs, s0.blocks)[1], kernel=True)
+    rank0, _, _, vt = _svd(_jacobian_blocks(g.payoffs, s0.blocks)[1], vectors=True)
+    basis = vt[rank0:]
     if rank0 > k_generic:
         raise ValueError(
             f"irregular start: rank {rank0} at the start point exceeds the "

@@ -185,6 +185,62 @@ def test_level_set_membership_and_orthonormality():
         assert np.abs(rep.matrix @ point + rep.offset - y).max() <= 1e-8
 
 
+def test_level_set_solve_and_kernel_share_one_cutoff():
+    # a singular value below the rank cutoff is kernel for the solve too,
+    # so the base point does not run off along its own kernel direction
+    rep = gf.AffineRepresentation(matrix=np.array([[1.0, 0.0], [0.0, 1e-15]]),
+                                  offset=np.zeros(2), zero_sum_reduced=False)
+    ls = gf.affine_level_set(rep, [0.0, 1e-9])
+    assert ls.base_point.tolist() == [0.0, 0.0]
+    assert np.abs(ls.kernel_basis).tolist() == [[0.0, 1.0]]
+    assert ls.dimension == 1
+
+
+def test_level_set_base_and_kernel_from_one_svd(monkeypatch):
+    # one decomposition per level set: no separate least-squares solve
+    calls = [0]
+    svd, lstsq = np.linalg.svd, np.linalg.lstsq
+
+    def counting_svd(*args, **kwargs):
+        calls[0] += 1
+        return svd(*args, **kwargs)
+
+    def counting_lstsq(*args, **kwargs):
+        calls[0] += 1
+        return lstsq(*args, **kwargs)
+
+    rng = np.random.default_rng(1201)
+    for seed in range(18):
+        n = 2 + seed % 3
+        m = [2 + (seed + j) % 3 for j in range(n)]
+        zero_sum = seed % 2 == 0
+        g = gf.random_game(n, m, seed=1200 + seed, zero_sum=zero_sum,
+                           jointly_affine=True)
+        rep = gf.extract_affine(g, use_zero_sum_reduction=zero_sum)
+        y = rep.matrix @ gf.reduce_profile(interior_profile(g, rng)) + rep.offset
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        calls[0] = 0
+        ls = gf.affine_level_set(rep, y, g=g)
+        assert calls[0] == 1
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+        base = ls.base_point
+        scale = max(1.0, float(np.abs(base).max()))
+        assert np.abs(ls.kernel_basis @ base).max(initial=0.0) <= 1e-12 * scale
+        residual = np.abs(rep.matrix @ base + rep.offset - y).max()
+        assert residual <= gf.affine.LEVEL_SET_RESIDUAL
+        assert ls.dimension + rep.rank == g.reduced_dim
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_level_set_rejects_non_finite_payoff_value(bad):
+    g = gf.random_game(3, [2, 2, 2], seed=5, jointly_affine=True)
+    rep = gf.extract_affine(g)
+    with pytest.raises(ValueError, match="must be finite"):
+        gf.affine_level_set(rep, [bad, 0.0, 0.0])
+
+
 def test_agreement_with_payoff_map():
     rng = np.random.default_rng(37)
     for seed in range(10):

@@ -216,6 +216,7 @@ TRACE = {"--start": "uniform", "--direction": "0", "--step": "0.05", "--steps": 
     ("trace", "--steps", "-5"),
     ("trace", "--tol", "nan"),
     ("trace", "--tol", "-inf"),
+    ("trace", "--tol", "-1"),
     ("equilibria", "--eps", "-1"),
     ("equilibria", "--eps", "nan"),
     ("analyze", "--samples", "0"),
@@ -230,6 +231,17 @@ def test_bad_numbers_exit_2_with_usage(command, flag, value, rps_doc):
     assert err.startswith(f"gamefibers {command}: error: argument {flag}: ")
     assert f"usage: gamefibers {command}" in err
     assert "Traceback" not in err and "DLASCL" not in err
+
+
+def test_trace_diverging_step_exits_0_quietly(capfd):
+    # the corrector overflows far outside the simplex: a corrector_failure,
+    # with nothing from numpy or LAPACK on the process's stderr
+    doc = gf.write_game(gf.random_game(3, [3, 3, 3], seed=3))
+    code, out, err = cli("trace", "--start", "uniform", "--direction", "0",
+                         "--step", "1e300", "--steps", "5", stdin=doc)
+    assert (code, err) == (0, "")
+    assert out.decode().splitlines()[-1] == "terminated: corrector_failure"
+    assert capfd.readouterr().err == ""
 
 
 def test_scipy_is_imported_only_by_the_lp():

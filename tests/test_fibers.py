@@ -243,6 +243,17 @@ def test_trace_reuses_the_corrector_jacobian(monkeypatch):
     assert counts["sweeps"] == counts["evaluations"] + 1
 
 
+def test_diverging_step_is_a_corrector_failure(bar, rps):
+    # the corrector overflows far outside the simplex; the trace stops
+    # cleanly instead of raising from the linear solve
+    g = gf.random_game(3, [3, 3, 3], seed=3)
+    for game in (g, bar, rps):
+        path = gf.trace_fiber(game, gf.uniform_profile(game), 0, step=1e300,
+                              max_steps=5)
+        assert path.terminated_by == "corrector_failure"
+        assert len(path.points) == 1
+
+
 def test_trace_errors(bar, rps):
     start = gf.embed_profile(bar, [0.5, 0.5])
     with pytest.raises(ValueError, match="invalid direction"):
