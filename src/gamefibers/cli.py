@@ -4,8 +4,9 @@ Subcommands: ``validate``, ``eval``, ``analyze``, ``equilibria``,
 ``trace``, and ``gen``.  Game documents are read from a file argument or
 from standard input when the argument is ``-`` or omitted, so commands
 compose with pipes.  All reports are deterministic given the arguments;
-``--json`` switches to machine-readable output.  Exit codes: 0 success,
-1 data errors, 2 usage errors.
+``--json`` switches to machine-readable output; text reports print the
+JSON report's values.  Exit codes: 0 success, 1 data errors, 2 usage
+errors.
 """
 
 from __future__ import annotations
@@ -56,40 +57,31 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
 
 
-def _finite(text: str) -> float:
-    """argparse type: a finite float."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
-
-
-def _finite_non_negative(text: str) -> float:
-    """argparse type: a finite float that is not negative."""
-    value = _finite(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative, got {text!r}")
-    return value
-
-
-def _int_at_least(low: int):
-    """argparse type: an int no smaller than ``low``."""
-    def parse(text: str) -> int:
+def _number(kind, low=None):
+    """argparse type: a finite ``kind`` (int or float), at least ``low`` when given."""
+    def parse(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}") from None
+        if kind is float and not math.isfinite(value):  # isfinite overflows on huge ints
+            raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+        if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {text!r}")
         return value
     return parse
 
 
-def _yn(flag: bool) -> str:
-    return "yes" if flag else "no"
+def _text(value) -> str:
+    """A report value as text: yes/no, n/a for None, lists space-joined."""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if value is None:
+        return "n/a"
+    if isinstance(value, list):
+        return " ".join(map(str, value))
+    return str(value)
 
 
 def _profile_str(s: StrategyProfile) -> str:
@@ -116,15 +108,13 @@ def _parse_profile(text: str, g: GameSpec) -> StrategyProfile:
     return StrategyProfile([b / b.sum() for b in cleaned])
 
 
-def _read_doc(args, read_stdin) -> bytes:
-    if args.file in (None, "-"):
-        return read_stdin()
-    with open(args.file, "rb") as fh:
-        return fh.read()
-
-
 def _load_game(args, read_stdin) -> GameSpec:
-    return parse_game(_read_doc(args, read_stdin))
+    if args.file in (None, "-"):
+        doc = read_stdin()
+    else:
+        with open(args.file, "rb") as fh:
+            doc = fh.read()
+    return parse_game(doc)
 
 
 def _load_valid_game(args, read_stdin) -> GameSpec:
@@ -167,33 +157,22 @@ def _cmd_analyze(args, read_stdin):
     zero_sum = is_zero_sum(g)
     affine = is_jointly_affine(g)
     k = generic_rank(g, samples=args.samples, seed=args.seed)
-    info = {
-        "players": g.n,
-        "strategies": list(g.m),
-        "profiles": g.num_profiles,
-        "pure_strategies": g.num_coords,
-        "chart_dimension": g.reduced_dim,
-        "zero_sum": zero_sum,
-        "jointly_affine": affine,
-        "generic_rank": k,
-        "generic_fiber_dimension": g.reduced_dim - k,
-        "affine": None,
-    }
-    lines = [
-        f"players: {g.n}",
-        "strategies: " + " ".join(str(mi) for mi in g.m),
-        f"profiles: {g.num_profiles}",
-        f"pure strategies: {g.num_coords}",
-        f"chart dimension: {g.reduced_dim}",
-        f"zero-sum: {_yn(zero_sum)}",
-        f"jointly affine: {_yn(affine)}",
-        f"generic rank: {k}",
-        f"generic fiber dimension: {g.reduced_dim - k}",
+    rows = [  # (JSON key, text label, value)
+        ("players", "players", g.n),
+        ("strategies", "strategies", list(g.m)),
+        ("profiles", "profiles", g.num_profiles),
+        ("pure_strategies", "pure strategies", g.num_coords),
+        ("chart_dimension", "chart dimension", g.reduced_dim),
+        ("zero_sum", "zero-sum", zero_sum),
+        ("jointly_affine", "jointly affine", affine),
+        ("generic_rank", "generic rank", k),
+        ("generic_fiber_dimension", "generic fiber dimension", g.reduced_dim - k),
     ]
+    info = {key: value for key, _, value in rows}
+    info["affine"] = None
     if affine:
         rep = extract_affine(g, use_zero_sum_reduction=zero_sum)
-        rank = rep.rank
-        nullity = rep.matrix.shape[1] - rank
+        nullity = rep.matrix.shape[1] - rep.rank
         hyp_three = any(mi >= 3 for mi in g.m)
         bound = None
         if all(mi >= 2 for mi in g.m):
@@ -201,25 +180,20 @@ def _cmd_analyze(args, read_stdin):
                 bound = g.num_coords - 2 * g.n + 1
             elif hyp_three:
                 bound = g.num_coords - 2 * g.n
-        info["affine"] = {
-            "rank": rank,
-            "nullity": nullity,
-            "hypothesis_three_strategies": hyp_three,
-            "hypothesis_zero_sum": zero_sum,
-            "dimension_bound": bound,
-            "bound_satisfied": (nullity >= bound) if bound is not None else None,
-        }
-        lines += [
-            f"affine rank: {rank}",
-            f"affine nullity: {nullity}",
-            f"hypothesis >=3 strategies: {_yn(hyp_three)}",
-            f"hypothesis zero-sum: {_yn(zero_sum)}",
-            "dimension bound: " + (str(bound) if bound is not None else "n/a"),
-            "bound satisfied: " + (_yn(nullity >= bound) if bound is not None else "n/a"),
+        affine_rows = [
+            ("rank", "affine rank", rep.rank),
+            ("nullity", "affine nullity", nullity),
+            ("hypothesis_three_strategies", "hypothesis >=3 strategies", hyp_three),
+            ("hypothesis_zero_sum", "hypothesis zero-sum", zero_sum),
+            ("dimension_bound", "dimension bound", bound),
+            ("bound_satisfied", "bound satisfied",
+             (nullity >= bound) if bound is not None else None),
         ]
+        info["affine"] = {key: value for key, _, value in affine_rows}
+        rows += affine_rows
     if args.json:
         return 0, _json_bytes(info)
-    return 0, ("\n".join(lines) + "\n").encode()
+    return 0, "".join(f"{label}: {_text(value)}\n" for _, label, value in rows).encode()
 
 
 def _cmd_equilibria(args, read_stdin):
@@ -239,7 +213,7 @@ def _cmd_equilibria(args, read_stdin):
                                   "epsilon": rep.epsilon})
     search = find_equilibrium(g, seed=args.seed, eps=args.eps)
     lines.append(f"search: {_profile_str(search.profile)} "
-                 f"converged={_yn(search.converged)} "
+                 f"converged={_text(search.converged)} "
                  f"epsilon={format_number(search.epsilon)}")
     data["search"] = {"blocks": [list(map(float, b)) for b in search.profile.blocks],
                       "converged": search.converged, "epsilon": search.epsilon}
@@ -312,21 +286,21 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_eval)
 
     p = add("analyze", "dimensions, zero-sum/affinity flags, generic rank")
-    p.add_argument("--samples", type=_int_at_least(1), default=DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--samples", type=_number(int, 1), default=DEFAULT_SAMPLES)
+    p.add_argument("--seed", type=_number(int, 0), default=0)
     p.set_defaults(func=_cmd_analyze)
 
     p = add("equilibria", "pure, support-enumeration, and searched equilibria")
-    p.add_argument("--eps", type=_finite_non_negative, default=SEARCH_EPS)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--eps", type=_number(float, 0), default=SEARCH_EPS)
+    p.add_argument("--seed", type=_number(int, 0), default=0)
     p.set_defaults(func=_cmd_equilibria)
 
     p = add("trace", "walk inside a level set of the payoff map")
     p.add_argument("--start", required=True, help="starting profile (same syntax as eval)")
-    p.add_argument("--direction", type=_int_at_least(0), required=True)
-    p.add_argument("--step", type=_finite, required=True)
-    p.add_argument("--steps", type=_int_at_least(0), required=True)
-    p.add_argument("--tol", type=_finite_non_negative, default=TRACE_TOL)
+    p.add_argument("--direction", type=_number(int, 0), required=True)
+    p.add_argument("--step", type=_number(float), required=True)
+    p.add_argument("--steps", type=_number(int, 0), required=True)
+    p.add_argument("--tol", type=_number(float, 0), default=TRACE_TOL)
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("gen", help="write a game document to stdout")

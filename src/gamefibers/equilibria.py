@@ -11,7 +11,6 @@ epsilon reported honestly.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -41,7 +40,6 @@ class EquilibriumReport:
     profile: StrategyProfile
     gaps: np.ndarray
     epsilon: float
-    method: str        # verified_input | pure_enumeration | nash_map | support_enumeration
     converged: bool
 
 
@@ -63,7 +61,7 @@ def verify_equilibrium(g: GameSpec, s: StrategyProfile, eps: float) -> Equilibri
     phis, epsilon = _improvement(g, s)
     gaps = np.array([float(phi.max()) for phi in phis])
     return EquilibriumReport(profile=s, gaps=gaps, epsilon=epsilon,
-                             method="verified_input", converged=epsilon <= eps)
+                             converged=epsilon <= eps)
 
 
 def pure_equilibria(g: GameSpec) -> list[tuple[int, ...]]:
@@ -159,8 +157,9 @@ def find_equilibrium(g: GameSpec, seed: int = 0, max_iter: int = 10_000,
     is reported, never silent: ``converged`` is false when the best epsilon
     found still exceeds ``eps``.
     """
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
+    for name, value in (("seed", seed), ("max_iter", max_iter), ("restarts", restarts)):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative")
     best_profile, best_gap = None, np.inf
     for t in range(restarts + 1):
         if t == 0:
@@ -173,8 +172,7 @@ def find_equilibrium(g: GameSpec, seed: int = 0, max_iter: int = 10_000,
             best_profile, best_gap = profile, gap
         if best_gap <= eps:
             break
-    report = verify_equilibrium(g, best_profile, eps)
-    return dataclasses.replace(report, method="nash_map")
+    return verify_equilibrium(g, best_profile, eps)
 
 
 def _indifference_weights(mat: np.ndarray) -> np.ndarray | None:
@@ -244,5 +242,5 @@ def support_enumeration(g: GameSpec, eps: float = 1e-8) -> list[EquilibriumRepor
                     if any(np.abs(flat - other).max() < 1e-8 for other in kept):
                         continue
                     kept.append(flat)
-                    found.append(dataclasses.replace(report, method="support_enumeration"))
+                    found.append(report)
     return found

@@ -227,20 +227,20 @@ def trace_fiber(g: GameSpec, s0: StrategyProfile, direction_index: int,
     ``direction_index`` picks, is fixed only by rounding and can change
     with any ulp of the Jacobian.
 
-    A start whose rank exceeds the generic rank is rejected.  A start of
-    lower rank (a critical point of the map) is allowed: the nullspace is
-    larger there, but every direction can still seed the corrector.
+    A start whose rank exceeds ``k_generic`` is rejected; without
+    ``k_generic`` no rank is sampled, since no point's rank exceeds the
+    generic rank.  A start of lower rank (a critical point of the map) is
+    allowed: the nullspace is larger there, but every direction can still
+    seed the corrector.
     """
     _require_match(g, s0)
     if _min_coordinate(s0.blocks) < INTERIOR_MIN:
         raise ValueError(
             f"boundary point: tracing needs every coordinate >= {INTERIOR_MIN}")
-    if k_generic is None:
-        k_generic = generic_rank(g)
     r0 = reduce_profile(s0)
     rank0, _, _, vt = _svd(_jacobian_blocks(g.payoffs, s0.blocks)[1], vectors=True)
     basis = vt[rank0:]
-    if rank0 > k_generic:
+    if k_generic is not None and rank0 > k_generic:
         raise ValueError(
             f"irregular start: rank {rank0} at the start point exceeds the "
             f"generic rank {k_generic}")

@@ -180,7 +180,10 @@ class Defect:
 
 
 def validate_game(g: GameSpec) -> list[Defect]:
-    """All invariant violations of a game, empty when it is well formed."""
+    """All invariant violations of a game, empty when it is well formed.
+
+    Non-finite payoffs make one defect, which names the first in C order
+    and counts the rest."""
     defects = []
     if g.n < 2:
         defects.append(Defect("player count", f"need at least 2 players, got {g.n}"))
@@ -192,12 +195,14 @@ def validate_game(g: GameSpec) -> list[Defect]:
         defects.append(Defect(
             "payoff vector length",
             f"payoff axis has length {g.payoffs.shape[-1]}, expected {g.n}"))
-    for at in np.argwhere(~np.isfinite(g.payoffs)):
+    bad = ~np.isfinite(g.payoffs)
+    if bad.any():
+        at = np.unravel_index(int(np.argmax(bad)), bad.shape)
         profile = tuple(int(j) for j in at[:-1])
         defects.append(Defect(
             "non-finite payoff",
-            f"payoff to player {int(at[-1])} at profile {profile} "
-            f"is {g.payoffs[tuple(at)]!r}"))
+            f"payoff to player {int(at[-1])} at profile {profile} is {float(g.payoffs[at])} "
+            f"({np.count_nonzero(bad)} of {bad.size} payoff entries non-finite)"))
     if g.player_names is not None and len(g.player_names) != g.n:
         defects.append(Defect("label shape", "player_names length does not match player count"))
     if g.strategy_labels is not None:

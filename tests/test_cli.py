@@ -62,6 +62,13 @@ def test_validate_ok_and_defects(bar_doc):
     assert code == 0 and json.loads(out) == {"ok": True, "defects": []}
 
 
+def test_validate_non_finite_message(bar_doc):
+    bad = bar_doc.replace(b'"values": [0, 0]}', b'"values": [0, NaN]}', 1)
+    assert cli("validate", stdin=bad) == (1, (
+        b"non-finite payoff: payoff to player 1 at profile (0, 0) is nan "
+        b"(1 of 8 payoff entries non-finite)\n"), "")
+
+
 def test_validate_parse_error_exit_code():
     code, _, err = cli("validate", stdin=b"{not json")
     assert code == 1
@@ -112,6 +119,13 @@ def test_analyze_matches_golden(bar_doc, rps_doc):
     code, out, _ = cli("analyze", stdin=rps_doc)
     assert code == 0
     assert out == (GOLDEN / "analyze_rps.txt").read_bytes()
+
+
+def test_analyze_json_matches_golden(bar_doc, rps_doc):
+    for name, doc in (("bar", bar_doc), ("rps", rps_doc)):
+        code, out, err = cli("analyze", "--json", stdin=doc)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / f"analyze_{name}.json").read_bytes()
 
 
 def test_analyze_json_agreement(bar_doc):

@@ -122,6 +122,13 @@ def test_find_equilibrium_reports_honestly():
         assert report.converged == (report.epsilon <= 1e-6)
 
 
+def test_find_equilibrium_rejects_negative_budgets(bar):
+    for kwargs in ({"max_iter": -1}, {"restarts": -1}, {"seed": -1}):
+        name = next(iter(kwargs))
+        with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+            gf.find_equilibrium(bar, **kwargs)
+
+
 def test_support_enumeration_rps(rps):
     reports = gf.support_enumeration(rps, eps=1e-10)
     assert len(reports) == 1

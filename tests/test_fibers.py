@@ -266,6 +266,14 @@ def test_trace_errors(bar, rps):
                        max_steps=10, k_generic=0)
 
 
+def test_trace_without_k_generic_samples_no_rank(rps, monkeypatch):
+    calls = []
+    monkeypatch.setattr(fibers, "generic_rank", lambda *a, **k: calls.append(a))
+    rng = np.random.default_rng(59)
+    path = gf.trace_fiber(rps, interior_profile(rps, rng), 0, step=0.02, max_steps=3)
+    assert calls == [] and len(path.points) > 1
+
+
 def test_path_points_stay_valid(rps):
     rng = np.random.default_rng(61)
     start = interior_profile(rps, rng, min_coord=0.05)

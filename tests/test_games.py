@@ -26,6 +26,20 @@ def test_validate_reports_non_finite():
     assert [d.code for d in defects] == ["non-finite payoff"]
 
 
+def test_validate_reports_non_finite_payoffs_as_one_defect():
+    # one defect however many entries are bad: the first in C order, and a count
+    g = gf.GameSpec(np.full((10,) * 6 + (6,), np.nan))
+    defects = gf.validate_game(g)
+    assert [str(d) for d in defects] == [
+        "non-finite payoff: payoff to player 0 at profile (0, 0, 0, 0, 0, 0) is nan "
+        "(6000000 of 6000000 payoff entries non-finite)"]
+    payoffs = np.zeros((2, 3, 2))
+    payoffs[1, 2, 0] = -np.inf
+    payoffs[0, 1, 1] = np.inf
+    assert [d.message for d in gf.validate_game(gf.GameSpec(payoffs))] == [
+        "payoff to player 1 at profile (0, 1) is inf (2 of 12 payoff entries non-finite)"]
+
+
 def test_validate_reports_player_count_and_shape():
     g = gf.GameSpec(np.zeros((3, 1)))  # one player
     codes = {d.code for d in gf.validate_game(g)}
