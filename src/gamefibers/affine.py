@@ -27,10 +27,15 @@ LEVEL_SET_RESIDUAL = 1e-8
 INTERVAL_TOL = 1e-12      # slack of simplex_interval's box tests
 
 
-def _decompose(g: GameSpec) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-    """Offset, per-player effects (shape (m_p, n), last row zero) and the
-    largest residual entry of the payoff tensor, anchored at the
-    all-last-strategy profile."""
+def _decompose(g: GameSpec, tol: float) -> tuple[np.ndarray, list[np.ndarray], bool]:
+    """Offset, per-player effects (shape (m_p, n), last row zero) and
+    whether every residual entry of the payoff tensor, anchored at the
+    all-last-strategy profile, is at most ``tol``.
+
+    The residual is built one slab of the first player's strategies at a
+    time and the scan stops at the first slab with an entry above ``tol``.
+    Each entry is the payoff minus the offset minus the effects in player
+    order, as a whole-tensor residual would have it."""
     payoffs = g.payoffs
     if 0 in g.m or not np.all(np.isfinite(payoffs)):
         raise ValueError("affinity test needs a nonempty, complete, finite payoff tensor")
@@ -38,17 +43,25 @@ def _decompose(g: GameSpec) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     offset = payoffs[anchor].copy()
     effects = [payoffs[anchor[:p] + (slice(None),) + anchor[p + 1:]] - offset
                for p in range(g.n)]
-    residual = payoffs - offset          # the one tensor-sized temporary
-    for p, effect in enumerate(effects):
-        residual -= np.expand_dims(effect, [q for q in range(g.n) if q != p])
-    return offset, effects, float(np.abs(residual, out=residual).max())
+    # effects of players 1.., broadcast as over the whole tensor, without
+    # the leading (first player's) axis
+    rest = [np.expand_dims(effects[p], [q for q in range(g.n) if q != p])[0]
+            for p in range(1, g.n)]
+    for j in range(g.m[0]):
+        residual = payoffs[j] - offset
+        residual -= effects[0][j]
+        for effect in rest:
+            residual -= effect
+        if np.abs(residual, out=residual).max() > tol:
+            return offset, effects, False
+    return offset, effects, True
 
 
 def is_jointly_affine(g: GameSpec, tol: float = AFFINITY_TOL) -> bool:
     """True iff the payoff tensor is offset plus per-player effects, up to
     a residual of at most ``tol`` at every pure profile (a certificate, not
     a sample).  A game without pure profiles is affine."""
-    return 0 in g.m or _decompose(g)[2] <= tol
+    return 0 in g.m or _decompose(g, tol)[2]
 
 
 @dataclass(frozen=True)
@@ -82,8 +95,8 @@ def extract_affine(g: GameSpec, use_zero_sum_reduction: bool = False) -> AffineR
     of the matrix is the payoff difference along the j-th chart direction
     (an effect); for an affine map these are the exact coefficients.
     """
-    offset, effects, largest_residual = _decompose(g)
-    if largest_residual > AFFINITY_TOL:
+    offset, effects, affine = _decompose(g, AFFINITY_TOL)
+    if not affine:
         raise ValueError("not jointly affine: the payoff map has strategy interactions")
     if use_zero_sum_reduction and not is_zero_sum(g):
         raise ValueError("not zero-sum: cannot apply the zero-sum reduction")

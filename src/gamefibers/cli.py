@@ -29,7 +29,7 @@ from .equilibria import (
     support_enumeration,
     verify_equilibrium,
 )
-from .fibers import DEFAULT_SAMPLES, TRACE_TOL, generic_rank, trace_fiber
+from .fibers import DEFAULT_SAMPLES, MAX_SAMPLES, TRACE_TOL, generic_rank, trace_fiber
 from .games import (
     GameSpec,
     StrategyProfile,
@@ -57,8 +57,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
 
 
-def _number(kind, low=None):
-    """argparse type: a finite ``kind`` (int or float), at least ``low`` when given."""
+def _number(kind, low=None, high=None):
+    """argparse type: a finite ``kind`` (int or float), at least ``low`` and
+    at most ``high`` when given."""
     def parse(text: str):
         try:
             value = kind(text)
@@ -69,6 +70,8 @@ def _number(kind, low=None):
             raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
         if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {text!r}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {text!r}")
         return value
     return parse
 
@@ -286,7 +289,8 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_eval)
 
     p = add("analyze", "dimensions, zero-sum/affinity flags, generic rank")
-    p.add_argument("--samples", type=_number(int, 1), default=DEFAULT_SAMPLES)
+    p.add_argument("--samples", type=_number(int, 1, MAX_SAMPLES),
+                   default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=_number(int, 0), default=0)
     p.set_defaults(func=_cmd_analyze)
 

@@ -27,11 +27,13 @@ from .games import (
     _deviations,
     _payoff_reduced,
     _require_match,
+    is_zero_sum,
     random_interior_profile,
     reduce_profile,
 )
 
 DEFAULT_SAMPLES = 64
+MAX_SAMPLES = 4096
 INTERIOR_MIN = 1e-6
 CONSTANCY_EPSILONS = (1e-2, 1e-3, 1e-4)
 CORRECTOR_MAX_ITER = 20
@@ -104,6 +106,15 @@ def payoff_jacobian(g: GameSpec, s: StrategyProfile) -> np.ndarray:
     return _jacobian_blocks(g.payoffs, s.blocks)[1]
 
 
+def _rows(g: GameSpec) -> int:
+    """Number of independent payoff components: n, or n - 1 for a zero-sum
+    game, whose last component is minus the sum of the others.  Ranks,
+    kernels and corrector solves take only these Jacobian rows, as
+    ``extract_affine``'s zero-sum reduction does, so no row that is zero
+    up to rounding sets a direction."""
+    return g.n - is_zero_sum(g)
+
+
 def generic_rank(g: GameSpec, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> int:
     """Generic Jacobian rank k, the dimension of the payoff image.
 
@@ -112,17 +123,27 @@ def generic_rank(g: GameSpec, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> 
     open set and absolutely continuous sampling misses the lower-rank
     exceptional set almost surely.  Each sample's stream is derived from
     (seed, index), so results do not depend on evaluation order.
+
+    ``samples`` (at most ``MAX_SAMPLES``) is an upper bound: sampling
+    stops once k reaches min(rows, N - n), where rows is n, or n - 1 for a
+    zero-sum game, since no Jacobian of those rows has a higher rank.  A
+    constant game never gets there and takes every sample.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"at most {MAX_SAMPLES} samples")
     if seed < 0:
         raise ValueError("seed must be non-negative")
+    rows = _rows(g)
     k = 0
     for idx in range(samples):
         rng = np.random.default_rng([seed, idx])
         s = random_interior_profile(g, rng)
-        rank, _ = numerical_rank(payoff_jacobian(g, s))
-        k = max(k, rank)
+        jac = payoff_jacobian(g, s)[:rows]
+        k = max(k, numerical_rank(jac)[0])
+        if k == min(jac.shape):
+            break
     return k
 
 
@@ -186,12 +207,13 @@ class FiberPath:
     terminated_by: str               # "step_budget" | "boundary" | "corrector_failure"
 
 
-def _correct(g: GameSpec, r: np.ndarray, target: np.ndarray,
-             tol: float) -> tuple[np.ndarray, float, np.ndarray]:
+def _correct(g: GameSpec, r: np.ndarray, target: np.ndarray, tol: float,
+             rows: int) -> tuple[np.ndarray, float, np.ndarray]:
     """Gauss-Newton projection of a chart point back onto the level set:
-    the last point, its largest payoff residual (success iff <= tol) and
-    the Jacobian there.  Each iteration takes the payoff and the Jacobian
-    from one ``_jacobian_blocks`` call and steps by ``_solve``.  A
+    the last point, its largest payoff residual over all n components
+    (success iff <= tol) and the first ``rows`` Jacobian rows there.  Each
+    iteration takes the payoff and the Jacobian from one
+    ``_jacobian_blocks`` call and steps by ``_solve`` on those rows.  A
     diverging step stops at the first non-finite Jacobian and fails."""
     cur = np.asarray(r, dtype=float)
     with np.errstate(all="ignore"):
@@ -201,8 +223,8 @@ def _correct(g: GameSpec, r: np.ndarray, target: np.ndarray,
             residual = float(np.abs(f).max())
             if residual <= tol or it == CORRECTOR_MAX_ITER or not np.isfinite(jac).all():
                 break
-            cur = cur + _solve(jac, -f)[0]
-    return cur, residual, jac
+            cur = cur + _solve(jac[:rows], -f[:rows])[0]
+    return cur, residual, jac[:rows]
 
 
 def trace_fiber(g: GameSpec, s0: StrategyProfile, direction_index: int,
@@ -222,10 +244,11 @@ def trace_fiber(g: GameSpec, s0: StrategyProfile, direction_index: int,
     converge; a step so large that the corrector diverges is a
     ``corrector_failure`` too.
 
-    Where the Jacobian has a singular value at rounding level (the n-th
-    one of a zero-sum game), the nullspace basis, and so the direction
-    ``direction_index`` picks, is fixed only by rounding and can change
-    with any ulp of the Jacobian.
+    Nullspaces and corrector solves use the Jacobian's independent rows:
+    for a zero-sum game the first n - 1, since the last row is minus their
+    sum and its singular value is at rounding level, where it would let
+    rounding choose the direction ``direction_index`` picks.
+    The residual and the drift are still measured on all n components.
 
     A start whose rank exceeds ``k_generic`` is rejected; without
     ``k_generic`` no rank is sampled, since no point's rank exceeds the
@@ -238,7 +261,8 @@ def trace_fiber(g: GameSpec, s0: StrategyProfile, direction_index: int,
         raise ValueError(
             f"boundary point: tracing needs every coordinate >= {INTERIOR_MIN}")
     r0 = reduce_profile(s0)
-    rank0, _, _, vt = _svd(_jacobian_blocks(g.payoffs, s0.blocks)[1], vectors=True)
+    rows = _rows(g)
+    rank0, _, _, vt = _svd(_jacobian_blocks(g.payoffs, s0.blocks)[1][:rows], vectors=True)
     basis = vt[rank0:]
     if k_generic is not None and rank0 > k_generic:
         raise ValueError(
@@ -255,7 +279,7 @@ def trace_fiber(g: GameSpec, s0: StrategyProfile, direction_index: int,
     terminated = "step_budget"
     for _ in range(max_steps):
         predicted = points[-1] + step * tangent
-        corrected, residual, jac = _correct(g, predicted, target, tol)
+        corrected, residual, jac = _correct(g, predicted, target, tol, rows)
         if not residual <= tol:     # a NaN residual fails too
             terminated = "corrector_failure"
             break

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 TAU_SIMPLEX = 1e-9    # how far input vectors may sit off their simplex
-TAU_EVAL = 1e-10      # default tolerance for payoff identities (zero-sum etc.)
+TAU_EVAL = 1e-10      # relative tolerance for payoff identities (zero-sum etc.)
 MAX_PROFILES = 10 ** 6
 
 
@@ -375,13 +375,17 @@ def unilateral_replace(s: StrategyProfile, player: int, sigma) -> StrategyProfil
 
 
 def is_zero_sum(g: GameSpec, tol: float = TAU_EVAL) -> bool:
-    """True iff payoffs sum to zero at every pure profile.
+    """True iff payoffs sum to zero at every pure profile, up to ``tol``
+    times the largest payoff magnitude, so the decision does not change
+    when the payoffs are rescaled.  A game with a non-finite payoff is not
+    zero-sum.
 
     By multilinearity this is equivalent to the payoff components summing
     to zero at every mixed profile.
     """
+    scale = max(float(g.payoffs.max(initial=0.0)), -float(g.payoffs.min(initial=0.0)))
     sums = g.payoffs.sum(axis=-1)
-    return bool(np.all(np.abs(sums) <= tol))
+    return bool(math.isfinite(scale) and np.all(np.abs(sums) <= tol * scale))
 
 
 def reduce_profile(s: StrategyProfile) -> np.ndarray:

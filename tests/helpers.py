@@ -52,6 +52,17 @@ def fd_jacobian(g, s, h=1e-5):
     return jac
 
 
+def loop_generic_rank(g, samples=64, seed=0):
+    """Every sample, every payoff row: the largest numerical rank of the
+    full Jacobian over ``samples`` interior points drawn as generic_rank
+    draws them."""
+    k = 0
+    for idx in range(samples):
+        s = gf.random_interior_profile(g, np.random.default_rng([seed, idx]))
+        k = max(k, gf.numerical_rank(gf.payoff_jacobian(g, s))[0])
+    return k
+
+
 def loop_is_jointly_affine(g, tol):
     """Explicit cross-second-difference scan, written independently."""
     m = g.m

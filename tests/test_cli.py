@@ -234,6 +234,7 @@ TRACE = {"--start": "uniform", "--direction": "0", "--step": "0.05", "--steps": 
     ("equilibria", "--eps", "-1"),
     ("equilibria", "--eps", "nan"),
     ("analyze", "--samples", "0"),
+    ("analyze", "--samples", "4097"),
     ("analyze", "--seed", "-1"),
     ("equilibria", "--seed", "-1"),
     ("trace", "--direction", "-1"),

@@ -3,7 +3,7 @@ import pytest
 
 import gamefibers as gf
 from gamefibers import fibers
-from helpers import fd_jacobian, interior_profile
+from helpers import fd_jacobian, interior_profile, loop_generic_rank
 
 
 def test_bar_jacobian_constant(bar):
@@ -87,6 +87,57 @@ def test_generic_rank_bounds_sample():
         assert gf.generic_rank(g, samples=16) <= n
         gz = gf.random_game(n, m, seed=700 + seed, zero_sum=True)
         assert gf.generic_rank(gz, samples=16) <= n - 1
+
+
+def seeded_games(count, seed):
+    """Generic, zero-sum, jointly affine and affine zero-sum games of 2-4
+    players, cycling through the kinds."""
+    rng = np.random.default_rng(seed)
+    games = []
+    for i in range(count):
+        n = int(rng.integers(2, 5))
+        m = [int(rng.integers(2, 5 if n < 4 else 4)) for _ in range(n)]
+        games.append(gf.random_game(n, m, seed=seed + i, zero_sum=i % 4 in (1, 3),
+                                    jointly_affine=i % 4 >= 2))
+    return games
+
+
+def test_generic_rank_matches_full_sample_loop():
+    # stopping at the rank bound and dropping a zero-sum game's dependent
+    # row give the rank every sample of the full Jacobian gives
+    for g in seeded_games(24, 1200):
+        for scale in (1.0, 1e-12, 1e12):
+            scaled = gf.GameSpec(g.payoffs * scale)
+            assert gf.generic_rank(scaled) == loop_generic_rank(scaled)
+            assert (gf.generic_rank(scaled, samples=5, seed=9)
+                    == loop_generic_rank(scaled, samples=5, seed=9))
+
+
+def test_generic_rank_stops_at_the_rank_bound(monkeypatch):
+    calls = [0]
+    rank = fibers.numerical_rank
+
+    def counting_rank(mat):
+        calls[0] += 1
+        return rank(mat)
+
+    monkeypatch.setattr(fibers, "numerical_rank", counting_rank)
+    for g in seeded_games(12, 1300):
+        calls[0] = 0
+        k = gf.generic_rank(g)
+        assert calls[0] == 1
+        assert k == min(g.n - gf.is_zero_sum(g), g.reduced_dim)
+    constant = gf.GameSpec(np.full((2, 3, 2), 4.0))
+    for samples in (1, 10, 64):
+        calls[0] = 0
+        assert gf.generic_rank(constant, samples=samples) == 0
+        assert calls[0] == samples
+
+
+def test_generic_rank_sample_limit(rps):
+    assert gf.generic_rank(rps, samples=fibers.MAX_SAMPLES) == 1
+    with pytest.raises(ValueError, match="at most 4096 samples"):
+        gf.generic_rank(rps, samples=fibers.MAX_SAMPLES + 1)
 
 
 def test_fiber_report_bar(bar):
@@ -272,6 +323,27 @@ def test_trace_without_k_generic_samples_no_rank(rps, monkeypatch):
     rng = np.random.default_rng(59)
     path = gf.trace_fiber(rps, interior_profile(rps, rng), 0, step=0.02, max_steps=3)
     assert calls == [] and len(path.points) > 1
+
+
+def test_zero_sum_trace_does_not_depend_on_the_payoff_scale():
+    # the dependent last row of a zero-sum Jacobian is left out, so no
+    # rounding-level singular value picks the direction: T and 3T trace
+    # the same path
+    rng = np.random.default_rng(71)
+    for seed in range(30):
+        n = 2 + seed % 3
+        m = [3] * n if n < 4 else [2] * n
+        g = gf.random_game(n, m, seed=1400 + seed, zero_sum=True,
+                           jointly_affine=seed % 5 == 0)
+        tripled = gf.GameSpec(3.0 * g.payoffs)
+        s = interior_profile(g, rng, min_coord=0.05)
+        k = gf.generic_rank(g)
+        path = gf.trace_fiber(g, s, 0, step=0.01, max_steps=20, k_generic=k)
+        path3 = gf.trace_fiber(tripled, s, 0, step=0.01, max_steps=20, k_generic=k)
+        assert path.terminated_by == path3.terminated_by
+        assert len(path.points) == len(path3.points) > 1
+        assert np.abs(np.array(path.points) - np.array(path3.points)).max() <= 1e-9
+        assert path.max_payoff_drift <= 1e-10
 
 
 def test_path_points_stay_valid(rps):

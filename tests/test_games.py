@@ -277,6 +277,18 @@ def test_zero_sum_transport():
         assert abs(gf.total_payoff(g, s).sum()) <= 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), zero_sum=st.booleans(),
+       jointly_affine=st.booleans(), exponent=st.floats(-12.0, 12.0))
+def test_is_zero_sum_does_not_depend_on_the_payoff_scale(seed, zero_sum, jointly_affine,
+                                                         exponent):
+    n = 2 + seed % 3
+    g = gf.random_game(n, [2 + (seed + j) % 3 for j in range(n)], seed=seed,
+                       zero_sum=zero_sum, jointly_affine=jointly_affine)
+    scaled = gf.GameSpec(10.0 ** exponent * g.payoffs)
+    assert gf.is_zero_sum(scaled) == gf.is_zero_sum(g) == zero_sum
+
+
 def test_own_block_linearity():
     rng = np.random.default_rng(13)
     for seed in range(50):
