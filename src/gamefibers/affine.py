@@ -170,10 +170,12 @@ def simplex_interval(g: GameSpec, base, direction) -> tuple[float, float] | None
     into the segment actually contained in the strategy space.  Returns
     None when the line misses the simplex.
     """
+    base, direction = np.asarray(base, dtype=float), np.asarray(direction, dtype=float)
+    if not (np.all(np.isfinite(base)) and np.all(np.isfinite(direction))):
+        raise ValueError("base point and direction must be finite")
     shift, rows = _chart_box(g)
     lo, hi = -np.inf, np.inf
-    for c0, c1 in zip(shift + rows @ np.asarray(base, dtype=float),
-                      rows @ np.asarray(direction, dtype=float)):
+    for c0, c1 in zip(shift + rows @ base, rows @ direction):
         if abs(c1) < INTERVAL_TOL:
             if c0 < -INTERVAL_TOL or c0 > 1.0 + INTERVAL_TOL:
                 return None

@@ -153,7 +153,7 @@ class FiberReport:
 
     point: np.ndarray                # reduced chart coordinates
     jacobian_rank: int
-    singular_values: np.ndarray
+    singular_values: np.ndarray      # min(rows, N - n) values, rows as in generic_rank
     nullspace_basis: np.ndarray      # one orthonormal row per tangent direction
     constancy_residuals: list        # (epsilon, max payoff deviation) pairs
     regular: bool
@@ -167,24 +167,27 @@ def _min_coordinate(blocks) -> float:
     return min(float(b.min()) for b in blocks)
 
 
+def _tangent_space(g: GameSpec, s: StrategyProfile, rows: int):
+    """Chart point r, payoff there, and rank, singular values and kernel of
+    the first ``rows`` Jacobian rows from one ``_svd``.  The Jacobian uses
+    the exact blocks: rebuilt from r, a zero one can gain noise rank."""
+    _require_match(g, s)
+    if _min_coordinate(s.blocks) < INTERIOR_MIN:
+        raise ValueError(f"boundary point: need every coordinate >= {INTERIOR_MIN}")
+    r = reduce_profile(s)
+    rank, svals, _, vt = _svd(_jacobian_blocks(g.payoffs, s.blocks)[1][:rows], vectors=True)
+    return r, _payoff_reduced(g, r), rank, svals, vt[rank:]
+
+
 def fiber_report(g: GameSpec, s: StrategyProfile, k_generic: int) -> FiberReport:
-    """Rank, nullspace, and payoff-constancy residuals at an interior point.
+    """Rank, nullspace, and payoff-constancy residuals at an interior point,
+    on the Jacobian rows ``generic_rank`` uses (n - 1 for a zero-sum game).
 
     For each nullspace direction v and each probe size eps, the residual is
     the largest payoff-component change between the point and point + eps*v.
     Along true tangent directions the residual is second order in eps.
     """
-    _require_match(g, s)
-    if _min_coordinate(s.blocks) < INTERIOR_MIN:
-        raise ValueError(
-            f"boundary point: fiber reports need every coordinate >= {INTERIOR_MIN}")
-    r = reduce_profile(s)
-    # Jacobian from the exact blocks: rebuilding them from r can inject
-    # rounding crumbs that turn an exactly-zero Jacobian into noise rank.
-    jac = _jacobian_blocks(g.payoffs, s.blocks)[1]
-    rank, svals, _, vt = _svd(jac, vectors=True)
-    basis = vt[rank:]
-    base = _payoff_reduced(g, r)
+    r, base, rank, svals, basis = _tangent_space(g, s, _rows(g))
     residuals = []
     for eps in CONSTANCY_EPSILONS:
         worst = 0.0
@@ -244,10 +247,9 @@ def trace_fiber(g: GameSpec, s0: StrategyProfile, direction_index: int,
     converge; a step so large that the corrector diverges is a
     ``corrector_failure`` too.
 
-    Nullspaces and corrector solves use the Jacobian's independent rows:
-    for a zero-sum game the first n - 1, since the last row is minus their
-    sum and its singular value is at rounding level, where it would let
-    rounding choose the direction ``direction_index`` picks.
+    Nullspaces and corrector solves use the rows of ``generic_rank``: for
+    a zero-sum game the first n - 1, as the last is minus their sum and
+    would let rounding choose the direction ``direction_index`` picks.
     The residual and the drift are still measured on all n components.
 
     A start whose rank exceeds ``k_generic`` is rejected; without
@@ -256,14 +258,10 @@ def trace_fiber(g: GameSpec, s0: StrategyProfile, direction_index: int,
     allowed: the nullspace is larger there, but every direction can still
     seed the corrector.
     """
-    _require_match(g, s0)
-    if _min_coordinate(s0.blocks) < INTERIOR_MIN:
-        raise ValueError(
-            f"boundary point: tracing needs every coordinate >= {INTERIOR_MIN}")
-    r0 = reduce_profile(s0)
+    if max_steps < 0:
+        raise ValueError("max_steps must be non-negative")
     rows = _rows(g)
-    rank0, _, _, vt = _svd(_jacobian_blocks(g.payoffs, s0.blocks)[1][:rows], vectors=True)
-    basis = vt[rank0:]
+    r0, target, rank0, _, basis = _tangent_space(g, s0, rows)
     if k_generic is not None and rank0 > k_generic:
         raise ValueError(
             f"irregular start: rank {rank0} at the start point exceeds the "
@@ -272,7 +270,6 @@ def trace_fiber(g: GameSpec, s0: StrategyProfile, direction_index: int,
         raise ValueError(
             f"invalid direction: index {direction_index} but the nullspace "
             f"has {basis.shape[0]} directions")
-    target = _payoff_reduced(g, r0)
     tangent = basis[direction_index]
     points = [r0]
     drift = 0.0

@@ -384,7 +384,7 @@ def is_zero_sum(g: GameSpec, tol: float = TAU_EVAL) -> bool:
     to zero at every mixed profile.
     """
     scale = max(float(g.payoffs.max(initial=0.0)), -float(g.payoffs.min(initial=0.0)))
-    sums = g.payoffs.sum(axis=-1)
+    sums = sum(np.moveaxis(g.payoffs, -1, 0))    # sum(axis=-1)'s order, but faster
     return bool(math.isfinite(scale) and np.all(np.abs(sums) <= tol * scale))
 
 

@@ -267,3 +267,13 @@ def test_simplex_interval_bar_segment(bar):
 def test_simplex_interval_missing_line(bar):
     # a line at constant x = 2 never meets the square
     assert gf.simplex_interval(bar, np.array([2.0, 0.0]), np.array([0.0, 1.0])) is None
+
+
+@pytest.mark.parametrize("base, direction", [
+    ([np.nan, 0.5], [0.0, 1.0]),
+    ([0.5, 0.5], [np.nan, 1.0]),
+    ([0.5, 0.5], [np.inf, 1.0]),
+])
+def test_simplex_interval_rejects_non_finite_input(bar, base, direction):
+    with pytest.raises(ValueError, match="must be finite"):
+        gf.simplex_interval(bar, np.array(base), np.array(direction))

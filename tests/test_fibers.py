@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gamefibers as gf
 from gamefibers import fibers
@@ -222,7 +223,43 @@ def test_report_and_trace_start_make_one_svd(monkeypatch):
         assert calls[0] == 1
         monkeypatch.setattr(np.linalg, "svd", svd)
         assert report.jacobian_rank + report.fiber_dimension == g.reduced_dim
-        assert report.singular_values.shape == (min(n, g.reduced_dim),)
+        assert report.singular_values.shape == (min(n - gf.is_zero_sum(g), g.reduced_dim),)
+
+
+def test_near_zero_sum_report_is_regular():
+    # a last payoff off by 1e-11 still decides zero-sum, so the report
+    # ranks the same n - 1 rows as generic_rank instead of counting the
+    # perturbation as rank
+    for n, m, seed in ((3, 3, 0), (3, 4, 1), (4, 3, 2)):
+        g = gf.random_game(n, [m] * n, seed, zero_sum=True)
+        payoffs = g.payoffs.copy()
+        payoffs[..., -1] += 1e-11 * np.random.default_rng(seed).uniform(
+            -1.0, 1.0, size=payoffs.shape[:-1])
+        g = gf.GameSpec(payoffs)
+        assert gf.is_zero_sum(g)
+        k = gf.generic_rank(g)
+        report = gf.fiber_report(g, gf.uniform_profile(g), k)
+        assert report.regular
+        assert report.fiber_dimension == g.reduced_dim - k
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), zero_sum=st.booleans(),
+       jointly_affine=st.booleans(), exponent=st.floats(-12.0, 12.0))
+def test_fiber_report_does_not_depend_on_the_payoff_scale(seed, zero_sum, jointly_affine,
+                                                          exponent):
+    n = 2 + seed % 3
+    g = gf.random_game(n, [2 + (seed + j) % 3 for j in range(n)], seed=seed,
+                       zero_sum=zero_sum, jointly_affine=jointly_affine)
+    scaled = gf.GameSpec(10.0 ** exponent * g.payoffs)
+    s = interior_profile(g, np.random.default_rng(seed), min_coord=0.05)
+    k = gf.generic_rank(g, samples=16)
+    report, report_scaled = gf.fiber_report(g, s, k), gf.fiber_report(scaled, s, k)
+    assert report_scaled.jacobian_rank == report.jacobian_rank
+    assert report_scaled.fiber_dimension == report.fiber_dimension
+    assert report_scaled.regular == report.regular
+    gap = np.abs(report_scaled.nullspace_basis - report.nullspace_basis).max(initial=0.0)
+    assert gap <= 1e-9
 
 
 def test_fiber_report_boundary_rejected(bar):
@@ -315,6 +352,11 @@ def test_trace_errors(bar, rps):
     with pytest.raises(ValueError, match="irregular start"):
         gf.trace_fiber(rps, interior_profile(rps, rng), 0, step=0.02,
                        max_steps=10, k_generic=0)
+
+
+def test_trace_rejects_negative_max_steps(bar):
+    with pytest.raises(ValueError, match="max_steps must be non-negative"):
+        gf.trace_fiber(bar, gf.uniform_profile(bar), 0, step=0.05, max_steps=-1)
 
 
 def test_trace_without_k_generic_samples_no_rank(rps, monkeypatch):

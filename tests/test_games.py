@@ -289,6 +289,29 @@ def test_is_zero_sum_does_not_depend_on_the_payoff_scale(seed, zero_sum, jointly
     assert gf.is_zero_sum(scaled) == gf.is_zero_sum(g) == zero_sum
 
 
+def test_relabelling_strategies_permutes_the_results():
+    # permuting one player's strategies is a relabelling: the flags and the
+    # generic rank stay, and each pure equilibrium moves with its labels;
+    # rounded payoffs have ties, so some games have several equilibria
+    for seed in range(60):
+        n = 2 + seed % 3
+        kind = seed % 4
+        g = gf.random_game(n, [2 + (seed + j) % 3 for j in range(n)], seed=1700 + seed,
+                           zero_sum=kind == 1, jointly_affine=kind == 2)
+        if kind == 3:
+            g = gf.GameSpec(np.round(2.0 * g.payoffs))
+        player = seed % n
+        perm = np.random.default_rng(seed).permutation(g.m[player])
+        relabelled = gf.GameSpec(np.take(g.payoffs, perm, axis=player))
+        assert gf.is_zero_sum(relabelled) == gf.is_zero_sum(g)
+        assert gf.is_jointly_affine(relabelled) == gf.is_jointly_affine(g)
+        assert gf.generic_rank(relabelled, samples=16) == gf.generic_rank(g, samples=16)
+        new_label = np.argsort(perm)
+        moved = [q[:player] + (int(new_label[q[player]]),) + q[player + 1:]
+                 for q in gf.pure_equilibria(g)]
+        assert gf.pure_equilibria(relabelled) == sorted(moved)
+
+
 def test_own_block_linearity():
     rng = np.random.default_rng(13)
     for seed in range(50):
