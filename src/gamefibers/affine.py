@@ -7,19 +7,21 @@ player and strategy (the payoff with only that player moved, minus the
 offset), plus a residual.  The game is jointly affine exactly when the
 residual vanishes; ``AFFINITY_TOL`` bounds its entries, which bounds every
 cross second difference by 4 * AFFINITY_TOL, while cross differences of at
-most tol leave a residual of at most n(n-1)/2 * tol.  The payoff map on the
-reduced chart is then matrix * r + offset, the columns being the effects of
-non-last strategies, and its level sets are translates of the matrix
-kernel, with dimension given by rank-nullity.
+most tol leave a residual of at most n(n-1)/2 * tol, all in units of max|T|:
+every payoff tolerance here scales with the game, so rescaling changes no
+decision.  The payoff map on the reduced chart is then matrix * r + offset,
+the columns being the effects of non-last strategies, and its level sets
+are translates of the matrix kernel, with dimension given by rank-nullity.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .games import GameSpec, is_zero_sum
+from .games import GameSpec
 from .fibers import _solve, numerical_rank
 
 AFFINITY_TOL = 1e-9
@@ -27,17 +29,18 @@ LEVEL_SET_RESIDUAL = 1e-8
 INTERVAL_TOL = 1e-12      # slack of simplex_interval's box tests
 
 
+@np.errstate(over="ignore", invalid="ignore")   # an overflowed residual fails the test
 def _decompose(g: GameSpec, tol: float) -> tuple[np.ndarray, list[np.ndarray], bool]:
     """Offset, per-player effects (shape (m_p, n), last row zero) and
     whether every residual entry of the payoff tensor, anchored at the
-    all-last-strategy profile, is at most ``tol``.
+    all-last-strategy profile, is at most ``tol`` times max|T|.
 
     The residual is built one slab of the first player's strategies at a
-    time and the scan stops at the first slab with an entry above ``tol``.
-    Each entry is the payoff minus the offset minus the effects in player
-    order, as a whole-tensor residual would have it."""
+    time and the scan stops at the first slab with an entry above the
+    bound.  Each entry is the payoff minus the offset minus the effects in
+    player order, as a whole-tensor residual would have it."""
     payoffs = g.payoffs
-    if 0 in g.m or not np.all(np.isfinite(payoffs)):
+    if 0 in g.m or not math.isfinite(g.scale):
         raise ValueError("affinity test needs a nonempty, complete, finite payoff tensor")
     anchor = tuple(mi - 1 for mi in g.m)
     offset = payoffs[anchor].copy()
@@ -52,15 +55,15 @@ def _decompose(g: GameSpec, tol: float) -> tuple[np.ndarray, list[np.ndarray], b
         residual -= effects[0][j]
         for effect in rest:
             residual -= effect
-        if np.abs(residual, out=residual).max() > tol:
+        if not np.abs(residual, out=residual).max() <= tol * g.scale:
             return offset, effects, False
     return offset, effects, True
 
 
 def is_jointly_affine(g: GameSpec, tol: float = AFFINITY_TOL) -> bool:
     """True iff the payoff tensor is offset plus per-player effects, up to
-    a residual of at most ``tol`` at every pure profile (a certificate, not
-    a sample).  A game without pure profiles is affine."""
+    a residual of at most ``tol`` times max|T| (relative, as in ``is_zero_sum``)
+    at every pure profile: a certificate.  A game without pure profiles is affine."""
     return 0 in g.m or _decompose(g, tol)[2]
 
 
@@ -75,8 +78,13 @@ class AffineRepresentation:
     zero_sum_reduced: bool
 
     @property
+    def scale(self) -> float:
+        """max(|offset|, |matrix|): the unit of the rank floor and LEVEL_SET_RESIDUAL."""
+        return float(np.abs(np.append(self.offset, self.matrix)).max(initial=0.0))
+
+    @property
     def rank(self) -> int:
-        return numerical_rank(self.matrix)[0]
+        return numerical_rank(self.matrix, self.scale)[0]
 
 
 @dataclass(frozen=True)
@@ -98,7 +106,7 @@ def extract_affine(g: GameSpec, use_zero_sum_reduction: bool = False) -> AffineR
     offset, effects, affine = _decompose(g, AFFINITY_TOL)
     if not affine:
         raise ValueError("not jointly affine: the payoff map has strategy interactions")
-    if use_zero_sum_reduction and not is_zero_sum(g):
+    if use_zero_sum_reduction and not g.zero_sum:
         raise ValueError("not zero-sum: cannot apply the zero-sum reduction")
     matrix = np.hstack([effect[:-1].T for effect in effects])
     if use_zero_sum_reduction:
@@ -141,9 +149,10 @@ def affine_level_set(rep: AffineRepresentation, y,
     The base point is the minimum-norm least-squares solution of
     matrix * r = y - offset, so it is orthogonal to the kernel; it and the
     kernel basis come from the same SVD, with the one rank cutoff of
-    ``fibers``.  The set is declared empty when the residual exceeds
-    ``LEVEL_SET_RESIDUAL`` (y outside the affine image) or, when the game
-    is supplied, when the solution set misses the strategy simplex.
+    ``fibers`` at the representation's scale.  The set is declared empty
+    when the residual exceeds ``LEVEL_SET_RESIDUAL`` times that scale (y
+    outside the affine image) or, when the game is supplied, when the
+    solution set misses the strategy simplex.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     rows = rep.matrix.shape[0]
@@ -152,9 +161,9 @@ def affine_level_set(rep: AffineRepresentation, y,
     if not np.all(np.isfinite(y)):
         raise ValueError("payoff value must be finite")
     rhs = y - rep.offset
-    base, basis = _solve(rep.matrix, rhs)
+    base, basis = _solve(rep.matrix, rhs, rep.scale)
     residual = np.abs(rep.matrix @ base - rhs).max() if rows else 0.0
-    if residual > LEVEL_SET_RESIDUAL:
+    if residual > LEVEL_SET_RESIDUAL * rep.scale:
         return None
     if g is not None and not _simplex_feasible(g, rep.matrix, rhs):
         return None

@@ -33,7 +33,6 @@ from .fibers import DEFAULT_SAMPLES, MAX_SAMPLES, TRACE_TOL, generic_rank, trace
 from .games import (
     GameSpec,
     StrategyProfile,
-    is_zero_sum,
     pure_profile,
     total_payoff,
     uniform_profile,
@@ -157,7 +156,7 @@ def _cmd_eval(args, read_stdin):
 
 def _cmd_analyze(args, read_stdin):
     g = _load_valid_game(args, read_stdin)
-    zero_sum = is_zero_sum(g)
+    zero_sum = g.zero_sum
     affine = is_jointly_affine(g)
     k = generic_rank(g, samples=args.samples, seed=args.seed)
     rows = [  # (JSON key, text label, value)

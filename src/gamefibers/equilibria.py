@@ -207,7 +207,10 @@ def support_enumeration(g: GameSpec, eps: float = 1e-8) -> list[EquilibriumRepor
     is solved; candidates with nonnegative weights that verify as
     equilibria at ``eps`` are kept, deduplicated within 1e-8, in
     deterministic support order.  Degenerate games may admit continua of
-    equilibria, of which this reports representatives.
+    equilibria, of which this reports representatives.  The systems use
+    the payoffs divided by the power of two that brings max|T| into
+    [0.5, 1), which is exact, so a power-of-two rescaling gives the same
+    profiles bit for bit; ``eps`` stays in payoff units.
     """
     if g.n != 2:
         raise ValueError("not a 2-player game")
@@ -216,8 +219,9 @@ def support_enumeration(g: GameSpec, eps: float = 1e-8) -> list[EquilibriumRepor
         raise ValueError(
             f"supports too large: needs at most {SUPPORT_MAX_STRATEGIES} "
             "strategies per player")
-    a = g.payoffs[..., 0]
-    b = g.payoffs[..., 1]
+    normalized = np.ldexp(g.payoffs, -np.frexp(g.scale)[1])
+    a = normalized[..., 0]
+    b = normalized[..., 1]
     found: list[EquilibriumReport] = []
     kept: list[np.ndarray] = []
     for size1 in range(1, m1 + 1):

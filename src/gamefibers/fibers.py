@@ -27,7 +27,6 @@ from .games import (
     _deviations,
     _payoff_reduced,
     _require_match,
-    is_zero_sum,
     random_interior_profile,
     reduce_profile,
 )
@@ -39,12 +38,14 @@ CONSTANCY_EPSILONS = (1e-2, 1e-3, 1e-4)
 CORRECTOR_MAX_ITER = 20
 TRACE_TOL = 1e-10                # largest payoff residual the corrector accepts
 
-# Relative singular-value cutoff: sigma is negligible below
-# max(rows, cols) * 2**-46 times the largest singular value.
+# Relative singular-value cutoff: sigma is negligible below max(rows, cols)
+# * 2**-46 * max(sigma_1, max|T|), so crumbs of an all-but-zero Jacobian
+# (entries are payoff differences, at most 2 max|T|) are not rank.
 RANK_RTOL_EXPONENT = -46
 
 
-def _svd(mat, vectors: bool) -> tuple[int, np.ndarray, np.ndarray | None, np.ndarray | None]:
+def _svd(mat, vectors: bool,
+         scale: float) -> tuple[int, np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Rank, singular values and, with ``vectors``, U and V^T of a finite
     matrix, all from one SVD: the one place the cutoff is applied."""
     a = np.atleast_2d(np.asarray(mat, dtype=float))
@@ -54,30 +55,30 @@ def _svd(mat, vectors: bool) -> tuple[int, np.ndarray, np.ndarray | None, np.nda
         u, s, vt = np.linalg.svd(a)
     else:
         u, s, vt = None, np.linalg.svd(a, compute_uv=False), None
-    smax = float(s[0]) if s.size else 0.0
+    smax = max(float(s[0]) if s.size else 0.0, scale)
     rank = int(np.sum(s > max(a.shape) * 2.0 ** RANK_RTOL_EXPONENT * smax))
     return rank, s, u, vt
 
 
-def _solve(mat, rhs) -> tuple[np.ndarray, np.ndarray]:
+def _solve(mat, rhs, scale: float) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-norm least-squares solution of mat @ x = rhs and the kernel
-    basis of mat from one ``_svd``, so the solve drops exactly the
-    directions the kernel keeps."""
-    rank, s, u, vt = _svd(mat, vectors=True)
+    basis of mat from one ``_svd`` at ``scale``, so the solve drops exactly
+    the directions the kernel keeps."""
+    rank, s, u, vt = _svd(mat, True, scale)
     x = vt[:rank].T @ ((u[:, :rank].T @ rhs) / s[:rank])
     return x, vt[rank:]
 
 
-def numerical_rank(mat) -> tuple[int, np.ndarray]:
-    """Rank of a matrix as the number of singular values above the relative
-    cutoff; returns (rank, singular_values).  The zero matrix has rank 0."""
-    rank, s, _, _ = _svd(mat, vectors=False)
+def numerical_rank(mat, scale: float = 0.0) -> tuple[int, np.ndarray]:
+    """(rank, singular values): the rank counts those above the cutoff at
+    payoff ``scale``.  The zero matrix has rank 0."""
+    rank, s, _, _ = _svd(mat, False, scale)
     return rank, s
 
 
-def nullspace(mat) -> np.ndarray:
-    """Orthonormal basis for the kernel, one vector per row."""
-    rank, _, _, vt = _svd(mat, vectors=True)
+def nullspace(mat, scale: float = 0.0) -> np.ndarray:
+    """Orthonormal kernel basis at ``numerical_rank``'s cutoff, one per row."""
+    rank, _, _, vt = _svd(mat, True, scale)
     return vt[rank:]
 
 
@@ -112,7 +113,7 @@ def _rows(g: GameSpec) -> int:
     kernels and corrector solves take only these Jacobian rows, as
     ``extract_affine``'s zero-sum reduction does, so no row that is zero
     up to rounding sets a direction."""
-    return g.n - is_zero_sum(g)
+    return g.n - g.zero_sum
 
 
 def generic_rank(g: GameSpec, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> int:
@@ -141,7 +142,7 @@ def generic_rank(g: GameSpec, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> 
         rng = np.random.default_rng([seed, idx])
         s = random_interior_profile(g, rng)
         jac = payoff_jacobian(g, s)[:rows]
-        k = max(k, numerical_rank(jac)[0])
+        k = max(k, numerical_rank(jac, g.scale)[0])
         if k == min(jac.shape):
             break
     return k
@@ -175,7 +176,7 @@ def _tangent_space(g: GameSpec, s: StrategyProfile, rows: int):
     if _min_coordinate(s.blocks) < INTERIOR_MIN:
         raise ValueError(f"boundary point: need every coordinate >= {INTERIOR_MIN}")
     r = reduce_profile(s)
-    rank, svals, _, vt = _svd(_jacobian_blocks(g.payoffs, s.blocks)[1][:rows], vectors=True)
+    rank, svals, _, vt = _svd(_jacobian_blocks(g.payoffs, s.blocks)[1][:rows], True, g.scale)
     return r, _payoff_reduced(g, r), rank, svals, vt[rank:]
 
 
@@ -226,7 +227,7 @@ def _correct(g: GameSpec, r: np.ndarray, target: np.ndarray, tol: float,
             residual = float(np.abs(f).max())
             if residual <= tol or it == CORRECTOR_MAX_ITER or not np.isfinite(jac).all():
                 break
-            cur = cur + _solve(jac[:rows], -f[:rows])[0]
+            cur = cur + _solve(jac[:rows], -f[:rows], g.scale)[0]
     return cur, residual, jac[:rows]
 
 
@@ -286,7 +287,7 @@ def trace_fiber(g: GameSpec, s0: StrategyProfile, direction_index: int,
             break
         points.append(corrected)
         drift = max(drift, residual)
-        basis = nullspace(jac)
+        basis = nullspace(jac, g.scale)
         if basis.shape[0] == 0:
             terminated = "corrector_failure"
             break

@@ -10,12 +10,15 @@ the stored payoff vector.
 
 All objects here are immutable after construction (arrays are marked
 read-only), so games and profiles can be shared freely across threads.
+A game caches max|T| and its zero-sum flag on first use (threads that race
+there compute the same value twice); payoff tolerances are multiples of max|T|.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -125,6 +128,16 @@ class GameSpec:
             raise ValueError(f"profile {profiles[bad]}: expected {n} payoff values")
         payoffs = _fill(shape, profiles, np.reshape(values, (len(pairs), n)))
         return cls(payoffs, player_names, strategy_labels, meta=meta)
+
+    @cached_property
+    def scale(self) -> float:
+        """max|T|, the unit of every payoff tolerance; non-finite when a payoff is."""
+        return max(float(self.payoffs.max(initial=0.0)), -float(self.payoffs.min(initial=0.0)))
+
+    @cached_property
+    def zero_sum(self) -> bool:
+        """``is_zero_sum`` at its default tolerance, decided once."""
+        return is_zero_sum(self)
 
     @property
     def n(self) -> int:
@@ -383,9 +396,8 @@ def is_zero_sum(g: GameSpec, tol: float = TAU_EVAL) -> bool:
     By multilinearity this is equivalent to the payoff components summing
     to zero at every mixed profile.
     """
-    scale = max(float(g.payoffs.max(initial=0.0)), -float(g.payoffs.min(initial=0.0)))
     sums = sum(np.moveaxis(g.payoffs, -1, 0))    # sum(axis=-1)'s order, but faster
-    return bool(math.isfinite(scale) and np.all(np.abs(sums) <= tol * scale))
+    return bool(math.isfinite(g.scale) and np.all(np.abs(sums) <= tol * g.scale))
 
 
 def reduce_profile(s: StrategyProfile) -> np.ndarray:

@@ -51,13 +51,13 @@ def test_affinity_tolerance_bounds_against_loop_oracle():
             payoffs[at] += size
         g = gf.GameSpec(payoffs)
         for tol in (1e-10, 1e-9, 1e-8):
-            affine = gf.is_jointly_affine(g, tol)
+            affine = gf.is_jointly_affine(g, tol / g.scale)
             if affine:
                 fired["residual"] += 1
                 assert loop_is_jointly_affine(g, 4 * tol + slack)
             if loop_is_jointly_affine(g, tol):
                 fired["cross"] += 1
-                assert gf.is_jointly_affine(g, n * (n - 1) / 2 * tol + slack)
+                assert gf.is_jointly_affine(g, (n * (n - 1) / 2 * tol + slack) / g.scale)
             if single and abs(size - tol) > 1e-3 * tol:
                 assert affine == (size <= tol)
     assert min(fired.values()) >= 10
@@ -75,6 +75,16 @@ def test_affinity_of_degenerate_shapes():
     interacting = additive.copy()
     interacting[0, 0, 2] += 1.0
     assert not gf.is_jointly_affine(gf.GameSpec(interacting))
+
+
+def test_affinity_fails_quietly_when_the_residual_overflows():
+    # effects of about -1e308 around a 1e308 anchor overflow the residual
+    payoffs = gf.random_game(3, [2, 2, 2], seed=6, jointly_affine=True).payoffs.copy()
+    payoffs[1, 1, 1, 0] = 1e308
+    g = gf.GameSpec(payoffs)
+    assert not gf.is_jointly_affine(g)
+    with pytest.raises(ValueError, match="not jointly affine"):
+        gf.extract_affine(g)
 
 
 def test_extract_columns_are_pure_profile_differences():

@@ -1,10 +1,12 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gamefibers as gf
 from gamefibers.cli import run
@@ -136,6 +138,19 @@ def test_analyze_json_agreement(bar_doc):
     assert info["generic_fiber_dimension"] == 1
     assert info["affine"]["dimension_bound"] == 1
     assert info["affine"]["bound_satisfied"] is True
+
+
+def test_analyze_affinity_does_not_depend_on_the_payoff_scale():
+    g = gf.random_game(3, [4] * 3, 0, jointly_affine=True)
+    reports = []
+    for scale in (1.0, 1e9):
+        code, out, _ = cli("analyze", "--json", stdin=gf.write_game(gf.GameSpec(scale * g.payoffs)))
+        assert code == 0
+        reports.append(json.loads(out))
+    for info in reports:
+        assert info["jointly_affine"] is True
+        assert info["affine"]["rank"] == reports[0]["affine"]["rank"] == 3
+        assert info["affine"]["nullity"] == reports[0]["affine"]["nullity"] == 6
 
 
 def test_analyze_deterministic(rps_doc):
@@ -276,3 +291,41 @@ def test_scipy_is_imported_only_by_the_lp():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, check=True)
     assert proc.stdout == "[]\n[]\n"
+
+
+FUZZ_DOCS = [gf.write_game(g) for g in (
+    gf.builtin_game("bar"), gf.builtin_game("rps"),
+    gf.random_game(2, [2, 3], seed=5, zero_sum=True),
+    gf.random_game(3, [2, 2, 2], seed=6, jointly_affine=True))]
+NUMBER = re.compile(rb"(?<![\w.])-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+# a loose eps stops the equilibrium search at its first profile: a mutated
+# game can take the search's full budget, which is not what is tested here
+DOC_COMMANDS = [("validate",), ("eval", "--profile", "uniform"), ("analyze", "--samples", "4"),
+                ("equilibria", "--eps", "1e308"),
+                ("trace", *[x for item in TRACE.items() for x in item])]
+
+
+@st.composite
+def mutated_documents(draw):
+    """A game document with one byte changed, a byte range deleted, or one
+    number replaced by an extreme or non-numeric JSON value."""
+    doc = draw(st.sampled_from(FUZZ_DOCS))
+    kind = draw(st.sampled_from(["byte", "delete", "number"]))
+    if kind == "byte":
+        at = draw(st.integers(0, len(doc) - 1))
+        return doc[:at] + bytes([draw(st.integers(0, 255))]) + doc[at + 1:]
+    if kind == "delete":
+        start = draw(st.integers(0, len(doc) - 1))
+        return doc[:start] + doc[draw(st.integers(start + 1, len(doc))):]
+    start, stop = draw(st.sampled_from([m.span() for m in NUMBER.finditer(doc)]))
+    value = draw(st.sampled_from([b"1e308", b"1e999", b"5e-324", b"NaN", b"true", b"null"]))
+    return doc[:start] + value + doc[stop:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=mutated_documents())
+def test_mutated_documents_exit_cleanly(doc):
+    for argv in DOC_COMMANDS:
+        code, out, err = cli(*argv, stdin=doc)
+        assert code in (0, 1, 2)
+        assert err == "" or (code != 0 and err.count("\n") == 1 and err.endswith("\n"))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gamefibers as gf
 from gamefibers.equilibria import _improvement
@@ -159,6 +160,23 @@ def test_support_enumeration_errors():
     big = gf.random_game(2, [7, 2], seed=1)
     with pytest.raises(ValueError, match="supports too large"):
         gf.support_enumeration(big)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), m=st.integers(2, 5), exponent=st.floats(-12.0, 12.0),
+       power=st.integers(-60, 60))
+def test_support_enumeration_does_not_depend_on_the_payoff_scale(seed, m, exponent, power):
+    g = gf.random_game(2, [m, m], seed=seed)
+    found = gf.support_enumeration(g)
+    scaled = gf.support_enumeration(gf.GameSpec(10.0 ** exponent * g.payoffs),
+                                    eps=1e-8 * 10.0 ** exponent)
+    assert len(scaled) == len(found)
+    for a, b in zip(found, scaled):
+        assert np.abs(a.profile.concat() - b.profile.concat()).max() <= 1e-12
+    exact = gf.support_enumeration(gf.GameSpec(np.ldexp(g.payoffs, power)),
+                                   eps=np.ldexp(1e-8, power))
+    assert ([r.profile.concat().tobytes() for r in exact]
+            == [r.profile.concat().tobytes() for r in found])
 
 
 def test_search_results_self_verify():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gamefibers as gf
-from gamefibers import fibers
+from gamefibers import affine, cli, fibers, games
 from helpers import fd_jacobian, interior_profile, loop_generic_rank
 
 
@@ -118,9 +118,9 @@ def test_generic_rank_stops_at_the_rank_bound(monkeypatch):
     calls = [0]
     rank = fibers.numerical_rank
 
-    def counting_rank(mat):
+    def counting_rank(mat, scale):
         calls[0] += 1
-        return rank(mat)
+        return rank(mat, scale)
 
     monkeypatch.setattr(fibers, "numerical_rank", counting_rank)
     for g in seeded_games(12, 1300):
@@ -254,12 +254,59 @@ def test_fiber_report_does_not_depend_on_the_payoff_scale(seed, zero_sum, jointl
     scaled = gf.GameSpec(10.0 ** exponent * g.payoffs)
     s = interior_profile(g, np.random.default_rng(seed), min_coord=0.05)
     k = gf.generic_rank(g, samples=16)
+    assert gf.generic_rank(scaled, samples=16) == k
     report, report_scaled = gf.fiber_report(g, s, k), gf.fiber_report(scaled, s, k)
     assert report_scaled.jacobian_rank == report.jacobian_rank
     assert report_scaled.fiber_dimension == report.fiber_dimension
     assert report_scaled.regular == report.regular
     gap = np.abs(report_scaled.nullspace_basis - report.nullspace_basis).max(initial=0.0)
     assert gap <= 1e-9
+    assert gf.is_jointly_affine(scaled) == gf.is_jointly_affine(g) == jointly_affine
+    if jointly_affine:
+        level_sets = []
+        for game in (g, scaled):
+            rep = gf.extract_affine(game, use_zero_sum_reduction=zero_sum)
+            y = gf.total_payoff(game, gf.uniform_profile(game))[:rep.matrix.shape[0]]
+            level = gf.affine_level_set(rep, y, g=game)
+            level_sets.append((rep.rank, None if level is None else level.dimension))
+        assert level_sets[1] == level_sets[0]
+
+
+@pytest.mark.parametrize("value", [4.0, 7.0, -7.0, 1e-300, 3e200])
+def test_constant_game_has_rank_zero_at_any_value(value):
+    # rounding crumbs of an all-but-zero Jacobian fall below the rank floor
+    g = gf.GameSpec(np.full((2, 3, 2), value))
+    assert gf.generic_rank(g) == 0
+    for idx in range(8):
+        s = gf.random_interior_profile(g, np.random.default_rng([0, idx]))
+        assert gf.fiber_report(g, s, 0).jacobian_rank == 0
+
+
+def test_zero_sum_is_decided_once_per_game(monkeypatch):
+    calls = [0]
+    decide = games.is_zero_sum
+
+    def counting(g, *args):
+        calls[0] += 1
+        return decide(g, *args)
+
+    for module in (games, fibers, affine, cli):
+        if hasattr(module, "is_zero_sum"):
+            monkeypatch.setattr(module, "is_zero_sum", counting)
+    source = gf.random_game(3, [3, 3, 3], seed=4, zero_sum=True, jointly_affine=True)
+    for _ in range(2):
+        g = gf.GameSpec(source.payoffs)
+        calls[0] = 0
+        k = gf.generic_rank(g)
+        s = gf.uniform_profile(g)
+        gf.fiber_report(g, s, k)
+        gf.trace_fiber(g, s, 0, 0.01, 3, k_generic=k)
+        gf.extract_affine(g, use_zero_sum_reduction=True)
+        assert calls[0] == 1
+    calls[0] = 0
+    code, out, _ = cli.run(["analyze"], read_stdin=lambda: gf.write_game(source))
+    assert code == 0 and b"zero-sum: yes" in out and b"affine rank" in out
+    assert calls[0] == 1
 
 
 def test_fiber_report_boundary_rejected(bar):
