@@ -165,7 +165,8 @@ def affine_level_set(rep: AffineRepresentation, y,
     residual = np.abs(rep.matrix @ base - rhs).max() if rows else 0.0
     if residual > LEVEL_SET_RESIDUAL * rep.scale:
         return None
-    if g is not None and not _simplex_feasible(g, rep.matrix, rhs):
+    e = np.frexp(rep.scale)[1]      # HiGHS's tolerances are absolute: exact 2^-e rescaling
+    if g is not None and not _simplex_feasible(g, np.ldexp(rep.matrix, -e), np.ldexp(rhs, -e)):
         return None
     return AffineLevelSet(base_point=base, kernel_basis=basis,
                           dimension=basis.shape[0])

@@ -3,16 +3,18 @@
 A profile is an equilibrium when no player gains from a unilateral change
 of strategy.  Own-block linearity means the best unilateral improvement is
 always attained at a pure strategy, so verification only needs the m_i
-pure deviations per player.  Search iterates the classical continuous
-improvement map whose fixed points are exactly the equilibria; iteration
-is a heuristic, so every returned profile is re-verified and the achieved
-epsilon reported honestly.
+pure deviations per player; at a vertex those are one slice of the payoff
+tensor, so one scan gives every vertex's epsilon.  Search starts from the
+best vertex and iterates the classical continuous improvement map whose
+fixed points are exactly the equilibria; iteration is a heuristic, so
+every returned profile is re-verified and the achieved epsilon reported
+honestly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -27,7 +29,6 @@ from .games import (
 )
 
 DAMPING = 0.5
-POLISH_EVERY = 25
 SUPPORT_MAX_STRATEGIES = 6
 SEARCH_EPS = 1e-6          # default epsilon of find_equilibrium and the CLI
 
@@ -67,16 +68,27 @@ def verify_equilibrium(g: GameSpec, s: StrategyProfile, eps: float) -> Equilibri
 def pure_equilibria(g: GameSpec) -> list[tuple[int, ...]]:
     """All pure-strategy equilibria, in lexicographic profile order.
 
-    Weak inequalities on the stored payoffs with no tolerance: a vertex
-    counts when no player strictly gains by any pure deviation.
+    The vertices whose gap in ``_vertex_gaps`` is 0: weak inequalities on
+    the stored payoffs with no tolerance, so a vertex counts when no player
+    strictly gains by any pure deviation.
     """
-    ok = np.ones(g.m, dtype=bool)
+    return [tuple(int(j) for j in idx) for idx in np.argwhere(_vertex_gaps(g) == 0.0)]
+
+
+@np.errstate(over="ignore")     # a gain past the float range reads as inf
+def _vertex_gaps(g: GameSpec) -> np.ndarray:
+    """Every pure profile's epsilon, shape ``g.m``: player i's best gain is
+    the maximum of its payoff along axis i minus its payoff.  A one-hot
+    contraction is exact, so this is ``verify_equilibrium``'s epsilon at
+    each vertex bit for bit."""
+    gaps = np.zeros(g.m)
     for i in range(g.n):
         component = g.payoffs[..., i]
-        ok &= component >= component.max(axis=i, keepdims=True)
-    return [tuple(int(j) for j in idx) for idx in np.argwhere(ok)]
+        np.maximum(gaps, component.max(axis=i, keepdims=True) - component, out=gaps)
+    return gaps
 
 
+@np.errstate(over="ignore")     # an overflowed gain reads as inf, a -inf one clips to 0
 def _improvement(g: GameSpec, s: StrategyProfile) -> tuple[list[np.ndarray], float]:
     """Per-player positive-part payoff gains of pure deviations, plus the
     largest gain (the profile's epsilon).  Every player's deviations come
@@ -111,67 +123,39 @@ def _mapped_blocks(s: StrategyProfile, phis) -> list[np.ndarray]:
     return [(b + phi) / (1.0 + phi.sum()) for b, phi in zip(s.blocks, phis)]
 
 
-def _nearest_vertex(s: StrategyProfile) -> tuple[int, ...]:
-    return tuple(int(np.argmax(b)) for b in s.blocks)
-
-
-def _search_from(g: GameSpec, start: StrategyProfile, max_iter: int,
-                 eps: float) -> tuple[StrategyProfile, float]:
-    """Damped improvement iteration from one start, tracking the best
-    profile seen.  The nearest vertex is checked periodically as a polish
-    candidate: the iteration approaches pure equilibria only sublinearly,
-    while the snapped vertex verifies exactly."""
-    cur = start
-    best_profile, best_gap = None, np.inf
-    for it in range(max_iter + 1):
-        phis, gap = _improvement(g, cur)
-        if gap < best_gap:
-            best_profile, best_gap = cur, gap
-        if best_gap <= eps:
-            break
-        if it % POLISH_EVERY == 0:
-            vertex = pure_profile(g, _nearest_vertex(cur))
-            _, vgap = _improvement(g, vertex)
-            if vgap < best_gap:
-                best_profile, best_gap = vertex, vgap
-            if best_gap <= eps:
-                break
-        if it == max_iter:
-            break
-        cur = StrategyProfile([(1.0 - DAMPING) * b + DAMPING * mb
-                               for b, mb in zip(cur.blocks, _mapped_blocks(cur, phis))])
-    return best_profile, best_gap
-
-
-def _lexicographically_before(a: StrategyProfile, b: StrategyProfile) -> bool:
-    return tuple(a.concat()) < tuple(b.concat())
-
-
 def find_equilibrium(g: GameSpec, seed: int = 0, max_iter: int = 10_000,
                      eps: float = SEARCH_EPS, restarts: int = 8) -> EquilibriumReport:
-    """Search for an equilibrium by damped improvement iteration.
+    """Search for an equilibrium from the best vertex by damped improvement
+    iteration.
 
-    Starts from the uniform profile, then from seeded random interior
-    restarts, and returns the best verified report found; exact ties are
-    broken toward the lexicographically smallest profile.  Non-convergence
-    is reported, never silent: ``converged`` is false when the best epsilon
-    found still exceeds ``eps``.
+    The best vertex is the first one with the smallest gap, in
+    lexicographic order; it is returned at once when its gap is at most
+    ``eps``.  Otherwise the iteration runs from the uniform profile, then
+    from seeded random interior restarts, and a profile replaces the best
+    one only when its epsilon is strictly smaller, so the result is never
+    worse than any vertex and, among starts, the earlier one wins exact
+    ties.  Non-convergence is reported, never silent: ``converged`` is
+    false when the best epsilon found still exceeds ``eps``.
     """
     for name, value in (("seed", seed), ("max_iter", max_iter), ("restarts", restarts)):
         if value < 0:
             raise ValueError(f"{name} must be non-negative")
-    best_profile, best_gap = None, np.inf
+    gaps = _vertex_gaps(g)
+    vertex = np.unravel_index(np.argmin(gaps), g.m)
+    best_profile, best_gap = pure_profile(g, vertex), float(gaps[vertex])
     for t in range(restarts + 1):
-        if t == 0:
-            start = uniform_profile(g)
-        else:
-            start = random_interior_profile(g, np.random.default_rng([seed, t]))
-        profile, gap = _search_from(g, start, max_iter, eps)
-        if gap < best_gap or (gap == best_gap
-                              and _lexicographically_before(profile, best_profile)):
-            best_profile, best_gap = profile, gap
         if best_gap <= eps:
             break
+        cur = (random_interior_profile(g, np.random.default_rng([seed, t])) if t
+               else uniform_profile(g))
+        for it in range(max_iter + 1):
+            phis, gap = _improvement(g, cur)
+            if gap < best_gap:
+                best_profile, best_gap = cur, gap
+            if best_gap <= eps or it == max_iter:
+                break
+            cur = StrategyProfile([(1.0 - DAMPING) * b + DAMPING * mb
+                                   for b, mb in zip(cur.blocks, _mapped_blocks(cur, phis))])
     return verify_equilibrium(g, best_profile, eps)
 
 
@@ -200,6 +184,11 @@ def _indifference_weights(mat: np.ndarray) -> np.ndarray | None:
     return w / total
 
 
+def _supports(m: int) -> list[tuple[int, ...]]:
+    """Every nonempty support of m strategies, by size, then lexicographically."""
+    return [support for size in range(1, m + 1) for support in combinations(range(m), size)]
+
+
 def support_enumeration(g: GameSpec, eps: float = 1e-8) -> list[EquilibriumReport]:
     """All equilibria of a two-player game found by support enumeration.
 
@@ -224,27 +213,24 @@ def support_enumeration(g: GameSpec, eps: float = 1e-8) -> list[EquilibriumRepor
     b = normalized[..., 1]
     found: list[EquilibriumReport] = []
     kept: list[np.ndarray] = []
-    for size1 in range(1, m1 + 1):
-        for support1 in combinations(range(m1), size1):
-            for size2 in range(1, m2 + 1):
-                for support2 in combinations(range(m2), size2):
-                    sub_a = a[np.ix_(support1, support2)]
-                    sub_b = b[np.ix_(support1, support2)]
-                    y_w = _indifference_weights(sub_a)
-                    x_w = _indifference_weights(sub_b.T)
-                    if x_w is None or y_w is None:
-                        continue
-                    x = np.zeros(m1)
-                    x[list(support1)] = x_w
-                    y = np.zeros(m2)
-                    y[list(support2)] = y_w
-                    profile = StrategyProfile([x, y])
-                    report = verify_equilibrium(g, profile, eps)
-                    if report.epsilon > eps:
-                        continue
-                    flat = profile.concat()
-                    if any(np.abs(flat - other).max() < 1e-8 for other in kept):
-                        continue
-                    kept.append(flat)
-                    found.append(report)
+    for support1, support2 in product(_supports(m1), _supports(m2)):
+        sub_a = a[np.ix_(support1, support2)]
+        sub_b = b[np.ix_(support1, support2)]
+        y_w = _indifference_weights(sub_a)
+        x_w = _indifference_weights(sub_b.T)
+        if x_w is None or y_w is None:
+            continue
+        x = np.zeros(m1)
+        x[list(support1)] = x_w
+        y = np.zeros(m2)
+        y[list(support2)] = y_w
+        profile = StrategyProfile([x, y])
+        report = verify_equilibrium(g, profile, eps)
+        if report.epsilon > eps:
+            continue
+        flat = profile.concat()
+        if any(np.abs(flat - other).max() < 1e-8 for other in kept):
+            continue
+        kept.append(flat)
+        found.append(report)
     return found

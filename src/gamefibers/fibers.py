@@ -82,6 +82,7 @@ def nullspace(mat, scale: float = 0.0) -> np.ndarray:
     return vt[rank:]
 
 
+@np.errstate(over="ignore")     # an overflowed difference reads as inf, caught by the rank
 def _jacobian_blocks(payoffs: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
     """Payoff and payoff Jacobian on the chart, from one ``_deviations``
     sweep.

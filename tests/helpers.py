@@ -38,6 +38,19 @@ def loop_deviation_payoffs(g, s, player):
     return out
 
 
+def loop_vertex_gaps(g):
+    """Literal loop: at every pure profile, every player's every pure
+    deviation; the largest payoff gain, 0 when none gains."""
+    gaps = np.zeros(g.m)
+    for idx in itertools.product(*(range(mi) for mi in g.m)):
+        for player in range(g.n):
+            for j in range(g.m[player]):
+                dev = idx[:player] + (j,) + idx[player + 1:]
+                gain = g.payoffs[dev + (player,)] - g.payoffs[idx + (player,)]
+                gaps[idx] = max(gaps[idx], gain)
+    return gaps
+
+
 def fd_jacobian(g, s, h=1e-5):
     """Central finite differences of the payoff map through embed_profile."""
     r0 = gf.reduce_profile(s)

@@ -5,11 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gamefibers as gf
-from gamefibers.cli import run
+from gamefibers.cli import _profile_str, run
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -159,11 +160,15 @@ def test_analyze_deterministic(rps_doc):
     assert len(runs) == 1
 
 
-def test_equilibria_bar(bar_doc):
+def test_equilibria_bar(bar_doc, bar):
     code, out, _ = cli("equilibria", stdin=bar_doc)
     assert code == 0
     lines = out.decode().splitlines()
     assert lines[0] == "pure: M,M epsilon=0"
+    labels = lines[0].split()[1].split(",")
+    vertex = [[bar.label(i, j) for j in range(bar.m[i])].index(label)
+              for i, label in enumerate(labels)]
+    assert lines[-1].startswith(f"search: {_profile_str(gf.pure_profile(bar, vertex))} ")
     assert any(line.startswith("mixed: 1,0; 1,0") for line in lines)
     assert lines[-1].startswith("search: ")
     assert "converged=yes" in lines[-1]
@@ -180,6 +185,18 @@ def test_equilibria_rps_json(rps_doc):
     assert data["mixed"][0]["blocks"][0] == pytest.approx([1 / 3] * 3, abs=1e-9)
     assert data["search"]["converged"] is True
     assert data["search"]["epsilon"] <= 1e-6
+
+
+def test_overflowing_payoff_differences_are_quiet(capfd):
+    # player 0's gains reach 3.4e308, past the float range: read as inf
+    payoffs = np.zeros((2, 2, 2))
+    payoffs[..., 0] = [[1.7e308, -1.7e308], [-1.7e308, 1.7e308]]
+    doc = gf.write_game(gf.GameSpec(payoffs))
+    code, out, err = cli("equilibria", stdin=doc)
+    assert (code, err) == (0, "")
+    assert out.decode().splitlines()[-1] == "search: 1,0; 1,0 converged=yes epsilon=0"
+    assert cli("analyze", stdin=doc) == (1, b"", "error: rank needs a finite matrix\n")
+    assert capfd.readouterr().err == ""
 
 
 def test_trace_bar(bar_doc):
@@ -298,8 +315,9 @@ FUZZ_DOCS = [gf.write_game(g) for g in (
     gf.random_game(2, [2, 3], seed=5, zero_sum=True),
     gf.random_game(3, [2, 2, 2], seed=6, jointly_affine=True))]
 NUMBER = re.compile(rb"(?<![\w.])-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
-# a loose eps stops the equilibrium search at its first profile: a mutated
-# game can take the search's full budget, which is not what is tested here
+# a loose eps stops the equilibrium search at its best vertex: a mutated
+# game without a vertex within eps can take the search's full budget,
+# which is not what is tested here
 DOC_COMMANDS = [("validate",), ("eval", "--profile", "uniform"), ("analyze", "--samples", "4"),
                 ("equilibria", "--eps", "1e308"),
                 ("trace", *[x for item in TRACE.items() for x in item])]

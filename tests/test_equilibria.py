@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gamefibers as gf
-from gamefibers.equilibria import _improvement
-from helpers import interior_profile
+from gamefibers.equilibria import _improvement, _vertex_gaps
+from helpers import interior_profile, loop_vertex_gaps
 
 
 def matching_pennies():
@@ -66,6 +66,60 @@ def test_pure_equilibria(bar, rps):
 def test_pure_equilibria_lexicographic_order():
     g = constant_game()
     assert gf.pure_equilibria(g) == sorted(gf.pure_equilibria(g))
+
+
+def vertex_gap_corpus():
+    """Random, zero-sum and jointly-affine games, integer payoffs in
+    [-2, 2] (many ties), and games with one-strategy players."""
+    rng = np.random.default_rng(29)
+    games = [gf.builtin_game("bar"), gf.builtin_game("rps"), constant_game()]
+    for k in range(30):
+        n = 2 + k % 3
+        m = [2 + (k + j) % 3 for j in range(n)]
+        games.append(gf.random_game(n, m, seed=k, zero_sum=k % 3 == 1,
+                                    jointly_affine=k % 3 == 2))
+        m = [1 + int(rng.integers(0, 4)) for _ in range(1 + k % 4)]
+        games.append(gf.GameSpec(rng.integers(-2, 3, size=(*m, len(m))).astype(float)))
+    return games
+
+
+def test_vertex_gaps_match_the_loop_and_verify():
+    for g in vertex_gap_corpus():
+        gaps = _vertex_gaps(g)
+        assert gaps.shape == g.m
+        assert np.array_equal(gaps, loop_vertex_gaps(g))
+        for idx in np.ndindex(g.m):
+            report = gf.verify_equilibrium(g, gf.pure_profile(g, idx), 0.0)
+            assert gaps[idx] == report.epsilon
+        assert gf.pure_equilibria(g) == [idx for idx in np.ndindex(g.m) if gaps[idx] == 0.0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), ties=st.booleans())
+def test_search_is_never_worse_than_the_best_vertex(seed, ties):
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 3
+    m = [2 + int(rng.integers(0, 3)) for _ in range(n)]
+    if ties:
+        g = gf.GameSpec(rng.integers(-2, 3, size=(*m, n)).astype(float))
+    else:
+        g = gf.random_game(n, m, seed=seed)
+    report = gf.find_equilibrium(g, seed=seed, max_iter=50, restarts=1)
+    assert report.epsilon <= loop_vertex_gaps(g).min()
+    pure = gf.pure_equilibria(g)
+    if pure:
+        exact = gf.find_equilibrium(g, eps=0.0, max_iter=50, restarts=1)
+        assert exact.converged and exact.epsilon == 0.0
+        assert exact.profile == gf.pure_profile(g, pure[0])
+
+
+@pytest.mark.parametrize("n, m, max_iter", [(5, 6, 10_000), (4, 3, 100)])
+def test_search_returns_the_pure_equilibrium_of_random_game_seed_1(n, m, max_iter):
+    # the damped iteration alone stalls near these games' pure equilibria
+    g = gf.random_game(n, [m] * n, 1)
+    report = gf.find_equilibrium(g, seed=0, max_iter=max_iter)
+    assert report.converged and report.epsilon == 0.0
+    assert report.profile == gf.pure_profile(g, gf.pure_equilibria(g)[0])
 
 
 def test_nash_map_fixed_points(bar, rps):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import gamefibers as gf
 from gamefibers import affine, cli, fibers, games
@@ -246,6 +246,8 @@ def test_near_zero_sum_report_is_regular():
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), zero_sum=st.booleans(),
        jointly_affine=st.booleans(), exponent=st.floats(-12.0, 12.0))
+# an LP with absolute tolerances calls this scaled game's level set empty
+@example(seed=19735, zero_sum=False, jointly_affine=True, exponent=-8.9765625)
 def test_fiber_report_does_not_depend_on_the_payoff_scale(seed, zero_sum, jointly_affine,
                                                           exponent):
     n = 2 + seed % 3
