@@ -134,8 +134,10 @@ def find_equilibrium(g: GameSpec, seed: int = 0, max_iter: int = 10_000,
     from seeded random interior restarts, and a profile replaces the best
     one only when its epsilon is strictly smaller, so the result is never
     worse than any vertex and, among starts, the earlier one wins exact
-    ties.  Non-convergence is reported, never silent: ``converged`` is
-    false when the best epsilon found still exceeds ``eps``.
+    ties.  A start ends at a profile whose epsilon overflows to inf, where
+    the map would divide inf by inf.  Non-convergence is reported, never
+    silent: ``converged`` is false when the best epsilon found still
+    exceeds ``eps``.
     """
     for name, value in (("seed", seed), ("max_iter", max_iter), ("restarts", restarts)):
         if value < 0:
@@ -152,7 +154,7 @@ def find_equilibrium(g: GameSpec, seed: int = 0, max_iter: int = 10_000,
             phis, gap = _improvement(g, cur)
             if gap < best_gap:
                 best_profile, best_gap = cur, gap
-            if best_gap <= eps or it == max_iter:
+            if best_gap <= eps or it == max_iter or gap == np.inf:
                 break
             cur = StrategyProfile([(1.0 - DAMPING) * b + DAMPING * mb
                                    for b, mb in zip(cur.blocks, _mapped_blocks(cur, phis))])
@@ -217,8 +219,8 @@ def support_enumeration(g: GameSpec, eps: float = 1e-8) -> list[EquilibriumRepor
         sub_a = a[np.ix_(support1, support2)]
         sub_b = b[np.ix_(support1, support2)]
         y_w = _indifference_weights(sub_a)
-        x_w = _indifference_weights(sub_b.T)
-        if x_w is None or y_w is None:
+        x_w = None if y_w is None else _indifference_weights(sub_b.T)
+        if x_w is None:
             continue
         x = np.zeros(m1)
         x[list(support1)] = x_w

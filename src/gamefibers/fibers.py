@@ -241,13 +241,14 @@ def trace_fiber(g: GameSpec, s0: StrategyProfile, direction_index: int,
     Jacobian, then corrects back to the starting payoff value with
     Gauss-Newton until the residual is below ``tol``.  The nullspace is
     recomputed at every accepted point, from the corrector's Jacobian
-    there, and the followed direction is the basis vector closest to the
-    previous tangent, sign-aligned, which keeps the walk from flipping
+    there, and the followed direction is the previous tangent projected
+    onto the new nullspace and normalized, so the path depends on the
+    tangent space, not on the basis ``nullspace`` returns, and keeps its
     orientation on a smooth fiber.  The trace stops when the step budget
     runs out, when a corrected point leaves the interior of the simplex
     (a coordinate below ``INTERIOR_MIN``), or when the corrector fails to
-    converge; a step so large that the corrector diverges is a
-    ``corrector_failure`` too.
+    converge; a step so large that the corrector diverges and a tangent
+    whose projection vanishes are ``corrector_failure`` too.
 
     Nullspaces and corrector solves use the rows of ``generic_rank``: for
     a zero-sum game the first n - 1, as the last is minus their sum and
@@ -289,15 +290,11 @@ def trace_fiber(g: GameSpec, s0: StrategyProfile, direction_index: int,
         points.append(corrected)
         drift = max(drift, residual)
         basis = nullspace(jac, g.scale)
-        if basis.shape[0] == 0:
+        tangent = basis.T @ (basis @ tangent)
+        norm = float(np.linalg.norm(tangent))
+        if norm < 1e-8:     # no continuation in the new nullspace, an empty one included
             terminated = "corrector_failure"
             break
-        dots = basis @ tangent
-        pick = int(np.argmax(np.abs(dots)))
-        if abs(dots[pick]) < 1e-8:
-            # tangent has no continuation in the new nullspace
-            terminated = "corrector_failure"
-            break
-        tangent = basis[pick] if dots[pick] > 0 else -basis[pick]
+        tangent = tangent / norm
     return FiberPath(points=points, target_payoff=target,
                      max_payoff_drift=drift, terminated_by=terminated)

@@ -199,6 +199,25 @@ def test_overflowing_payoff_differences_are_quiet(capfd):
     assert capfd.readouterr().err == ""
 
 
+def test_overflowing_gains_stop_a_search_start(capfd):
+    # every vertex gap is inf, so the search iterates; the seed-0 restart 2
+    # starts at a profile whose gain overflows, which stops that start, and
+    # the best profile found so far (the uniform start) stands
+    payoffs = np.zeros((2, 2, 2))
+    payoffs[..., 0] = [[1.7e308, -1.7e308], [-1.7e308, 1e308]]
+    payoffs[..., 1] = -payoffs[..., 0]
+    doc = gf.write_game(gf.GameSpec(payoffs))
+    code, out, err = cli("equilibria", stdin=doc)
+    assert (code, err) == (0, "")
+    assert out.decode().splitlines()[-1].startswith("search: 0.5,0.5; 0.5,0.5 converged=no ")
+    code, out, err = cli("equilibria", "--json", stdin=doc)
+    assert (code, err) == (0, "")
+    search = json.loads(out)["search"]
+    assert search["blocks"] == [[0.5, 0.5], [0.5, 0.5]]
+    assert search["converged"] is False and search["epsilon"] > 1e307
+    assert capfd.readouterr().err == ""
+
+
 def test_trace_bar(bar_doc):
     code, out, _ = cli("trace", "--start", "0.5,0.5; 0.5,0.5", "--direction", "0",
                        "--step", "0.05", "--steps", "200", stdin=bar_doc)

@@ -437,6 +437,59 @@ def test_zero_sum_trace_does_not_depend_on_the_payoff_scale():
         assert path.max_payoff_drift <= 1e-10
 
 
+def test_trace_does_not_depend_on_the_kernel_basis(monkeypatch):
+    # the tangent is the previous one projected onto the kernel, so an
+    # orthogonal mix of the basis rows, with the same span, keeps the path
+    nullspace = fibers.nullspace
+    rng = np.random.default_rng(83)
+
+    def mixed_nullspace(mat, scale=0.0):
+        basis = nullspace(mat, scale)
+        q, _ = np.linalg.qr(rng.standard_normal((basis.shape[0],) * 2))
+        return q @ basis
+
+    for n, m, seed in ((4, 6, 1), (4, 6, 2), (3, 4, 0), (3, 4, 3), (5, 5, 0)):
+        g = gf.random_game(n, [m] * n, seed)
+        start = gf.uniform_profile(g)
+        path = gf.trace_fiber(g, start, 0, step=0.001, max_steps=30)
+        monkeypatch.setattr(fibers, "nullspace", mixed_nullspace)
+        mixed = gf.trace_fiber(g, start, 0, step=0.001, max_steps=30)
+        monkeypatch.setattr(fibers, "nullspace", nullspace)
+        assert mixed.terminated_by == path.terminated_by == "step_budget"
+        assert len(mixed.points) == len(path.points) == 31
+        assert np.abs(np.array(mixed.points) - np.array(path.points)).max() <= 1e-12
+
+
+def test_trace_turns_smoothly():
+    # on a smooth fiber consecutive chords of a small step are nearly parallel
+    for seed in (1, 2):
+        g = gf.random_game(4, [6] * 4, seed)
+        path = gf.trace_fiber(g, gf.uniform_profile(g), 0, step=0.001, max_steps=50)
+        assert path.terminated_by == "step_budget"
+        chords = np.diff(np.array(path.points), axis=0)
+        chords /= np.linalg.norm(chords, axis=1, keepdims=True)
+        cosines = np.clip(np.sum(chords[1:] * chords[:-1], axis=1), -1.0, 1.0)
+        assert np.degrees(np.arccos(cosines)).max() < 1.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), kind=st.sampled_from(["generic", "zero-sum", "affine"]),
+       exponent=st.floats(-12.0, 12.0))
+def test_trace_does_not_depend_on_the_payoff_scale(seed, kind, exponent):
+    a = 10.0 ** exponent
+    for n, m in ((3, 4), (4, 3)):
+        g = gf.random_game(n, [m] * n, seed, zero_sum=kind == "zero-sum",
+                           jointly_affine=kind == "affine")
+        start = gf.uniform_profile(g)
+        path = gf.trace_fiber(g, start, 0, step=0.005, max_steps=30)
+        # TRACE_TOL is an absolute payoff residual by design, so it scales with a
+        scaled = gf.trace_fiber(gf.GameSpec(a * g.payoffs), start, 0, step=0.005,
+                                max_steps=30, tol=fibers.TRACE_TOL * a)
+        assert scaled.terminated_by == path.terminated_by
+        assert len(scaled.points) == len(path.points)
+        assert np.abs(np.array(scaled.points) - np.array(path.points)).max() <= 1e-12
+
+
 def test_path_points_stay_valid(rps):
     rng = np.random.default_rng(61)
     start = interior_profile(rps, rng, min_coord=0.05)
