@@ -18,8 +18,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .affine import extract_affine, is_jointly_affine
 from .equilibria import (
     SEARCH_EPS,
@@ -33,6 +31,7 @@ from .fibers import DEFAULT_SAMPLES, MAX_SAMPLES, TRACE_TOL, generic_rank, trace
 from .games import (
     GameSpec,
     StrategyProfile,
+    _snap_profile,
     pure_profile,
     total_payoff,
     uniform_profile,
@@ -93,7 +92,7 @@ def _profile_str(s: StrategyProfile) -> str:
 def _parse_profile(text: str, g: GameSpec) -> StrategyProfile:
     """Profile from the CLI syntax: per-player comma-separated probabilities
     with players separated by ';', or the shorthand 'uniform'.  Entries are
-    renormalized only within the simplex tolerance, otherwise rejected."""
+    snapped onto the simplex by ``_snap_profile``."""
     if text.strip() == "uniform":
         return uniform_profile(g)
     parts = text.split(";")
@@ -105,9 +104,7 @@ def _parse_profile(text: str, g: GameSpec) -> StrategyProfile:
         if any(not t for t in toks):
             raise ValueError("empty probability entry in profile")
         blocks.append([float(t) for t in toks])
-    checked = StrategyProfile(blocks)
-    cleaned = [np.clip(b, 0.0, 1.0) for b in checked.blocks]
-    return StrategyProfile([b / b.sum() for b in cleaned])
+    return _snap_profile(blocks)
 
 
 def _load_game(args, read_stdin) -> GameSpec:

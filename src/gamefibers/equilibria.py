@@ -91,12 +91,10 @@ def _vertex_gaps(g: GameSpec) -> np.ndarray:
 @np.errstate(over="ignore")     # an overflowed gain reads as inf, a -inf one clips to 0
 def _improvement(g: GameSpec, s: StrategyProfile) -> tuple[list[np.ndarray], float]:
     """Per-player positive-part payoff gains of pure deviations, plus the
-    largest gain (the profile's epsilon).  Every player's deviations come
-    from one ``_deviations`` sweep; the payoff is the last player's
-    deviations weighted by its block, exactly as ``total_payoff`` has it."""
+    largest gain (the profile's epsilon).  The payoff and every player's
+    deviations come from one ``_deviations`` sweep."""
     _require_match(g, s)
-    devs = _deviations(g.payoffs, s.blocks)
-    pay = s.blocks[-1] @ devs[-1]
+    pay, devs = _deviations(g.payoffs, s.blocks)
     phis = []
     gap = 0.0
     for i, dev in enumerate(devs):
@@ -112,9 +110,14 @@ def nash_map(g: GameSpec, s: StrategyProfile) -> StrategyProfile:
     Each coordinate is boosted by the positive part of the payoff gain of
     the matching pure deviation and the block renormalized; the denominator
     is at least one, so the output is always a valid profile, and it equals
-    the input iff no deviation gains.
+    the input iff no deviation gains.  A block whose gains sum past the
+    float range has no image and raises ValueError.
     """
     phis, _ = _improvement(g, s)
+    with np.errstate(over="ignore"):
+        for i, phi in enumerate(phis):
+            if not np.isfinite(phi.sum()):
+                raise ValueError(f"block {i}: the payoff gains sum past the float range")
     return StrategyProfile(_mapped_blocks(s, phis))
 
 

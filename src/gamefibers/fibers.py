@@ -84,17 +84,15 @@ def nullspace(mat, scale: float = 0.0) -> np.ndarray:
 
 @np.errstate(over="ignore")     # an overflowed difference reads as inf, caught by the rank
 def _jacobian_blocks(payoffs: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
-    """Payoff and payoff Jacobian on the chart, from one ``_deviations``
-    sweep.
-
-    The payoff is the last player's deviations weighted by the last block,
-    exactly as ``_fold`` has it.  By own-block linearity the derivative of
-    component i along player p's chart coordinate j is the payoff
-    difference between the pure replacements e_j and e_{m_p}.
+    """Payoff and payoff Jacobian on the chart, both from one every-player
+    ``_deviations`` sweep, so the payoff is ``total_payoff``'s bit for bit.
+    By own-block linearity the derivative of component i along player p's
+    chart coordinate j is the payoff difference between the pure
+    replacements e_j and e_{m_p}.
     """
-    devs = _deviations(payoffs, blocks)
+    pay, devs = _deviations(payoffs, blocks)
     jac = np.concatenate([(dev[:-1] - dev[-1]).T for dev in devs], axis=1)
-    return blocks[-1] @ devs[-1], jac
+    return pay, jac
 
 
 def _jacobian_reduced(g: GameSpec, r) -> np.ndarray:
@@ -171,14 +169,16 @@ def _min_coordinate(blocks) -> float:
 
 def _tangent_space(g: GameSpec, s: StrategyProfile, rows: int):
     """Chart point r, payoff there, and rank, singular values and kernel of
-    the first ``rows`` Jacobian rows from one ``_svd``.  The Jacobian uses
-    the exact blocks: rebuilt from r, a zero one can gain noise rank."""
+    the first ``rows`` Jacobian rows from one ``_svd``.  The payoff and the
+    Jacobian come from one sweep at the exact blocks, so the payoff is
+    ``total_payoff(g, s)``; rebuilt from r, a zero block entry can gain
+    noise rank and the payoff can move by rounding."""
     _require_match(g, s)
     if _min_coordinate(s.blocks) < INTERIOR_MIN:
         raise ValueError(f"boundary point: need every coordinate >= {INTERIOR_MIN}")
-    r = reduce_profile(s)
-    rank, svals, _, vt = _svd(_jacobian_blocks(g.payoffs, s.blocks)[1][:rows], True, g.scale)
-    return r, _payoff_reduced(g, r), rank, svals, vt[rank:]
+    pay, jac = _jacobian_blocks(g.payoffs, s.blocks)
+    rank, svals, _, vt = _svd(jac[:rows], True, g.scale)
+    return reduce_profile(s), pay, rank, svals, vt[rank:]
 
 
 def fiber_report(g: GameSpec, s: StrategyProfile, k_generic: int) -> FiberReport:

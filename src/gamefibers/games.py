@@ -315,36 +315,35 @@ def profile_probability(s: StrategyProfile, profile) -> float:
     return p
 
 
-def _deviations(payoffs: np.ndarray, blocks) -> list[np.ndarray]:
-    """Every player's deviation payoffs from one sweep: entry p is (m_p, n).
+def _deviations(payoffs: np.ndarray, blocks,
+                players=None) -> tuple[np.ndarray, list[np.ndarray | None]]:
+    """The payoff vector and the deviation payoffs of ``players`` (every
+    player when None) from one sweep, the only contraction of the payoff
+    tensor.  Entry p of the list is (m_p, n) for each player asked for and
+    for the last player, whose rows are the chain itself; the rest are None.
 
     The prefix chain contracts the player axes one at a time, first to
-    last, as ``_fold`` does.  Before player p's axis goes, the chain's
-    head is read as (m_p, R_p, n) and all later axes are contracted at
-    once by one matmul with w_p, the flattened outer product of blocks
-    p+1, ..., n-1: a pass over contiguous memory, with no transposed copy.
-    The last player's entry is the chain itself, so it equals ``_fold``'s
-    last step bit for bit.  The tensor is read about twice per call.
+    last.  Before player p's axis goes, the chain's head is read as
+    (m_p, R_p, n) and all later axes are contracted at once by one matmul
+    with w_p, the flattened outer product of blocks p+1, ..., n-1: a pass
+    over contiguous memory, with no transposed copy.  The w_p are built
+    only down to the first player asked for, so ``players=()`` is the bare
+    chain and reads the tensor once; the payoff is the last block times it.
     """
+    n = len(blocks)
+    wanted = range(n) if players is None else players
     suffix = [blocks[-1]]
-    for b in blocks[-2:0:-1]:
+    for b in blocks[-2:min(wanted, default=n - 1):-1]:
         suffix.append(np.multiply.outer(b, suffix[-1]).ravel())
-    devs = []
+    devs = [None] * n
     head = payoffs
-    for b, w in zip(blocks[:-1], reversed(suffix)):
-        devs.append(w @ head.reshape(b.size, w.size, -1))
+    for p, b in enumerate(blocks[:-1]):
+        if p in wanted:
+            w = suffix[n - 2 - p]
+            devs[p] = w @ head.reshape(b.size, w.size, -1)
         head = np.tensordot(b, head, axes=(0, 0))
-    devs.append(head)
-    return devs
-
-
-def _fold(tensor: np.ndarray, blocks) -> np.ndarray:
-    """Contract the leading axes of ``tensor`` with one vector per axis,
-    first to last: the prefix chain of ``_deviations`` finished with the
-    last block."""
-    for b in blocks:
-        tensor = np.tensordot(b, tensor, axes=(0, 0))
-    return tensor
+    devs[-1] = head
+    return blocks[-1] @ head, devs
 
 
 def expected_payoff(g: GameSpec, s: StrategyProfile, player: int) -> float:
@@ -358,7 +357,7 @@ def expected_payoff(g: GameSpec, s: StrategyProfile, player: int) -> float:
 def total_payoff(g: GameSpec, s: StrategyProfile) -> np.ndarray:
     """Expected payoff vector, one component per player."""
     _require_match(g, s)
-    return _fold(g.payoffs, s.blocks)
+    return _deviations(g.payoffs, s.blocks, ())[0]
 
 
 def deviation_payoffs(g: GameSpec, s: StrategyProfile, player: int) -> np.ndarray:
@@ -371,7 +370,7 @@ def deviation_payoffs(g: GameSpec, s: StrategyProfile, player: int) -> np.ndarra
     _require_match(g, s)
     if not 0 <= player < g.n:
         raise IndexError(f"player index {player} out of range")
-    return _deviations(g.payoffs, s.blocks)[player]
+    return _deviations(g.payoffs, s.blocks, (player,))[1][player]
 
 
 def unilateral_replace(s: StrategyProfile, player: int, sigma) -> StrategyProfile:
@@ -428,28 +427,26 @@ def _blocks_from_reduced(m, r) -> list[np.ndarray]:
 
 def _payoff_reduced(g: GameSpec, r) -> np.ndarray:
     """Total payoff evaluated at chart coordinates (polynomial extension)."""
-    return _fold(g.payoffs, _blocks_from_reduced(g.m, r))
+    return _deviations(g.payoffs, _blocks_from_reduced(g.m, r), ())[0]
+
+
+def _snap_profile(blocks) -> StrategyProfile:
+    """The profile of blocks each within ``TAU_SIMPLEX`` of its simplex
+    (``StrategyProfile``'s check), clamped to [0, 1] and renormalized."""
+    checked = StrategyProfile(blocks)
+    clamped = [np.clip(b, 0.0, 1.0) for b in checked.blocks]
+    return StrategyProfile([c / c.sum() for c in clamped])
 
 
 def embed_profile(g: GameSpec, r) -> StrategyProfile:
     """Inverse of ``reduce_profile``: rebuild a valid profile from chart
     coordinates.
 
-    Coordinates (including each implied last one) must lie within
-    ``TAU_SIMPLEX`` of [0, 1]; they are then clamped and the block
-    renormalized, so the round trip with ``reduce_profile`` is the
-    identity on valid profiles.
+    The rebuilt blocks (each implied last coordinate included) are snapped
+    onto their simplices by ``_snap_profile``, so the round trip with
+    ``reduce_profile`` is the identity on valid profiles.
     """
-    blocks = _blocks_from_reduced(g.m, r)
-    out = []
-    for i, b in enumerate(blocks):
-        if b.min() < -TAU_SIMPLEX or b.max() > 1.0 + TAU_SIMPLEX:
-            raise ValueError(
-                f"off-simplex: block {i} of the embedded point leaves [0, 1] "
-                f"beyond tolerance {TAU_SIMPLEX}")
-        c = np.clip(b, 0.0, 1.0)
-        out.append(c / c.sum())
-    return StrategyProfile(out)
+    return _snap_profile(_blocks_from_reduced(g.m, r))
 
 
 def project_to_simplex(v) -> np.ndarray:

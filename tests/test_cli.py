@@ -345,9 +345,12 @@ DOC_COMMANDS = [("validate",), ("eval", "--profile", "uniform"), ("analyze", "--
 @st.composite
 def mutated_documents(draw):
     """A game document with one byte changed, a byte range deleted, or one
-    number replaced by an extreme or non-numeric JSON value."""
+    number replaced by an extreme or non-numeric JSON value; or any byte
+    string at all."""
     doc = draw(st.sampled_from(FUZZ_DOCS))
-    kind = draw(st.sampled_from(["byte", "delete", "number"]))
+    kind = draw(st.sampled_from(["byte", "delete", "number", "bytes"]))
+    if kind == "bytes":
+        return draw(st.binary())
     if kind == "byte":
         at = draw(st.integers(0, len(doc) - 1))
         return doc[:at] + bytes([draw(st.integers(0, 255))]) + doc[at + 1:]

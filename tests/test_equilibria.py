@@ -148,6 +148,29 @@ def test_nash_map_output_always_valid():
             assert abs(block.sum() - 1.0) <= 1e-12
 
 
+def _overflowing_gains(kind):
+    """A game and profile where the gains are inf, or finite (1.25e308
+    each) with a sum past the float range."""
+    if kind == "inf":
+        payoffs = np.zeros((2, 2, 2))
+        payoffs[..., 0] = [[1.7e308, -1.7e308], [-1.7e308, 1e308]]
+        payoffs[..., 1] = -payoffs[..., 0]
+        g = gf.GameSpec(payoffs)
+        return g, gf.random_interior_profile(g, np.random.default_rng([0, 2]))
+    payoffs = np.zeros((3, 2, 2))
+    payoffs[..., 0] = np.array([-1.5e308, 1e308, 1e308])[:, None]
+    return gf.GameSpec(payoffs), gf.StrategyProfile([[0.5, 0.25, 0.25], [0.5, 0.5]])
+
+
+@pytest.mark.parametrize("kind", ["inf", "finite"])
+def test_nash_map_rejects_gains_that_sum_past_the_float_range(kind):
+    # one clear error instead of inf/inf or an overflowing sum
+    g, s = _overflowing_gains(kind)
+    assert _improvement(g, s)[1] == (np.inf if kind == "inf" else 1.25e308)
+    with pytest.raises(ValueError, match="block 0: the payoff gains sum past the float range"):
+        gf.nash_map(g, s)
+
+
 def test_find_equilibrium_fixtures(bar, rps):
     report = gf.find_equilibrium(rps, seed=0, eps=1e-6)
     assert report.converged and report.epsilon <= 1e-6

@@ -346,6 +346,17 @@ def test_trace_zero_step(bar):
     assert all(np.array_equal(p, path.points[0]) for p in path.points)
 
 
+@pytest.mark.parametrize("n, m, seed", [(3, [3] * 3, 0), (3, [3] * 3, 1), (4, [3] * 4, 0),
+                                         (2, [3, 3], 0), (3, [5] * 3, 0), (4, [6] * 4, 1)])
+def test_trace_target_is_the_start_payoff(n, m, seed):
+    # the target comes from the start's own sweep at the exact blocks, not
+    # from blocks rebuilt from chart coordinates
+    g = gf.random_game(n, m, seed)
+    s0 = gf.uniform_profile(g)
+    path = gf.trace_fiber(g, s0, 0, step=0.01, max_steps=1)
+    assert np.array_equal(path.target_payoff, gf.total_payoff(g, s0))
+
+
 def test_trace_reuses_the_corrector_jacobian(monkeypatch):
     # the nullspace at an accepted point comes from the corrector's last
     # Jacobian: one deviation sweep per corrector evaluation, plus the start

@@ -193,12 +193,21 @@ def test_deviation_payoffs_match_loop_oracle(m):
         for p in range(n):
             assert np.abs(gf.deviation_payoffs(g, s, p)
                           - loop_deviation_payoffs(g, s, p)).max() <= tol
-        devs = _deviations(g.payoffs, s.blocks)
+        pay, devs = _deviations(g.payoffs, s.blocks)
         chain = g.payoffs
         for b in s.blocks[:-1]:
             chain = np.tensordot(b, chain, axes=(0, 0))
         assert np.array_equal(devs[-1], chain)
-        assert np.array_equal(gf.total_payoff(g, s), s.blocks[-1] @ devs[-1])
+        assert np.array_equal(pay, s.blocks[-1] @ devs[-1])
+        assert np.array_equal(gf.total_payoff(g, s), pay)
+        assert np.array_equal(_deviations(g.payoffs, s.blocks, ())[0], gf.total_payoff(g, s))
+        # asking for one player gives its rows and the payoff bit for bit;
+        # only the last player's rows (the chain) come along
+        for p in range(n):
+            one_pay, one = _deviations(g.payoffs, s.blocks, (p,))
+            assert np.array_equal(one_pay, pay)
+            assert np.array_equal(one[p], devs[p]) and np.array_equal(one[-1], devs[-1])
+            assert all(one[q] is None for q in range(n - 1) if q != p)
 
 
 def test_single_strategy_player_supported():
@@ -289,27 +298,35 @@ def test_is_zero_sum_does_not_depend_on_the_payoff_scale(seed, zero_sum, jointly
     assert gf.is_zero_sum(scaled) == gf.is_zero_sum(g) == zero_sum
 
 
-def test_relabelling_strategies_permutes_the_results():
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 4), data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["generic", "zero-sum", "affine", "rounded"]))
+def test_relabelling_strategies_permutes_the_results(n, data, seed, kind):
     # permuting one player's strategies is a relabelling: the flags and the
-    # generic rank stay, and each pure equilibrium moves with its labels;
-    # rounded payoffs have ties, so some games have several equilibria
-    for seed in range(60):
-        n = 2 + seed % 3
-        kind = seed % 4
-        g = gf.random_game(n, [2 + (seed + j) % 3 for j in range(n)], seed=1700 + seed,
-                           zero_sum=kind == 1, jointly_affine=kind == 2)
-        if kind == 3:
-            g = gf.GameSpec(np.round(2.0 * g.payoffs))
-        player = seed % n
-        perm = np.random.default_rng(seed).permutation(g.m[player])
-        relabelled = gf.GameSpec(np.take(g.payoffs, perm, axis=player))
-        assert gf.is_zero_sum(relabelled) == gf.is_zero_sum(g)
-        assert gf.is_jointly_affine(relabelled) == gf.is_jointly_affine(g)
-        assert gf.generic_rank(relabelled, samples=16) == gf.generic_rank(g, samples=16)
-        new_label = np.argsort(perm)
-        moved = [q[:player] + (int(new_label[q[player]]),) + q[player + 1:]
-                 for q in gf.pure_equilibria(g)]
-        assert gf.pure_equilibria(relabelled) == sorted(moved)
+    # generic rank stay, each pure equilibrium moves with its labels and the
+    # player's deviation rows permute; rounded payoffs have ties, so some
+    # games have several equilibria
+    m = data.draw(st.lists(st.integers(2, 4), min_size=n, max_size=n))
+    g = gf.random_game(n, m, seed=seed, zero_sum=kind == "zero-sum",
+                       jointly_affine=kind == "affine")
+    if kind == "rounded":
+        g = gf.GameSpec(np.round(2.0 * g.payoffs))
+    player = data.draw(st.integers(0, n - 1))
+    perm = np.array(data.draw(st.permutations(range(m[player]))))
+    relabelled = gf.GameSpec(np.take(g.payoffs, perm, axis=player))
+    assert gf.is_zero_sum(relabelled) == gf.is_zero_sum(g)
+    assert gf.is_jointly_affine(relabelled) == gf.is_jointly_affine(g)
+    assert gf.generic_rank(relabelled, samples=16) == gf.generic_rank(g, samples=16)
+    new_label = np.argsort(perm)
+    moved = [q[:player] + (int(new_label[q[player]]),) + q[player + 1:]
+             for q in gf.pure_equilibria(g)]
+    assert gf.pure_equilibria(relabelled) == sorted(moved)
+    s = gf.random_interior_profile(g, np.random.default_rng(seed))
+    blocks = list(s.blocks)
+    blocks[player] = blocks[player][perm]
+    rows = gf.deviation_payoffs(relabelled, gf.StrategyProfile(blocks), player)
+    tol = 1e-12 * max(1.0, g.scale)
+    assert np.abs(rows - gf.deviation_payoffs(g, s, player)[perm]).max() <= tol
 
 
 def test_own_block_linearity():
