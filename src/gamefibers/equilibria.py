@@ -27,6 +27,7 @@ from .games import (
     random_interior_profile,
     uniform_profile,
 )
+from .fibers import RANK_RTOL_EXPONENT
 
 DAMPING = 0.5
 SUPPORT_MAX_STRATEGIES = 6
@@ -59,6 +60,8 @@ def best_response_gap(g: GameSpec, s: StrategyProfile, player: int) -> float:
 def verify_equilibrium(g: GameSpec, s: StrategyProfile, eps: float) -> EquilibriumReport:
     """Gap report for a profile; converged iff no player can improve by
     more than eps."""
+    if not eps >= 0:
+        raise ValueError("eps must be non-negative")
     phis, epsilon = _improvement(g, s)
     gaps = np.array([float(phi.max()) for phi in phis])
     return EquilibriumReport(profile=s, gaps=gaps, epsilon=epsilon,
@@ -81,6 +84,8 @@ def _vertex_gaps(g: GameSpec) -> np.ndarray:
     the maximum of its payoff along axis i minus its payoff.  A one-hot
     contraction is exact, so this is ``verify_equilibrium``'s epsilon at
     each vertex bit for bit."""
+    if not np.isfinite(g.scale):
+        raise ValueError("equilibria need finite payoffs")
     gaps = np.zeros(g.m)
     for i in range(g.n):
         component = g.payoffs[..., i]
@@ -142,8 +147,9 @@ def find_equilibrium(g: GameSpec, seed: int = 0, max_iter: int = 10_000,
     silent: ``converged`` is false when the best epsilon found still
     exceeds ``eps``.
     """
-    for name, value in (("seed", seed), ("max_iter", max_iter), ("restarts", restarts)):
-        if value < 0:
+    for name, value in (("seed", seed), ("max_iter", max_iter), ("eps", eps),
+                        ("restarts", restarts)):
+        if not value >= 0:
             raise ValueError(f"{name} must be non-negative")
     gaps = _vertex_gaps(g)
     vertex = np.unravel_index(np.argmin(gaps), g.m)
@@ -164,77 +170,76 @@ def find_equilibrium(g: GameSpec, seed: int = 0, max_iter: int = 10_000,
     return verify_equilibrium(g, best_profile, eps)
 
 
-def _indifference_weights(mat: np.ndarray) -> np.ndarray | None:
-    """Weights on the columns of ``mat`` that equalize all row payoffs,
-    solved with the normalization row; None when the system is
-    inconsistent or needs negative weights."""
-    rows, cols = mat.shape
-    system = np.zeros((rows + 1, cols + 1))
-    system[:rows, :cols] = mat
-    system[:rows, cols] = -1.0      # common payoff value
-    system[rows, :cols] = 1.0       # weights sum to one
-    rhs = np.zeros(rows + 1)
+def _indifference_weights(mat: np.ndarray) -> np.ndarray:
+    """Weights on the columns of each matrix in a stack ``(count, rows,
+    cols)`` that equalize all its row payoffs, solved with the
+    normalization row; a row of NaN where the system is inconsistent or
+    needs negative weights."""
+    count, rows, cols = mat.shape
+    system = np.zeros((count, rows + 1, cols + 1))
+    system[:, :rows, :cols] = mat
+    system[:, :rows, cols] = -1.0       # common payoff value
+    system[:, rows, :cols] = 1.0        # weights sum to one
+    rhs = np.zeros((rows + 1, 1))
     rhs[-1] = 1.0
-    # lstsq beats fibers._solve on these many tiny solves; the residual test decides
-    sol, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-    if np.abs(system @ sol - rhs).max() > 1e-9:
-        return None
-    w = sol[:cols]
-    if w.min() < -1e-9:
-        return None
-    w = np.clip(w, 0.0, None)
-    total = w.sum()
-    if total <= 0.0:
-        return None
-    return w / total
-
-
-def _supports(m: int) -> list[tuple[int, ...]]:
-    """Every nonempty support of m strategies, by size, then lexicographically."""
-    return [support for size in range(1, m + 1) for support in combinations(range(m), size)]
+    # fibers._svd's cutoff max(shape) * 2**-46 * max(sigma_1, scale): the ones
+    # row makes sigma_1 >= 1 and the normalized payoffs have max|T| < 1, so it is
+    # rcond * sigma_1; the residual and sign tests decide each system
+    rcond = max(rows + 1, cols + 1) * 2.0 ** RANK_RTOL_EXPONENT
+    sol = np.linalg.pinv(system, rcond=rcond) @ rhs
+    w = np.clip(sol[:, :cols, 0], 0.0, None)
+    # a residual within 1e-9 puts the weight sum within 1e-9 of 1, so total > 0
+    residual = np.abs(system @ sol - rhs).max(axis=(1, 2))
+    bad = (residual > 1e-9) | (sol[:, :cols, 0].min(axis=1) < -1e-9)
+    return w / np.where(bad, np.nan, w.sum(axis=1))[:, None]
 
 
 def support_enumeration(g: GameSpec, eps: float = 1e-8) -> list[EquilibriumReport]:
     """All equilibria of a two-player game found by support enumeration.
 
-    For every pair of supports the indifference system plus normalization
-    is solved; candidates with nonnegative weights that verify as
-    equilibria at ``eps`` are kept, deduplicated within 1e-8, in
-    deterministic support order.  Degenerate games may admit continua of
-    equilibria, of which this reports representatives.  The systems use
-    the payoffs divided by the power of two that brings max|T| into
-    [0.5, 1), which is exact, so a power-of-two rescaling gives the same
-    profiles bit for bit; ``eps`` stays in payoff units.
+    The indifference systems plus normalization of every pair of supports
+    with the same sizes are solved as one stack; candidates with
+    nonnegative weights that verify as equilibria at ``eps`` are kept,
+    deduplicated within 1e-8, in deterministic support order: by size,
+    then lexicographically, the first player's support outermost.
+    Degenerate games may admit continua of equilibria, of which this
+    reports representatives.  The systems use the payoffs divided by the
+    power of two that brings max|T| into [0.5, 1), which is exact, so a
+    power-of-two rescaling gives the same profiles bit for bit; ``eps``
+    stays in payoff units.
     """
     if g.n != 2:
         raise ValueError("not a 2-player game")
+    if not eps >= 0:
+        raise ValueError("eps must be non-negative")
     m1, m2 = g.m
     if m1 > SUPPORT_MAX_STRATEGIES or m2 > SUPPORT_MAX_STRATEGIES:
         raise ValueError(
             f"supports too large: needs at most {SUPPORT_MAX_STRATEGIES} "
             "strategies per player")
+    if not np.isfinite(g.scale):
+        raise ValueError("equilibria need finite payoffs")
     normalized = np.ldexp(g.payoffs, -np.frexp(g.scale)[1])
-    a = normalized[..., 0]
-    b = normalized[..., 1]
+    candidates = []
+    for k1, k2 in product(range(1, m1 + 1), range(1, m2 + 1)):
+        supports1 = np.array(list(combinations(range(m1), k1)))
+        supports2 = np.array(list(combinations(range(m2), k2)))
+        sub = normalized[supports1[:, None, :, None], supports2[None, :, None, :]]
+        y_w = _indifference_weights(sub[..., 0].reshape(-1, k1, k2))
+        x_w = _indifference_weights(sub[..., 1].swapaxes(2, 3).reshape(-1, k2, k1))
+        for pair in np.flatnonzero(~np.isnan(x_w[:, 0] + y_w[:, 0])):
+            i1, i2 = divmod(int(pair), len(supports2))
+            x = np.zeros(m1)
+            x[supports1[i1]] = x_w[pair]
+            y = np.zeros(m2)
+            y[supports2[i2]] = y_w[pair]
+            candidates.append(((k1, i1, k2, i2), StrategyProfile([x, y])))
     found: list[EquilibriumReport] = []
     kept: list[np.ndarray] = []
-    for support1, support2 in product(_supports(m1), _supports(m2)):
-        sub_a = a[np.ix_(support1, support2)]
-        sub_b = b[np.ix_(support1, support2)]
-        y_w = _indifference_weights(sub_a)
-        x_w = None if y_w is None else _indifference_weights(sub_b.T)
-        if x_w is None:
-            continue
-        x = np.zeros(m1)
-        x[list(support1)] = x_w
-        y = np.zeros(m2)
-        y[list(support2)] = y_w
-        profile = StrategyProfile([x, y])
+    for _, profile in sorted(candidates, key=lambda c: c[0]):
         report = verify_equilibrium(g, profile, eps)
-        if report.epsilon > eps:
-            continue
         flat = profile.concat()
-        if any(np.abs(flat - other).max() < 1e-8 for other in kept):
+        if report.epsilon > eps or any(np.abs(flat - other).max() < 1e-8 for other in kept):
             continue
         kept.append(flat)
         found.append(report)

@@ -47,7 +47,9 @@ RANK_RTOL_EXPONENT = -46
 def _svd(mat, vectors: bool,
          scale: float) -> tuple[int, np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Rank, singular values and, with ``vectors``, U and V^T of a finite
-    matrix, all from one SVD: the one place the cutoff is applied."""
+    matrix, all from one SVD.  Every rank, kernel and solve uses this
+    cutoff: here, and in support enumeration's stacked pseudoinverse,
+    whose ``rcond`` is the same rule (``equilibria._indifference_weights``)."""
     a = np.atleast_2d(np.asarray(mat, dtype=float))
     if not np.all(np.isfinite(a)):
         raise ValueError("rank needs a finite matrix")

@@ -164,3 +164,48 @@ def loop_fill(m, entries):
         return (f"missing profile {list(missing[0])} "
                 f"({len(missing)} of {payoffs[..., 0].size} profiles absent)")
     return payoffs
+
+
+def loop_support_enumeration(g, eps=1e-8):
+    """Pair by pair: every support of player 0 (by size, then
+    lexicographically) against every support of player 1, each pair's two
+    indifference systems solved on its own by ``lstsq`` at its default
+    cutoff, candidates verified and deduplicated within 1e-8 in that order."""
+
+    def weights(mat):
+        rows, cols = mat.shape
+        system = np.zeros((rows + 1, cols + 1))
+        system[:rows, :cols] = mat
+        system[:rows, cols] = -1.0
+        system[rows, :cols] = 1.0
+        rhs = np.zeros(rows + 1)
+        rhs[-1] = 1.0
+        sol = np.linalg.lstsq(system, rhs, rcond=None)[0]
+        if np.abs(system @ sol - rhs).max() > 1e-9 or sol[:cols].min() < -1e-9:
+            return None
+        w = np.clip(sol[:cols], 0.0, None)
+        return w / w.sum()
+
+    def supports(m):
+        return [c for size in range(1, m + 1) for c in itertools.combinations(range(m), size)]
+
+    m1, m2 = g.m
+    normalized = np.ldexp(g.payoffs, -np.frexp(np.abs(g.payoffs).max())[1])
+    found, kept = [], []
+    for support1, support2 in itertools.product(supports(m1), supports(m2)):
+        block = normalized[np.ix_(support1, support2)]
+        y_w = weights(block[..., 0])
+        x_w = None if y_w is None else weights(block[..., 1].T)
+        if x_w is None:
+            continue
+        x = np.zeros(m1)
+        x[list(support1)] = x_w
+        y = np.zeros(m2)
+        y[list(support2)] = y_w
+        report = gf.verify_equilibrium(g, gf.StrategyProfile([x, y]), eps)
+        flat = report.profile.concat()
+        if report.epsilon > eps or any(np.abs(flat - other).max() < 1e-8 for other in kept):
+            continue
+        kept.append(flat)
+        found.append(report)
+    return found

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import gamefibers as gf
 from gamefibers.equilibria import _improvement, _vertex_gaps
-from helpers import interior_profile, loop_vertex_gaps
+from helpers import interior_profile, loop_support_enumeration, loop_vertex_gaps
 
 
 def matching_pennies():
@@ -205,6 +205,42 @@ def test_find_equilibrium_rejects_negative_budgets(bar):
         name = next(iter(kwargs))
         with pytest.raises(ValueError, match=f"{name} must be non-negative"):
             gf.find_equilibrium(bar, **kwargs)
+
+
+@pytest.mark.parametrize("eps", [np.nan, -1e-300, -np.inf])
+def test_equilibria_reject_a_nan_or_negative_eps(bar, eps):
+    # a NaN eps would mark every profile unconverged and keep every candidate
+    for call in (lambda: gf.verify_equilibrium(bar, gf.uniform_profile(bar), eps),
+                 lambda: gf.find_equilibrium(bar, eps=eps),
+                 lambda: gf.support_enumeration(bar, eps=eps)):
+        with pytest.raises(ValueError, match="eps must be non-negative"):
+            call()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_equilibria_reject_non_finite_payoffs(bad, capfd):
+    payoffs = np.zeros((2, 2, 2))
+    payoffs[1, 0, 0] = bad
+    g = gf.GameSpec(payoffs)
+    for call in (gf.support_enumeration, gf.pure_equilibria, gf.find_equilibrium):
+        with pytest.raises(ValueError, match="equilibria need finite payoffs"):
+            call(g)
+    assert capfd.readouterr().err == ""
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), m1=st.integers(1, 6), m2=st.integers(1, 6),
+       integer=st.booleans())
+def test_support_enumeration_matches_the_pair_by_pair_solve(seed, m1, m2, integer):
+    rng = np.random.default_rng(seed)
+    payoffs = (rng.integers(-2, 3, size=(m1, m2, 2)).astype(float) if integer
+               else rng.standard_normal((m1, m2, 2)))
+    g = gf.GameSpec(payoffs)
+    found = gf.support_enumeration(g)
+    expected = loop_support_enumeration(g)
+    assert len(found) == len(expected)
+    for a, b in zip(found, expected):
+        assert np.abs(a.profile.concat() - b.profile.concat()).max() <= 1e-12
 
 
 def test_support_enumeration_rps(rps):
