@@ -161,7 +161,8 @@ def affine_level_set(rep: AffineRepresentation, y,
     if not np.all(np.isfinite(y)):
         raise ValueError("payoff value must be finite")
     rhs = y - rep.offset
-    base, basis = _solve(rep.matrix, rhs, rep.scale)
+    base, rank, vt = _solve(rep.matrix, rhs, rep.scale)
+    basis = vt[rank:]
     residual = np.abs(rep.matrix @ base - rhs).max() if rows else 0.0
     if residual > LEVEL_SET_RESIDUAL * rep.scale:
         return None

@@ -171,7 +171,8 @@ def _cmd_analyze(args, read_stdin):
     info["affine"] = None
     if affine:
         rep = extract_affine(g, use_zero_sum_reduction=zero_sum)
-        nullity = rep.matrix.shape[1] - rep.rank
+        rank = rep.rank     # one SVD per read
+        nullity = rep.matrix.shape[1] - rank
         hyp_three = any(mi >= 3 for mi in g.m)
         bound = None
         if all(mi >= 2 for mi in g.m):
@@ -180,7 +181,7 @@ def _cmd_analyze(args, read_stdin):
             elif hyp_three:
                 bound = g.num_coords - 2 * g.n
         affine_rows = [
-            ("rank", "affine rank", rep.rank),
+            ("rank", "affine rank", rank),
             ("nullity", "affine nullity", nullity),
             ("hypothesis_three_strategies", "hypothesis >=3 strategies", hyp_three),
             ("hypothesis_zero_sum", "hypothesis zero-sum", zero_sum),

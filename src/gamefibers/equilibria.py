@@ -27,7 +27,7 @@ from .games import (
     random_interior_profile,
     uniform_profile,
 )
-from .fibers import RANK_RTOL_EXPONENT
+from .fibers import _solve
 
 DAMPING = 0.5
 SUPPORT_MAX_STRATEGIES = 6
@@ -78,14 +78,20 @@ def pure_equilibria(g: GameSpec) -> list[tuple[int, ...]]:
     return [tuple(int(j) for j in idx) for idx in np.argwhere(_vertex_gaps(g) == 0.0)]
 
 
+def _require_finite(g: GameSpec) -> None:
+    """A non-finite payoff has no gains to compare: NaN would read as no
+    gain, so every equilibrium routine rejects it."""
+    if not np.isfinite(g.scale):
+        raise ValueError("equilibria need finite payoffs")
+
+
 @np.errstate(over="ignore")     # a gain past the float range reads as inf
 def _vertex_gaps(g: GameSpec) -> np.ndarray:
     """Every pure profile's epsilon, shape ``g.m``: player i's best gain is
     the maximum of its payoff along axis i minus its payoff.  A one-hot
     contraction is exact, so this is ``verify_equilibrium``'s epsilon at
     each vertex bit for bit."""
-    if not np.isfinite(g.scale):
-        raise ValueError("equilibria need finite payoffs")
+    _require_finite(g)
     gaps = np.zeros(g.m)
     for i in range(g.n):
         component = g.payoffs[..., i]
@@ -99,6 +105,7 @@ def _improvement(g: GameSpec, s: StrategyProfile) -> tuple[list[np.ndarray], flo
     largest gain (the profile's epsilon).  The payoff and every player's
     deviations come from one ``_deviations`` sweep."""
     _require_match(g, s)
+    _require_finite(g)
     pay, devs = _deviations(g.payoffs, s.blocks)
     phis = []
     gap = 0.0
@@ -173,24 +180,20 @@ def find_equilibrium(g: GameSpec, seed: int = 0, max_iter: int = 10_000,
 def _indifference_weights(mat: np.ndarray) -> np.ndarray:
     """Weights on the columns of each matrix in a stack ``(count, rows,
     cols)`` that equalize all its row payoffs, solved with the
-    normalization row; a row of NaN where the system is inconsistent or
-    needs negative weights."""
+    normalization row by one stacked ``fibers._solve``; a row of NaN where
+    the system is inconsistent or needs negative weights."""
     count, rows, cols = mat.shape
     system = np.zeros((count, rows + 1, cols + 1))
     system[:, :rows, :cols] = mat
     system[:, :rows, cols] = -1.0       # common payoff value
     system[:, rows, :cols] = 1.0        # weights sum to one
-    rhs = np.zeros((rows + 1, 1))
+    rhs = np.zeros(rows + 1)
     rhs[-1] = 1.0
-    # fibers._svd's cutoff max(shape) * 2**-46 * max(sigma_1, scale): the ones
-    # row makes sigma_1 >= 1 and the normalized payoffs have max|T| < 1, so it is
-    # rcond * sigma_1; the residual and sign tests decide each system
-    rcond = max(rows + 1, cols + 1) * 2.0 ** RANK_RTOL_EXPONENT
-    sol = np.linalg.pinv(system, rcond=rcond) @ rhs
-    w = np.clip(sol[:, :cols, 0], 0.0, None)
+    sol = _solve(system, rhs, 1.0)[0]   # scale 1.0: the ones are the systems' largest entries
+    w = np.clip(sol[:, :cols], 0.0, None)
     # a residual within 1e-9 puts the weight sum within 1e-9 of 1, so total > 0
-    residual = np.abs(system @ sol - rhs).max(axis=(1, 2))
-    bad = (residual > 1e-9) | (sol[:, :cols, 0].min(axis=1) < -1e-9)
+    residual = np.abs((system @ sol[..., None])[..., 0] - rhs).max(axis=1)
+    bad = (residual > 1e-9) | (sol[:, :cols].min(axis=1) < -1e-9)
     return w / np.where(bad, np.nan, w.sum(axis=1))[:, None]
 
 
@@ -217,8 +220,7 @@ def support_enumeration(g: GameSpec, eps: float = 1e-8) -> list[EquilibriumRepor
         raise ValueError(
             f"supports too large: needs at most {SUPPORT_MAX_STRATEGIES} "
             "strategies per player")
-    if not np.isfinite(g.scale):
-        raise ValueError("equilibria need finite payoffs")
+    _require_finite(g)
     normalized = np.ldexp(g.payoffs, -np.frexp(g.scale)[1])
     candidates = []
     for k1, k2 in product(range(1, m1 + 1), range(1, m2 + 1)):

@@ -44,31 +44,40 @@ TRACE_TOL = 1e-10                # largest payoff residual the corrector accepts
 RANK_RTOL_EXPONENT = -46
 
 
-def _svd(mat, vectors: bool,
-         scale: float) -> tuple[int, np.ndarray, np.ndarray | None, np.ndarray | None]:
+def _svd(mat, vectors: bool, scale: float) -> tuple[int | np.ndarray, np.ndarray,
+                                                    np.ndarray | None, np.ndarray | None]:
     """Rank, singular values and, with ``vectors``, U and V^T of a finite
-    matrix, all from one SVD.  Every rank, kernel and solve uses this
-    cutoff: here, and in support enumeration's stacked pseudoinverse,
-    whose ``rcond`` is the same rule (``equilibria._indifference_weights``)."""
+    matrix, or of each matrix in a stack ``(..., rows, cols)``, all from
+    one SVD.  A matrix's rank is an int, a stack's an array with one rank
+    per matrix.  This is the library's one decomposition: every rank,
+    kernel and solve uses its cutoff."""
     a = np.atleast_2d(np.asarray(mat, dtype=float))
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("rank needs a finite matrix")
     if vectors:
         u, s, vt = np.linalg.svd(a)
     else:
         u, s, vt = None, np.linalg.svd(a, compute_uv=False), None
-    smax = max(float(s[0]) if s.size else 0.0, scale)
-    rank = int(np.sum(s > max(a.shape) * 2.0 ** RANK_RTOL_EXPONENT * smax))
-    return rank, s, u, vt
+    smax = np.fmax(s[..., :1], scale)       # sigma_1, or none for an empty matrix
+    rank = (s > max(a.shape[-2:]) * 2.0 ** RANK_RTOL_EXPONENT * smax).sum(axis=-1)
+    return (int(rank) if a.ndim == 2 else rank), s, u, vt
 
 
-def _solve(mat, rhs, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-norm least-squares solution of mat @ x = rhs and the kernel
-    basis of mat from one ``_svd`` at ``scale``, so the solve drops exactly
-    the directions the kernel keeps."""
+def _solve(mat, rhs, scale: float) -> tuple[np.ndarray, int | np.ndarray, np.ndarray]:
+    """Minimum-norm least-squares solution x of mat @ x = rhs, with the
+    rank and V^T of mat, from one ``_svd`` at ``scale``.  For a stack,
+    each matrix is solved against ``rhs`` on its own rank.  Only the
+    coefficients up to the rank enter, so the solve drops exactly the
+    directions the kernel ``vt[rank:]`` keeps; the matrices of one rank
+    are solved together, so each gets the arithmetic of a lone one."""
     rank, s, u, vt = _svd(mat, True, scale)
-    x = vt[:rank].T @ ((u[:, :rank].T @ rhs) / s[:rank])
-    return x, vt[rank:]
+    x = np.zeros(vt.shape[:-1])
+    ranks = set(np.ravel(rank).tolist())
+    for r in ranks:
+        at = rank == r if len(ranks) > 1 else ...   # one rank: every matrix
+        coef = (rhs @ u[at][..., :r]) / s[at][..., :r]
+        x[at] = (coef[..., None, :] @ vt[at][..., :r, :])[..., 0, :]    # one row per matrix
+    return x, rank, vt
 
 
 def numerical_rank(mat, scale: float = 0.0) -> tuple[int, np.ndarray]:

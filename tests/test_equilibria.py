@@ -222,7 +222,11 @@ def test_equilibria_reject_non_finite_payoffs(bad, capfd):
     payoffs = np.zeros((2, 2, 2))
     payoffs[1, 0, 0] = bad
     g = gf.GameSpec(payoffs)
-    for call in (gf.support_enumeration, gf.pure_equilibria, gf.find_equilibrium):
+    s = gf.uniform_profile(g)
+    for call in (gf.support_enumeration, gf.pure_equilibria, gf.find_equilibrium,
+                 lambda g: gf.verify_equilibrium(g, s, 1e-8),
+                 lambda g: gf.best_response_gap(g, s, 0),
+                 lambda g: gf.nash_map(g, s)):
         with pytest.raises(ValueError, match="equilibria need finite payoffs"):
             call(g)
     assert capfd.readouterr().err == ""

@@ -71,6 +71,30 @@ def test_nullspace_orthonormal_and_annihilating():
         assert np.abs(mat @ basis.T).max() <= 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), rows=st.integers(1, 7), cols=st.integers(1, 7),
+       generic=st.integers(0, 4), scale=st.sampled_from([0.0, 1.0, 1e3]))
+def test_stacked_solve_matches_each_lone_solve(seed, rows, cols, generic, scale):
+    # each matrix of a stack gets its own rank, and the solve and V^T of a
+    # lone matrix bit for bit, whatever the ranks of its neighbours
+    rng = np.random.default_rng(seed)
+    generic_stack = rng.standard_normal((generic, rows, cols))
+    repeated = rng.standard_normal((rows, cols))
+    repeated[-1] = repeated[0]
+    low_rank = np.outer(rng.standard_normal(rows), rng.standard_normal(cols))
+    mixed = np.concatenate([generic_stack, [np.zeros((rows, cols)), repeated, low_rank]])
+    mixed = mixed[rng.permutation(len(mixed))]
+    rhs = rng.standard_normal(rows)
+    for stack in (mixed, generic_stack):     # several ranks, and one (or none)
+        x, rank, vt = fibers._solve(stack, rhs, scale)
+        assert x.shape == (len(stack), cols) and rank.shape == (len(stack),)
+        for mat, x_i, rank_i, vt_i in zip(stack, x, rank, vt):
+            x_lone, rank_lone, vt_lone = fibers._solve(mat, rhs, scale)
+            assert rank_i == rank_lone == gf.numerical_rank(mat, scale)[0]
+            assert x_i.tobytes() == x_lone.tobytes()
+            assert vt_i.tobytes() == vt_lone.tobytes()
+
+
 def test_generic_rank_fixtures(bar, rps):
     assert gf.generic_rank(bar) == 1
     assert gf.generic_rank(bar, samples=1) == 1   # constant Jacobian
