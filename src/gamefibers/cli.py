@@ -3,10 +3,10 @@
 Subcommands: ``validate``, ``eval``, ``analyze``, ``equilibria``,
 ``trace``, and ``gen``.  Game documents are read from a file argument or
 from standard input when the argument is ``-`` or omitted, so commands
-compose with pipes.  All reports are deterministic given the arguments;
-``--json`` switches to machine-readable output; text reports print the
-JSON report's values.  Exit codes: 0 success, 1 data errors, 2 usage
-errors.
+compose with pipes.  All reports are deterministic given the arguments.
+Each command builds one report: ``--json`` prints it as JSON, and the text
+output renders the same values.  Exit codes: 0 success, 1 data errors, 2
+usage errors.
 """
 
 from __future__ import annotations
@@ -21,18 +21,16 @@ import sys
 from .affine import extract_affine, is_jointly_affine
 from .equilibria import (
     SEARCH_EPS,
-    SUPPORT_MAX_STRATEGIES,
+    _enumerable,
     find_equilibrium,
     pure_equilibria,
     support_enumeration,
-    verify_equilibrium,
 )
 from .fibers import DEFAULT_SAMPLES, MAX_SAMPLES, TRACE_TOL, generic_rank, trace_fiber
 from .games import (
     GameSpec,
     StrategyProfile,
     _snap_profile,
-    pure_profile,
     total_payoff,
     uniform_profile,
     validate_game,
@@ -124,31 +122,27 @@ def _load_valid_game(args, read_stdin) -> GameSpec:
     return g
 
 
-def _json_bytes(obj) -> bytes:
-    return (json.dumps(obj, sort_keys=True) + "\n").encode("utf-8")
+def _out(args, report, text: str) -> bytes:
+    """The command's one report: as JSON under ``--json`` (a profile as its
+    list of blocks), else ``text``, its rendering."""
+    if args.json:
+        text = json.dumps(report, sort_keys=True,
+                          default=lambda s: [b.tolist() for b in s.blocks]) + "\n"
+    return text.encode("utf-8")
 
 
 def _cmd_validate(args, read_stdin):
-    g = _load_game(args, read_stdin)
-    defects = validate_game(g)
-    if args.json:
-        out = _json_bytes({"ok": not defects, "defects": [str(d) for d in defects]})
-    elif defects:
-        out = ("\n".join(str(d) for d in defects) + "\n").encode()
-    else:
-        out = b"ok\n"
-    return (0 if not defects else 1), out
+    defects = [str(d) for d in validate_game(_load_game(args, read_stdin))]
+    text = "".join(f"{d}\n" for d in defects) or "ok\n"
+    return (1 if defects else 0), _out(args, {"ok": not defects, "defects": defects}, text)
 
 
 def _cmd_eval(args, read_stdin):
     g = _load_valid_game(args, read_stdin)
-    s = _parse_profile(args.profile, g)
-    pay = total_payoff(g, s)
+    pay = [float(v) for v in total_payoff(g, _parse_profile(args.profile, g))]
     names = g.player_names or tuple(f"player{i + 1}" for i in range(g.n))
-    if args.json:
-        return 0, _json_bytes({"payoffs": [float(v) for v in pay]})
-    lines = [f"{name}: {format_number(v)}" for name, v in zip(names, pay)]
-    return 0, ("\n".join(lines) + "\n").encode()
+    text = "".join(f"{name}: {format_number(v)}\n" for name, v in zip(names, pay))
+    return 0, _out(args, {"payoffs": pay}, text)
 
 
 def _cmd_analyze(args, read_stdin):
@@ -191,53 +185,43 @@ def _cmd_analyze(args, read_stdin):
         ]
         info["affine"] = {key: value for key, _, value in affine_rows}
         rows += affine_rows
-    if args.json:
-        return 0, _json_bytes(info)
-    return 0, "".join(f"{label}: {_text(value)}\n" for _, label, value in rows).encode()
+    return 0, _out(args, info, "".join(f"{label}: {_text(value)}\n" for _, label, value in rows))
 
 
 def _cmd_equilibria(args, read_stdin):
     g = _load_valid_game(args, read_stdin)
-    lines = []
-    data = {"pure": [], "mixed": [], "search": None}
-    for vertex in pure_equilibria(g):
-        rep = verify_equilibrium(g, pure_profile(g, vertex), 0.0)
-        label = ",".join(g.label(i, j) for i, j in enumerate(vertex))
-        lines.append(f"pure: {label} epsilon={format_number(rep.epsilon)}")
-        data["pure"].append({"profile": list(vertex), "epsilon": rep.epsilon})
-    if g.n == 2 and max(g.m) <= SUPPORT_MAX_STRATEGIES:
-        for rep in support_enumeration(g, eps=args.eps):
-            lines.append(f"mixed: {_profile_str(rep.profile)} "
-                         f"epsilon={format_number(rep.epsilon)}")
-            data["mixed"].append({"blocks": [list(map(float, b)) for b in rep.profile.blocks],
-                                  "epsilon": rep.epsilon})
+    mixed = support_enumeration(g, eps=args.eps) if _enumerable(g) else []
     search = find_equilibrium(g, seed=args.seed, eps=args.eps)
-    lines.append(f"search: {_profile_str(search.profile)} "
-                 f"converged={_text(search.converged)} "
-                 f"epsilon={format_number(search.epsilon)}")
-    data["search"] = {"blocks": [list(map(float, b)) for b in search.profile.blocks],
-                      "converged": search.converged, "epsilon": search.epsilon}
-    if args.json:
-        return 0, _json_bytes(data)
-    return 0, ("\n".join(lines) + "\n").encode()
+    report = {  # a pure equilibrium's gap is 0 by definition
+        "pure": [{"profile": list(v), "epsilon": 0.0} for v in pure_equilibria(g)],
+        "mixed": [{"blocks": rep.profile, "epsilon": rep.epsilon} for rep in mixed],
+        "search": {"blocks": search.profile, "converged": search.converged,
+                   "epsilon": search.epsilon},
+    }
+    lines = [f"pure: {','.join(map(g.label, range(g.n), p['profile']))} "
+             f"epsilon={format_number(p['epsilon'])}" for p in report["pure"]]
+    lines += [f"mixed: {_profile_str(m['blocks'])} epsilon={format_number(m['epsilon'])}"
+              for m in report["mixed"]]
+    found = report["search"]
+    lines.append(f"search: {_profile_str(found['blocks'])} converged={_text(found['converged'])} "
+                 f"epsilon={format_number(found['epsilon'])}")
+    return 0, _out(args, report, "".join(f"{line}\n" for line in lines))
 
 
 def _cmd_trace(args, read_stdin):
     g = _load_valid_game(args, read_stdin)
     s0 = _parse_profile(args.start, g)
     path = trace_fiber(g, s0, args.direction, args.step, args.steps, tol=args.tol)
-    if args.json:
-        return 0, _json_bytes({
-            "points": [[float(x) for x in p] for p in path.points],
-            "target": [float(v) for v in path.target_payoff],
-            "drift": path.max_payoff_drift,
-            "terminated": path.terminated_by,
-        })
-    lines = [" ".join(format_number(x) for x in p) for p in path.points]
-    lines.append(f"points: {len(path.points)}")
-    lines.append(f"drift: {format_number(path.max_payoff_drift)}")
-    lines.append(f"terminated: {path.terminated_by}")
-    return 0, ("\n".join(lines) + "\n").encode()
+    report = {
+        "points": [[float(x) for x in p] for p in path.points],
+        "target": [float(v) for v in path.target_payoff],
+        "drift": path.max_payoff_drift,
+        "terminated": path.terminated_by,
+    }
+    text = "".join(" ".join(map(format_number, p)) + "\n" for p in report["points"])
+    text += (f"points: {len(report['points'])}\ndrift: {format_number(report['drift'])}\n"
+             f"terminated: {report['terminated']}\n")
+    return 0, _out(args, report, text)
 
 
 def _cmd_gen(args, read_stdin):

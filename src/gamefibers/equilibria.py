@@ -5,10 +5,10 @@ of strategy.  Own-block linearity means the best unilateral improvement is
 always attained at a pure strategy, so verification only needs the m_i
 pure deviations per player; at a vertex those are one slice of the payoff
 tensor, so one scan gives every vertex's epsilon.  Search starts from the
-best vertex and iterates the classical continuous improvement map whose
-fixed points are exactly the equilibria; iteration is a heuristic, so
-every returned profile is re-verified and the achieved epsilon reported
-honestly.
+best vertex, then asks support enumeration on the games it covers, and
+only then iterates the classical continuous improvement map whose fixed
+points are exactly the equilibria; iteration is a heuristic, so every
+returned profile is verified and the achieved epsilon reported honestly.
 """
 
 from __future__ import annotations
@@ -78,6 +78,12 @@ def pure_equilibria(g: GameSpec) -> list[tuple[int, ...]]:
     return [tuple(int(j) for j in idx) for idx in np.argwhere(_vertex_gaps(g) == 0.0)]
 
 
+def _enumerable(g: GameSpec) -> bool:
+    """Whether support enumeration covers the game: two players with at most
+    ``SUPPORT_MAX_STRATEGIES`` strategies each."""
+    return g.n == 2 and max(g.m) <= SUPPORT_MAX_STRATEGIES
+
+
 def _require_finite(g: GameSpec) -> None:
     """A non-finite payoff has no gains to compare: NaN would read as no
     gain, so every equilibrium routine rejects it."""
@@ -140,19 +146,20 @@ def _mapped_blocks(s: StrategyProfile, phis) -> list[np.ndarray]:
 
 def find_equilibrium(g: GameSpec, seed: int = 0, max_iter: int = 10_000,
                      eps: float = SEARCH_EPS, restarts: int = 8) -> EquilibriumReport:
-    """Search for an equilibrium from the best vertex by damped improvement
-    iteration.
+    """Search for an equilibrium: the best vertex, then support
+    enumeration, then damped improvement iteration.
 
-    The best vertex is the first one with the smallest gap, in
-    lexicographic order; it is returned at once when its gap is at most
-    ``eps``.  Otherwise the iteration runs from the uniform profile, then
-    from seeded random interior restarts, and a profile replaces the best
-    one only when its epsilon is strictly smaller, so the result is never
-    worse than any vertex and, among starts, the earlier one wins exact
-    ties.  A start ends at a profile whose epsilon overflows to inf, where
-    the map would divide inf by inf.  Non-convergence is reported, never
-    silent: ``converged`` is false when the best epsilon found still
-    exceeds ``eps``.
+    The best vertex is the first with the smallest gap, in lexicographic
+    order; it is returned when its gap is at most ``eps``.  Otherwise, on a
+    game support enumeration covers, its report with the smallest epsilon
+    is returned, the first in support order on a tie.  When that list is
+    empty or the game is not covered, the iteration runs from the uniform
+    profile, then from seeded random interior restarts; ``seed``,
+    ``max_iter`` and ``restarts`` budget it alone.  A profile replaces the
+    best only when its epsilon is strictly smaller, so the result is never
+    worse than any vertex and the earlier start wins exact ties.  A start
+    ends where its epsilon overflows to inf, as the map would divide inf
+    by inf.  ``converged`` is false when the best epsilon exceeds ``eps``.
     """
     for name, value in (("seed", seed), ("max_iter", max_iter), ("eps", eps),
                         ("restarts", restarts)):
@@ -161,6 +168,10 @@ def find_equilibrium(g: GameSpec, seed: int = 0, max_iter: int = 10_000,
     gaps = _vertex_gaps(g)
     vertex = np.unravel_index(np.argmin(gaps), g.m)
     best_profile, best_gap = pure_profile(g, vertex), float(gaps[vertex])
+    if best_gap > eps and _enumerable(g):
+        found = support_enumeration(g, eps)
+        if found:
+            return min(found, key=lambda report: report.epsilon)
     for t in range(restarts + 1):
         if best_gap <= eps:
             break
@@ -215,11 +226,11 @@ def support_enumeration(g: GameSpec, eps: float = 1e-8) -> list[EquilibriumRepor
         raise ValueError("not a 2-player game")
     if not eps >= 0:
         raise ValueError("eps must be non-negative")
-    m1, m2 = g.m
-    if m1 > SUPPORT_MAX_STRATEGIES or m2 > SUPPORT_MAX_STRATEGIES:
+    if not _enumerable(g):
         raise ValueError(
             f"supports too large: needs at most {SUPPORT_MAX_STRATEGIES} "
             "strategies per player")
+    m1, m2 = g.m
     _require_finite(g)
     normalized = np.ldexp(g.payoffs, -np.frexp(g.scale)[1])
     candidates = []

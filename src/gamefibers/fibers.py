@@ -54,6 +54,8 @@ def _svd(mat, vectors: bool, scale: float) -> tuple[int | np.ndarray, np.ndarray
     a = np.atleast_2d(np.asarray(mat, dtype=float))
     if not np.isfinite(a).all():
         raise ValueError("rank needs a finite matrix")
+    if not 0 <= scale < np.inf:
+        raise ValueError("scale must be finite and non-negative")
     if vectors:
         u, s, vt = np.linalg.svd(a)
     else:

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gamefibers as gf
-from gamefibers.equilibria import _improvement, _vertex_gaps
+from gamefibers import cli
+from gamefibers.equilibria import SEARCH_EPS, _improvement, _vertex_gaps
 from helpers import interior_profile, loop_support_enumeration, loop_vertex_gaps
 
 
@@ -120,6 +121,38 @@ def test_search_returns_the_pure_equilibrium_of_random_game_seed_1(n, m, max_ite
     report = gf.find_equilibrium(g, seed=0, max_iter=max_iter)
     assert report.converged and report.epsilon == 0.0
     assert report.profile == gf.pure_profile(g, gf.pure_equilibria(g)[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), m1=st.integers(1, 6), m2=st.integers(1, 6),
+       integer=st.booleans(), eps=st.sampled_from([0.0, 1e-10, 1e-6]))
+def test_search_answers_from_support_enumeration(seed, m1, m2, integer, eps):
+    # max_iter=0: the damped iteration cannot make up for a missing answer
+    rng = np.random.default_rng(seed)
+    payoffs = (rng.integers(-2, 3, size=(m1, m2, 2)).astype(float) if integer
+               else rng.standard_normal((m1, m2, 2)))
+    g = gf.GameSpec(payoffs)
+    found = gf.support_enumeration(g, eps)
+    report = gf.find_equilibrium(g, eps=eps, max_iter=0)
+    if found:
+        best = found[int(np.argmin([r.epsilon for r in found]))]
+        assert report.converged and report.epsilon <= best.epsilon
+        if loop_vertex_gaps(g).min() > eps:
+            assert report.profile == best.profile
+
+
+def test_search_answers_a_game_the_iteration_misses():
+    # rps with one payoff set to about 0: the damped iteration alone spends
+    # its whole budget here and ends at epsilon 7e-2
+    payoffs = gf.builtin_game("rps").payoffs.copy()
+    payoffs[0, 1, 0] = 5e-324
+    g = gf.GameSpec(payoffs)
+    report = gf.find_equilibrium(g)
+    assert report.converged and report.epsilon <= 1e-15
+    assert report.profile == gf.support_enumeration(g, SEARCH_EPS)[0].profile
+    code, out, err = cli.run(["equilibria"], read_stdin=lambda: gf.write_game(g))
+    assert (code, err) == (0, "")
+    assert " converged=yes " in out.decode().splitlines()[-1]
 
 
 def test_nash_map_fixed_points(bar, rps):

@@ -60,6 +60,18 @@ def test_numerical_rank_examples():
         gf.numerical_rank([[np.nan, 0.0]])
 
 
+@pytest.mark.parametrize("scale", [np.nan, -1.0, np.inf, -np.inf])
+@pytest.mark.parametrize("call", [gf.numerical_rank, gf.nullspace])
+def test_rank_rejects_a_nan_infinite_or_negative_scale(call, scale):
+    # each would fall back to the sigma_1 rule (nan, -1) or count no rank
+    # at all (inf), where scale 1.0 gives [[1e-300]] rank 0
+    assert gf.numerical_rank([[1e-300]], 1.0)[0] == 0
+    with pytest.raises(ValueError, match="scale must be finite and non-negative"):
+        call([[1e-300]], scale)
+    with pytest.raises(ValueError, match="rank needs a finite matrix"):
+        call([[np.inf]], scale)
+
+
 def test_nullspace_orthonormal_and_annihilating():
     rng = np.random.default_rng(43)
     for _ in range(20):

@@ -329,6 +329,28 @@ def test_relabelling_strategies_permutes_the_results(n, data, seed, kind):
     assert np.abs(rows - gf.deviation_payoffs(g, s, player)[perm]).max() <= tol
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 4), data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["generic", "zero-sum", "affine"]),
+       size=st.floats(0.1, 10.0), sign=st.sampled_from([-1.0, 1.0]))
+def test_adding_a_constant_changes_only_the_zero_sum_flag(n, data, seed, kind, size, sign):
+    # T + b has the same best responses, differences and level-set geometry
+    # as T; only the payoff sums move, by n * b
+    m = data.draw(st.lists(st.integers(2, 3), min_size=n, max_size=n))
+    g = gf.random_game(n, m, seed=seed, zero_sum=kind == "zero-sum",
+                       jointly_affine=kind == "affine")
+    shifted = gf.GameSpec(g.payoffs + sign * size)
+    assert not gf.is_zero_sum(shifted)
+    assert gf.is_jointly_affine(shifted) == gf.is_jointly_affine(g)
+    assert gf.generic_rank(shifted, 16) == gf.generic_rank(g, 16)
+    assert gf.pure_equilibria(shifted) == gf.pure_equilibria(g)
+    if n == 2:
+        found, moved = gf.support_enumeration(g), gf.support_enumeration(shifted)
+        assert len(moved) == len(found)
+        for a, b in zip(found, moved):
+            assert np.abs(a.profile.concat() - b.profile.concat()).max() <= 1e-9
+
+
 def test_own_block_linearity():
     rng = np.random.default_rng(13)
     for seed in range(50):
