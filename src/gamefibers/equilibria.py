@@ -23,6 +23,7 @@ from .games import (
     StrategyProfile,
     _deviations,
     _require_match,
+    _require_simplex,
     pure_profile,
     random_interior_profile,
     uniform_profile,
@@ -30,7 +31,7 @@ from .games import (
 from .fibers import _solve
 
 DAMPING = 0.5
-SUPPORT_MAX_STRATEGIES = 6
+SUPPORT_MAX_PAIRS = 63 ** 2    # support pairs of a 6x6 game, (2^6 - 1)^2
 SEARCH_EPS = 1e-6          # default epsilon of find_equilibrium and the CLI
 
 
@@ -80,8 +81,8 @@ def pure_equilibria(g: GameSpec) -> list[tuple[int, ...]]:
 
 def _enumerable(g: GameSpec) -> bool:
     """Whether support enumeration covers the game: two players with at most
-    ``SUPPORT_MAX_STRATEGIES`` strategies each."""
-    return g.n == 2 and max(g.m) <= SUPPORT_MAX_STRATEGIES
+    ``SUPPORT_MAX_PAIRS`` support pairs, (2^m_1 - 1)(2^m_2 - 1), its cost."""
+    return g.n == 2 and (2 ** g.m[0] - 1) * (2 ** g.m[1] - 1) <= SUPPORT_MAX_PAIRS
 
 
 def _require_finite(g: GameSpec) -> None:
@@ -106,20 +107,21 @@ def _vertex_gaps(g: GameSpec) -> np.ndarray:
 
 
 @np.errstate(over="ignore")     # an overflowed gain reads as inf, a -inf one clips to 0
-def _improvement(g: GameSpec, s: StrategyProfile) -> tuple[list[np.ndarray], float]:
+def _improvement(g: GameSpec, s) -> tuple[list[np.ndarray], float | np.ndarray]:
     """Per-player positive-part payoff gains of pure deviations, plus the
     largest gain (the profile's epsilon).  The payoff and every player's
-    deviations come from one ``_deviations`` sweep."""
-    _require_match(g, s)
+    deviations come from one ``_deviations`` sweep.  ``s`` is a profile or
+    a stack of them, given as blocks (*stack, m_i); a stack's gains are
+    (*stack, m_i) and its epsilons an array (*stack).  A player whose
+    gains hold a NaN adds nothing to the epsilon."""
+    lone = isinstance(s, StrategyProfile)
+    if lone:
+        _require_match(g, s)
     _require_finite(g)
-    pay, devs = _deviations(g.payoffs, s.blocks)
-    phis = []
-    gap = 0.0
-    for i, dev in enumerate(devs):
-        phi = np.maximum(0.0, dev[:, i] - pay[i])
-        phis.append(phi)
-        gap = max(gap, float(phi.max()))
-    return phis, gap
+    pay, devs = _deviations(g.payoffs, s.blocks if lone else s)
+    phis = [np.maximum(0.0, dev[..., i] - pay[..., i, None]) for i, dev in enumerate(devs)]
+    gap = np.fmax.reduce([phi.max(axis=-1) for phi in phis], initial=0.0)
+    return phis, float(gap) if lone else gap
 
 
 def nash_map(g: GameSpec, s: StrategyProfile) -> StrategyProfile:
@@ -132,16 +134,25 @@ def nash_map(g: GameSpec, s: StrategyProfile) -> StrategyProfile:
     float range has no image and raises ValueError.
     """
     phis, _ = _improvement(g, s)
-    with np.errstate(over="ignore"):
-        for i, phi in enumerate(phis):
-            if not np.isfinite(phi.sum()):
-                raise ValueError(f"block {i}: the payoff gains sum past the float range")
-    return StrategyProfile(_mapped_blocks(s, phis))
+    sums = _gain_sums(phis)
+    if not np.isfinite(sums).all():
+        raise ValueError(f"block {int(np.argmin(np.isfinite(sums)))}: "
+                         "the payoff gains sum past the float range")
+    return StrategyProfile(_mapped_blocks(s.blocks, phis, sums))
 
 
-def _mapped_blocks(s: StrategyProfile, phis) -> list[np.ndarray]:
-    """The Nash-map image of each block, given the profile's gains."""
-    return [(b + phi) / (1.0 + phi.sum()) for b, phi in zip(s.blocks, phis)]
+@np.errstate(over="ignore")     # a sum past the float range reads as inf
+def _gain_sums(phis) -> np.ndarray:
+    """Each block's gain sum, shape (*stack, n); the Nash map has an image
+    only where all of a profile's sums are finite."""
+    return np.stack([phi.sum(axis=-1) for phi in phis], axis=-1)
+
+
+def _mapped_blocks(blocks, phis, sums) -> list[np.ndarray]:
+    """The Nash-map image of each block of a profile or stack, given its
+    gains and their finite sums."""
+    return [(b + phi) / (1.0 + sums[..., i, None])
+            for i, (b, phi) in enumerate(zip(blocks, phis))]
 
 
 def find_equilibrium(g: GameSpec, seed: int = 0, max_iter: int = 10_000,
@@ -154,12 +165,20 @@ def find_equilibrium(g: GameSpec, seed: int = 0, max_iter: int = 10_000,
     game support enumeration covers, its report with the smallest epsilon
     is returned, the first in support order on a tie.  When that list is
     empty or the game is not covered, the iteration runs from the uniform
-    profile, then from seeded random interior restarts; ``seed``,
-    ``max_iter`` and ``restarts`` budget it alone.  A profile replaces the
-    best only when its epsilon is strictly smaller, so the result is never
-    worse than any vertex and the earlier start wins exact ties.  A start
-    ends where its epsilon overflows to inf, as the map would divide inf
-    by inf.  ``converged`` is false when the best epsilon exceeds ``eps``.
+    profile and ``restarts`` seeded random interior starts (start t drawn
+    by ``default_rng([seed, t])``); ``seed``, ``max_iter`` and
+    ``restarts`` budget it alone.  The starts run in lockstep, one stack of
+    ``restarts + 1`` profiles through one ``_deviations`` sweep an
+    iteration, and each start ends at its first epsilon within ``eps``,
+    after ``max_iter`` steps, or where a block's gains sum past the float
+    range (an epsilon of inf among them), as the map has no image there.
+    The loop ends once every start up to the first that converged has
+    ended; later starts do not count.  The starts are then read in order,
+    each by its first smallest epsilon, and a profile replaces the best
+    only when its epsilon is strictly smaller, so the result is never worse
+    than any vertex, the earlier start wins exact ties, and the answer is
+    the one of running the starts one after another.  ``converged`` is
+    false when the best epsilon exceeds ``eps``.
     """
     for name, value in (("seed", seed), ("max_iter", max_iter), ("eps", eps),
                         ("restarts", restarts)):
@@ -168,23 +187,42 @@ def find_equilibrium(g: GameSpec, seed: int = 0, max_iter: int = 10_000,
     gaps = _vertex_gaps(g)
     vertex = np.unravel_index(np.argmin(gaps), g.m)
     best_profile, best_gap = pure_profile(g, vertex), float(gaps[vertex])
-    if best_gap > eps and _enumerable(g):
+    if best_gap <= eps:
+        return verify_equilibrium(g, best_profile, eps)
+    if _enumerable(g):
         found = support_enumeration(g, eps)
         if found:
             return min(found, key=lambda report: report.epsilon)
-    for t in range(restarts + 1):
-        if best_gap <= eps:
+    starts = [uniform_profile(g)] + [random_interior_profile(g, np.random.default_rng([seed, t]))
+                                     for t in range(1, restarts + 1)]
+    cur = [np.stack(column) for column in zip(*(s.blocks for s in starts))]
+    least = np.full(restarts + 1, np.inf)       # each start's first smallest epsilon
+    best = [np.array(b) for b in cur]           # and its profile there
+    live = np.arange(restarts + 1)              # the starts still running, in order
+    first = restarts                            # the first start that converged, else the last
+    for it in range(max_iter + 1):
+        phis, gap = _improvement(g, cur)
+        better = gap < least[live]
+        least[live[better]] = gap[better]
+        for b, rows in zip(best, cur):
+            b[live[better]] = rows[better]
+        sums = _gain_sums(phis)
+        converged = gap <= eps
+        if converged.any():
+            first = min(first, int(live[converged][0]))
+        keep = ~converged & np.isfinite(sums).all(axis=-1) & (live <= first)
+        if it == max_iter or not keep.any():
             break
-        cur = (random_interior_profile(g, np.random.default_rng([seed, t])) if t
-               else uniform_profile(g))
-        for it in range(max_iter + 1):
-            phis, gap = _improvement(g, cur)
-            if gap < best_gap:
-                best_profile, best_gap = cur, gap
-            if best_gap <= eps or it == max_iter or gap == np.inf:
-                break
-            cur = StrategyProfile([(1.0 - DAMPING) * b + DAMPING * mb
-                                   for b, mb in zip(cur.blocks, _mapped_blocks(cur, phis))])
+        if not keep.all():
+            live, sums = live[keep], sums[keep]
+            cur, phis = [b[keep] for b in cur], [phi[keep] for phi in phis]
+        mapped = _mapped_blocks(cur, phis, sums)
+        cur = [(1.0 - DAMPING) * b + DAMPING * mb for b, mb in zip(cur, mapped)]
+        for i, b in enumerate(cur):
+            _require_simplex(i, b)
+    for t in range(first + 1):
+        if least[t] < best_gap:
+            best_profile, best_gap = StrategyProfile([b[t] for b in best]), float(least[t])
     return verify_equilibrium(g, best_profile, eps)
 
 
@@ -228,8 +266,7 @@ def support_enumeration(g: GameSpec, eps: float = 1e-8) -> list[EquilibriumRepor
         raise ValueError("eps must be non-negative")
     if not _enumerable(g):
         raise ValueError(
-            f"supports too large: needs at most {SUPPORT_MAX_STRATEGIES} "
-            "strategies per player")
+            f"supports too large: needs at most {SUPPORT_MAX_PAIRS} support pairs")
     m1, m2 = g.m
     _require_finite(g)
     normalized = np.ldexp(g.payoffs, -np.frexp(g.scale)[1])

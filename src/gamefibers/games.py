@@ -225,6 +225,20 @@ def validate_game(g: GameSpec) -> list[Defect]:
     return defects
 
 
+def _require_simplex(i: int, b: np.ndarray) -> None:
+    """Raise ValueError unless block i is finite, in [0, 1] and sums to 1,
+    each up to ``TAU_SIMPLEX``: ``StrategyProfile``'s check, which a stack
+    of blocks (*stack, m_i) passes row by row."""
+    if not np.isfinite(b).all():
+        raise ValueError(f"block {i} has non-finite entries")
+    if b.min() < -TAU_SIMPLEX or b.max() > 1.0 + TAU_SIMPLEX:
+        raise ValueError(f"block {i} is off-simplex: entries outside [0, 1]")
+    sums = b.sum(axis=-1)
+    miss = np.abs(sums - 1.0)
+    if miss.max() > TAU_SIMPLEX:
+        raise ValueError(f"block {i} is off-simplex: sums to {sums.flat[np.argmax(miss)]!r}")
+
+
 class StrategyProfile:
     """One probability vector per player (a point of the product simplex)."""
 
@@ -234,12 +248,7 @@ class StrategyProfile:
             b = np.array(block, dtype=float)
             if b.ndim != 1 or b.size == 0:
                 raise ValueError(f"block {i} must be a nonempty vector")
-            if not np.all(np.isfinite(b)):
-                raise ValueError(f"block {i} has non-finite entries")
-            if b.min() < -TAU_SIMPLEX or b.max() > 1.0 + TAU_SIMPLEX:
-                raise ValueError(f"block {i} is off-simplex: entries outside [0, 1]")
-            if abs(b.sum() - 1.0) > TAU_SIMPLEX:
-                raise ValueError(f"block {i} is off-simplex: sums to {b.sum()!r}")
+            _require_simplex(i, b)
             b.setflags(write=False)
             out.append(b)
         if not out:
@@ -322,11 +331,17 @@ def _deviations(payoffs: np.ndarray, blocks,
     tensor.  Entry p of the list is (m_p, n) for each player asked for and
     for the last player, whose rows are the chain itself; the rest are None.
 
+    The blocks may share a leading stack shape, ``(*stack, m_p)`` each; a
+    lone profile is the empty stack.  The payoff is then (*stack, n) and
+    the rows (*stack, m_p, n).  Every contraction is a broadcast matmul, so
+    each slice is its own vector-matrix product, and slice k of a stacked
+    sweep equals the lone sweep of profile k bit for bit.
+
     The prefix chain contracts the player axes one at a time, first to
     last.  Before player p's axis goes, the chain's head is read as
-    (m_p, R_p, n) and all later axes are contracted at once by one matmul
-    with w_p, the flattened outer product of blocks p+1, ..., n-1: a pass
-    over contiguous memory, with no transposed copy.  The w_p are built
+    (*stack, m_p, R_p, n) and all later axes are contracted at once by one
+    matmul with w_p, the flattened outer product of blocks p+1, ..., n-1: a
+    pass over contiguous memory, with no transposed copy.  The w_p are built
     only down to the first player asked for, so ``players=()`` is the bare
     chain and reads the tensor once; the payoff is the last block times it.
     """
@@ -334,16 +349,18 @@ def _deviations(payoffs: np.ndarray, blocks,
     wanted = range(n) if players is None else players
     suffix = [blocks[-1]]
     for b in blocks[-2:min(wanted, default=n - 1):-1]:
-        suffix.append(np.multiply.outer(b, suffix[-1]).ravel())
+        suffix.append((b[..., :, None] * suffix[-1][..., None, :]).reshape(*b.shape[:-1], -1))
     devs = [None] * n
-    head = payoffs
+    head = payoffs.reshape(-1)      # the chain, flat behind its stack axes (none at first)
     for p, b in enumerate(blocks[:-1]):
+        lead = head.shape[:-1]
         if p in wanted:
             w = suffix[n - 2 - p]
-            devs[p] = w @ head.reshape(b.size, w.size, -1)
-        head = np.tensordot(b, head, axes=(0, 0))
-    devs[-1] = head
-    return blocks[-1] @ head, devs
+            rows = head.reshape(*lead, b.shape[-1], w.shape[-1], -1)
+            devs[p] = (w[..., None, None, :] @ rows)[..., 0, :]
+        head = (b[..., None, :] @ head.reshape(*lead, b.shape[-1], -1))[..., 0, :]
+    devs[-1] = head.reshape(*head.shape[:-1], blocks[-1].shape[-1], -1)
+    return (blocks[-1][..., None, :] @ devs[-1])[..., 0, :], devs
 
 
 def expected_payoff(g: GameSpec, s: StrategyProfile, player: int) -> float:

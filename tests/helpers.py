@@ -11,6 +11,7 @@ import itertools
 import numpy as np
 
 import gamefibers as gf
+from gamefibers.equilibria import DAMPING, _enumerable
 
 
 def loop_expected_payoff(g, s, player):
@@ -209,3 +210,41 @@ def loop_support_enumeration(g, eps=1e-8):
         kept.append(flat)
         found.append(report)
     return found
+
+
+def loop_find_equilibrium(g, seed=0, max_iter=10_000, eps=1e-6, restarts=8):
+    """Start by start: the vertex scan and support enumeration first, then
+    the damped improvement iteration from the uniform profile and each
+    seeded restart in turn, every iterate a checked ``StrategyProfile``.
+    A start ends at its first epsilon within ``eps``, after ``max_iter``
+    steps, or where ``nash_map`` has no image; a converged start ends the
+    search, and a profile replaces the best only when its epsilon is
+    strictly smaller.  It is the oracle of the lockstep, not of the sweep:
+    each profile goes through the lone ``verify_equilibrium`` and
+    ``nash_map``."""
+    with np.errstate(over="ignore"):    # a gain past the float range reads as inf
+        gaps = loop_vertex_gaps(g)
+    vertex = np.unravel_index(np.argmin(gaps), g.m)
+    best_profile, best_gap = gf.pure_profile(g, vertex), float(gaps[vertex])
+    if best_gap > eps and _enumerable(g):
+        found = gf.support_enumeration(g, eps)
+        if found:
+            return min(found, key=lambda report: report.epsilon)
+    for t in range(restarts + 1):
+        if best_gap <= eps:
+            break
+        cur = (gf.random_interior_profile(g, np.random.default_rng([seed, t])) if t
+               else gf.uniform_profile(g))
+        for it in range(max_iter + 1):
+            gap = gf.verify_equilibrium(g, cur, eps).epsilon
+            if gap < best_gap:
+                best_profile, best_gap = cur, gap
+            if best_gap <= eps or it == max_iter:
+                break
+            try:
+                mapped = gf.nash_map(g, cur)
+            except ValueError:      # the gains of a block sum past the float range
+                break
+            cur = gf.StrategyProfile([(1.0 - DAMPING) * b + DAMPING * mb
+                                      for b, mb in zip(cur.blocks, mapped.blocks)])
+    return gf.verify_equilibrium(g, best_profile, eps)

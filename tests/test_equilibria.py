@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import gamefibers as gf
 from gamefibers import cli
-from gamefibers.equilibria import SEARCH_EPS, _improvement, _vertex_gaps
-from helpers import interior_profile, loop_support_enumeration, loop_vertex_gaps
+from gamefibers.equilibria import SEARCH_EPS, _enumerable, _improvement, _vertex_gaps
+from helpers import (
+    interior_profile,
+    loop_find_equilibrium,
+    loop_support_enumeration,
+    loop_vertex_gaps,
+)
 
 
 def matching_pennies():
@@ -153,6 +158,70 @@ def test_search_answers_a_game_the_iteration_misses():
     code, out, err = cli.run(["equilibria"], read_stdin=lambda: gf.write_game(g))
     assert (code, err) == (0, "")
     assert " converged=yes " in out.decode().splitlines()[-1]
+
+
+@st.composite
+def search_games(draw):
+    """Generic games, integer-tie games and subnormal ones, whose gains
+    round to a few values, so iterates and starts tie exactly; 2 to 4
+    players, or 2 past support enumeration's cover.  No vertex is within
+    0.2 max|T|, so the iteration runs at every ``eps`` of the test below."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    past_cover = draw(st.booleans())
+    kind = draw(st.sampled_from(["generic", "integer", "subnormal"]))
+    for _ in range(100):
+        if past_cover:
+            m = [(7, 7), (2, 11), (11, 2), (3, 10)][rng.integers(4)]
+        else:
+            m = rng.integers(1, 4, size=rng.integers(2, 5))
+        shape = (*m, len(m))
+        if kind == "generic":
+            g = gf.GameSpec(rng.standard_normal(shape))
+        else:
+            unit = 1.0 if kind == "integer" else 5e-324
+            g = gf.GameSpec(rng.integers(-2, 3, size=shape) * unit)
+        if _vertex_gaps(g).min() > 0.2 * g.scale:
+            return g
+    assume(False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=search_games(), seed=st.integers(0, 10 ** 6), max_iter=st.integers(0, 40),
+       rel_eps=st.sampled_from([0.0, 1e-6, 0.02, 0.1, 0.2]), restarts=st.integers(0, 8))
+def test_search_matches_the_start_by_start_loop(g, seed, max_iter, rel_eps, restarts):
+    # the lockstep starts give the sequential loop's answer bit for bit:
+    # starts that converge, starts cut by the budget, and exact ties
+    eps = rel_eps * g.scale
+    report = gf.find_equilibrium(g, seed=seed, max_iter=max_iter, eps=eps, restarts=restarts)
+    expected = loop_find_equilibrium(g, seed=seed, max_iter=max_iter, eps=eps,
+                                     restarts=restarts)
+    assert report.profile.concat().tobytes() == expected.profile.concat().tobytes()
+    assert (report.epsilon, report.converged) == (expected.epsilon, expected.converged)
+
+
+def test_search_ends_a_start_whose_gains_sum_past_the_float_range():
+    # valid payoffs whose gains overflow when summed: the map has no image
+    # there, so the start ends instead of stepping off the simplex
+    g = gf.GameSpec(np.random.default_rng(25).integers(-1, 2, size=(3, 2, 2, 3)) * 1.7e308)
+    assert gf.validate_game(g) == []
+    report = gf.find_equilibrium(g, max_iter=100)
+    expected = loop_find_equilibrium(g, max_iter=100)
+    assert report.profile == expected.profile and report.epsilon == expected.epsilon
+    code, out, err = cli.run(["equilibria"], read_stdin=lambda: gf.write_game(g))
+    assert (code, err) == (0, "")
+    assert out.decode().splitlines()[-1].startswith("search: ")
+
+
+def test_support_enumeration_covers_games_by_their_support_pairs():
+    for m, covered in (((6, 6), True), ((5, 7), True), ((2, 10), True), ((1, 11), True),
+                       ((7, 7), False), ((2, 11), False), ((1, 12), False)):
+        assert _enumerable(gf.GameSpec(np.zeros((*m, 2)))) == covered
+    # 381 support pairs: support enumeration answers where the iteration missed
+    g = gf.random_game(2, [2, 7], 7001)
+    code, out, err = cli.run(["equilibria"], read_stdin=lambda: gf.write_game(g))
+    lines = out.decode().splitlines()
+    assert (code, err) == (0, "")
+    assert lines[0].startswith("mixed: ") and " converged=yes " in lines[-1]
 
 
 def test_nash_map_fixed_points(bar, rps):
@@ -307,7 +376,7 @@ def test_support_enumeration_errors():
     g3 = gf.random_game(3, [2, 2, 2], seed=1)
     with pytest.raises(ValueError, match="not a 2-player game"):
         gf.support_enumeration(g3)
-    big = gf.random_game(2, [7, 2], seed=1)
+    big = gf.random_game(2, [7, 7], seed=1)
     with pytest.raises(ValueError, match="supports too large"):
         gf.support_enumeration(big)
 

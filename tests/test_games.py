@@ -210,6 +210,32 @@ def test_deviation_payoffs_match_loop_oracle(m):
             assert all(one[q] is None for q in range(n - 1) if q != p)
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1),
+       stack=st.sampled_from([(1,), (4,), (2, 3)]))
+def test_stacked_sweep_slices_equal_lone_sweeps(data, n, seed, stack):
+    # one broadcast matmul per contraction: every slice is its own sweep
+    m = tuple(data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+    players = data.draw(st.sampled_from(
+        [None, ()] + [(p,) for p in range(n)] + [tuple(range(1, n)), (0, n - 1)]))
+    rng = np.random.default_rng(seed)
+    g = gf.GameSpec(rng.standard_normal(m + (n,)))
+    profiles = np.empty(stack, dtype=object)
+    for idx in np.ndindex(stack):
+        profiles[idx] = gf.random_interior_profile(g, rng)
+    blocks = [np.stack([s.blocks[p] for s in profiles.flat]).reshape(*stack, m[p])
+              for p in range(n)]
+    pay, devs = _deviations(g.payoffs, blocks, players)
+    assert pay.shape == stack + (n,)
+    for idx in np.ndindex(stack):
+        lone_pay, lone = _deviations(g.payoffs, profiles[idx].blocks, players)
+        assert pay[idx].tobytes() == lone_pay.tobytes()
+        for dev, one in zip(devs, lone, strict=True):
+            assert (dev is None) == (one is None)
+            if one is not None:
+                assert dev[idx].tobytes() == one.tobytes()
+
+
 def test_single_strategy_player_supported():
     payoffs = np.random.default_rng(0).uniform(-1, 1, size=(2, 1, 3, 3))
     g = gf.GameSpec(payoffs)
