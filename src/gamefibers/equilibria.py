@@ -106,7 +106,7 @@ def _vertex_gaps(g: GameSpec) -> np.ndarray:
     return gaps
 
 
-@np.errstate(over="ignore")     # an overflowed gain reads as inf, a -inf one clips to 0
+@np.errstate(over="ignore", invalid="ignore")   # overflow reads as ±inf, inf * 0 as no gain
 def _improvement(g: GameSpec, s) -> tuple[list[np.ndarray], float | np.ndarray]:
     """Per-player positive-part payoff gains of pure deviations, plus the
     largest gain (the profile's epsilon).  The payoff and every player's
@@ -250,10 +250,10 @@ def support_enumeration(g: GameSpec, eps: float = 1e-8) -> list[EquilibriumRepor
     """All equilibria of a two-player game found by support enumeration.
 
     The indifference systems plus normalization of every pair of supports
-    with the same sizes are solved as one stack; candidates with
-    nonnegative weights that verify as equilibria at ``eps`` are kept,
-    deduplicated within 1e-8, in deterministic support order: by size,
-    then lexicographically, the first player's support outermost.
+    with the same sizes are solved as one stack.  One sweep gives every
+    candidate with nonnegative weights its epsilon; those within ``eps``
+    are verified and kept, deduplicated within 1e-8, in support order: by
+    size, then lexicographically, the first player's support outermost.
     Degenerate games may admit continua of equilibria, of which this
     reports representatives.  The systems use the payoffs divided by the
     power of two that brings max|T| into [0.5, 1), which is exact, so a
@@ -270,27 +270,27 @@ def support_enumeration(g: GameSpec, eps: float = 1e-8) -> list[EquilibriumRepor
     m1, m2 = g.m
     _require_finite(g)
     normalized = np.ldexp(g.payoffs, -np.frexp(g.scale)[1])
-    candidates = []
+    keys, rows = [], []
     for k1, k2 in product(range(1, m1 + 1), range(1, m2 + 1)):
         supports1 = np.array(list(combinations(range(m1), k1)))
         supports2 = np.array(list(combinations(range(m2), k2)))
         sub = normalized[supports1[:, None, :, None], supports2[None, :, None, :]]
         y_w = _indifference_weights(sub[..., 0].reshape(-1, k1, k2))
         x_w = _indifference_weights(sub[..., 1].swapaxes(2, 3).reshape(-1, k2, k1))
-        for pair in np.flatnonzero(~np.isnan(x_w[:, 0] + y_w[:, 0])):
-            i1, i2 = divmod(int(pair), len(supports2))
-            x = np.zeros(m1)
-            x[supports1[i1]] = x_w[pair]
-            y = np.zeros(m2)
-            y[supports2[i2]] = y_w[pair]
-            candidates.append(((k1, i1, k2, i2), StrategyProfile([x, y])))
+        pairs = np.flatnonzero(~np.isnan(x_w[:, 0] + y_w[:, 0]))
+        i1, i2 = np.divmod(pairs, len(supports2))
+        keys += [(k1, a, k2, b) for a, b in zip(i1.tolist(), i2.tolist())]
+        solved = np.zeros((pairs.size, m1 + m2))       # each pair's x, then its y
+        at = np.arange(pairs.size)[:, None]
+        solved[at, supports1[i1]] = x_w[pairs]
+        solved[at, m1 + supports2[i2]] = y_w[pairs]
+        rows.append(solved)
+    if not keys:    # a player without strategies; otherwise every pure pair solves
+        return []
+    stack = np.concatenate(rows)[sorted(range(len(keys)), key=keys.__getitem__)]
+    _, gap = _improvement(g, [stack[:, :m1], stack[:, m1:]])
     found: list[EquilibriumReport] = []
-    kept: list[np.ndarray] = []
-    for _, profile in sorted(candidates, key=lambda c: c[0]):
-        report = verify_equilibrium(g, profile, eps)
-        flat = profile.concat()
-        if report.epsilon > eps or any(np.abs(flat - other).max() < 1e-8 for other in kept):
-            continue
-        kept.append(flat)
-        found.append(report)
+    for row in stack[gap <= eps]:
+        if not any(np.abs(row - report.profile.concat()).max() < 1e-8 for report in found):
+            found.append(verify_equilibrium(g, StrategyProfile([row[:m1], row[m1:]]), eps))
     return found

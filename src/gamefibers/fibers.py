@@ -203,13 +203,11 @@ def fiber_report(g: GameSpec, s: StrategyProfile, k_generic: int) -> FiberReport
     Along true tangent directions the residual is second order in eps.
     """
     r, base, rank, svals, basis = _tangent_space(g, s, _rows(g))
-    residuals = []
-    for eps in CONSTANCY_EPSILONS:
-        worst = 0.0
-        for v in basis:
-            dev = np.abs(_payoff_reduced(g, r + eps * v) - base).max()
-            worst = max(worst, float(dev))
-        residuals.append((float(eps), worst))
+    worst = np.zeros(len(CONSTANCY_EPSILONS))
+    for v in basis:     # one sweep per direction: a stack of all would outgrow the cache
+        dev = np.abs(_payoff_reduced(g, r + np.multiply.outer(CONSTANCY_EPSILONS, v)) - base)
+        worst = np.fmax(worst, dev.max(axis=-1))    # a NaN probe adds nothing
+    residuals = list(zip(CONSTANCY_EPSILONS, worst.tolist()))
     return FiberReport(point=r, jacobian_rank=rank, singular_values=svals,
                        nullspace_basis=basis, constancy_residuals=residuals,
                        regular=(rank == k_generic))
@@ -226,23 +224,24 @@ class FiberPath:
 
 
 def _correct(g: GameSpec, r: np.ndarray, target: np.ndarray, tol: float,
-             rows: int) -> tuple[np.ndarray, float, np.ndarray]:
+             rows: int) -> tuple[np.ndarray, float, np.ndarray, list[np.ndarray]]:
     """Gauss-Newton projection of a chart point back onto the level set:
     the last point, its largest payoff residual over all n components
-    (success iff <= tol) and the first ``rows`` Jacobian rows there.  Each
-    iteration takes the payoff and the Jacobian from one
+    (success iff <= tol), the first ``rows`` Jacobian rows there and its
+    blocks.  Each iteration takes the payoff and the Jacobian from one
     ``_jacobian_blocks`` call and steps by ``_solve`` on those rows.  A
     diverging step stops at the first non-finite Jacobian and fails."""
     cur = np.asarray(r, dtype=float)
     with np.errstate(all="ignore"):
         for it in range(CORRECTOR_MAX_ITER + 1):
-            pay, jac = _jacobian_blocks(g.payoffs, _blocks_from_reduced(g.m, cur))
+            blocks = _blocks_from_reduced(g.m, cur)
+            pay, jac = _jacobian_blocks(g.payoffs, blocks)
             f = pay - target
             residual = float(np.abs(f).max())
             if residual <= tol or it == CORRECTOR_MAX_ITER or not np.isfinite(jac).all():
                 break
             cur = cur + _solve(jac[:rows], -f[:rows], g.scale)[0]
-    return cur, residual, jac[:rows]
+    return cur, residual, jac[:rows], blocks
 
 
 def trace_fiber(g: GameSpec, s0: StrategyProfile, direction_index: int,
@@ -292,11 +291,10 @@ def trace_fiber(g: GameSpec, s0: StrategyProfile, direction_index: int,
     terminated = "step_budget"
     for _ in range(max_steps):
         predicted = points[-1] + step * tangent
-        corrected, residual, jac = _correct(g, predicted, target, tol, rows)
+        corrected, residual, jac, blocks = _correct(g, predicted, target, tol, rows)
         if not residual <= tol:     # a NaN residual fails too
             terminated = "corrector_failure"
             break
-        blocks = _blocks_from_reduced(g.m, corrected)
         if _min_coordinate(blocks) < INTERIOR_MIN:
             terminated = "boundary"
             break

@@ -403,6 +403,7 @@ def unilateral_replace(s: StrategyProfile, player: int, sigma) -> StrategyProfil
     return StrategyProfile(blocks)
 
 
+@np.errstate(over="ignore")     # an overflowed sum reads as inf: a zero-sum one cannot overflow
 def is_zero_sum(g: GameSpec, tol: float = TAU_EVAL) -> bool:
     """True iff payoffs sum to zero at every pure profile, up to ``tol``
     times the largest payoff magnitude, so the decision does not change
@@ -427,23 +428,24 @@ def _blocks_from_reduced(m, r) -> list[np.ndarray]:
     The implied last coordinate of each block is 1 minus the rest, so the
     result always sums to one per block but may leave [0, 1]; this is the
     polynomial extension of the strategy space used by derivative probes
-    and the continuation corrector.
+    and the continuation corrector.  Stacked points give stacked blocks.
     """
     r = np.asarray(r, dtype=float)
     want = sum(m) - len(m)
-    if r.shape != (want,):
+    if r.shape[-1:] != (want,):
         raise ValueError(f"reduced point has length {r.size}, expected {want}")
     blocks = []
-    pos = 0
     for mi in m:
-        head = r[pos:pos + mi - 1]
-        blocks.append(np.concatenate([head, [1.0 - head.sum()]]))
-        pos += mi - 1
+        head, r = r[..., :mi - 1], r[..., mi - 1:]
+        b = np.empty(head.shape[:-1] + (mi,))
+        b[..., :-1] = head
+        b[..., -1] = 1.0 - head.sum(axis=-1)
+        blocks.append(b)
     return blocks
 
 
 def _payoff_reduced(g: GameSpec, r) -> np.ndarray:
-    """Total payoff evaluated at chart coordinates (polynomial extension)."""
+    """Total payoff at chart coordinates or a stack of them (polynomial extension)."""
     return _deviations(g.payoffs, _blocks_from_reduced(g.m, r), ())[0]
 
 

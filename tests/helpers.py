@@ -12,6 +12,8 @@ import numpy as np
 
 import gamefibers as gf
 from gamefibers.equilibria import DAMPING, _enumerable
+from gamefibers.fibers import CONSTANCY_EPSILONS
+from gamefibers.games import _payoff_reduced
 
 
 def loop_expected_payoff(g, s, player):
@@ -64,6 +66,20 @@ def fd_jacobian(g, s, h=1e-5):
         jac[:, j] = (gf.total_payoff(g, gf.embed_profile(g, up))
                      - gf.total_payoff(g, gf.embed_profile(g, down))) / (2.0 * h)
     return jac
+
+
+def loop_constancy_residuals(g, s, basis):
+    """Probe by probe: for each probe size eps, the largest payoff-component
+    change between s and each lone point r + eps * v, v a row of ``basis``;
+    0 with no rows, and a NaN change adds nothing."""
+    r, base = gf.reduce_profile(s), gf.total_payoff(g, s)
+    residuals = []
+    for eps in CONSTANCY_EPSILONS:
+        worst = 0.0
+        for v in basis:
+            worst = max(worst, float(np.abs(_payoff_reduced(g, r + eps * v) - base).max()))
+        residuals.append((eps, worst))
+    return residuals
 
 
 def loop_generic_rank(g, samples=64, seed=0):

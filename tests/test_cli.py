@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import gamefibers as gf
 from gamefibers.cli import _profile_str, run
@@ -369,3 +369,41 @@ def test_mutated_documents_exit_cleanly(doc):
         code, out, err = cli(*argv, stdin=doc)
         assert code in (0, 1, 2)
         assert err == "" or (code != 0 and err.count("\n") == 1 and err.endswith("\n"))
+
+
+EXTREMES = [1.7e308, -1.7e308, 1e308, -1e308, 1.7976931348623157e308, 8.9e307,
+            1.0, -1.0, 0.0, 5e-324]
+
+
+@st.composite
+def extreme_games(draw):
+    """A valid game with 2 or 3 players, 1 to 3 strategies each, and every
+    payoff drawn from finite values at and near the ends of the float range."""
+    m = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    values = draw(st.lists(st.sampled_from(EXTREMES), min_size=int(np.prod(m)) * len(m),
+                           max_size=int(np.prod(m)) * len(m)))
+    return gf.GameSpec(np.reshape(values, (*m, len(m))))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(g=extreme_games())
+# overflowing payoff sums in is_zero_sum (analyze, trace), and inf times a
+# zero probability in the deviation sweep (equilibria)
+@example(g=gf.GameSpec([[[1.7e308, 1.7e308], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]))
+@example(g=gf.GameSpec([[[1.0, 1.0], [1.7976931348623157e308, 0.0]],
+                        [[5e-324, 0.0], [1.7e308, 1e308]]]))
+def test_extreme_finite_payoffs_exit_every_subcommand_cleanly(g, capfd):
+    # a numpy warning is an error under the suite's filter, and anything
+    # written to the process's stderr is caught by capfd; the damped search
+    # of a 3-player game can take its full budget at the default eps
+    eps = () if g.n == 2 else ("--eps", "1e308")
+    doc = gf.write_game(g)
+    trace = [x for item in TRACE.items() for x in item]
+    for argv in [("validate",), ("eval", "--profile", "uniform"), ("analyze", "--samples", "4"),
+                 ("analyze", "--json", "--samples", "4"), ("equilibria", *eps),
+                 ("equilibria", "--json", *eps), ("trace", *trace), ("trace", "--json", *trace)]:
+        code, out, err = cli(*argv, stdin=doc)
+        assert code in (0, 1)
+        assert err == "" or (code == 1 and err.count("\n") == 1 and err.endswith("\n"))
+    assert capfd.readouterr().err == ""

@@ -336,14 +336,18 @@ def test_equilibria_reject_non_finite_payoffs(bad, capfd):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), m1=st.integers(1, 6), m2=st.integers(1, 6),
-       integer=st.booleans())
-def test_support_enumeration_matches_the_pair_by_pair_solve(seed, m1, m2, integer):
+       integer=st.booleans(), share=st.one_of(st.none(), st.floats(1e-6, 0.5)))
+def test_support_enumeration_matches_the_pair_by_pair_solve(seed, m1, m2, integer, share):
+    # eps is 1e-8 or a share of max|T| over pi, never a candidate's epsilon:
+    # at eps = 0 or a simple fraction of an integer game's max|T|, whether a
+    # candidate's epsilon ties eps or misses it by a crumb depends on the solver
     rng = np.random.default_rng(seed)
     payoffs = (rng.integers(-2, 3, size=(m1, m2, 2)).astype(float) if integer
                else rng.standard_normal((m1, m2, 2)))
     g = gf.GameSpec(payoffs)
-    found = gf.support_enumeration(g)
-    expected = loop_support_enumeration(g)
+    eps = 1e-8 if share is None else share / np.pi * g.scale
+    found = gf.support_enumeration(g, eps)
+    expected = loop_support_enumeration(g, eps)
     assert len(found) == len(expected)
     for a, b in zip(found, expected):
         assert np.abs(a.profile.concat() - b.profile.concat()).max() <= 1e-12

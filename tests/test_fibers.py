@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import gamefibers as gf
 from gamefibers import affine, cli, fibers, games
-from helpers import fd_jacobian, interior_profile, loop_generic_rank
+from helpers import fd_jacobian, interior_profile, loop_constancy_residuals, loop_generic_rank
 
 
 def test_bar_jacobian_constant(bar):
@@ -231,6 +231,19 @@ def test_fiber_report_dimension_count():
         k = gf.generic_rank(g, samples=16)
         report = gf.fiber_report(g, interior_profile(g, rng), k)
         assert report.jacobian_rank + report.fiber_dimension == g.reduced_dim
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), zero_sum=st.booleans(),
+       m=st.integers(2, 4).flatmap(lambda n: st.lists(st.integers(2, 4), min_size=n,
+                                                      max_size=n)))
+@example(seed=0, zero_sum=False, m=[2, 2])    # rank 2 on a 2-dimensional chart: d = 0
+@example(seed=0, zero_sum=True, m=[3, 3])
+def test_fiber_report_residuals_equal_the_probe_by_probe_loop(seed, zero_sum, m):
+    g = gf.random_game(len(m), m, seed=seed, zero_sum=zero_sum)
+    s = interior_profile(g, np.random.default_rng(seed))
+    report = gf.fiber_report(g, s, gf.generic_rank(g, samples=8))
+    assert report.constancy_residuals == loop_constancy_residuals(g, s, report.nullspace_basis)
 
 
 def test_report_and_trace_start_make_one_svd(monkeypatch):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import gamefibers as gf
-from gamefibers.games import _deviations
+from gamefibers.games import _blocks_from_reduced, _deviations, _payoff_reduced
 from helpers import grid_project, loop_deviation_payoffs, loop_expected_payoff, loop_fill
 
 
@@ -234,6 +234,29 @@ def test_stacked_sweep_slices_equal_lone_sweeps(data, n, seed, stack):
             assert (dev is None) == (one is None)
             if one is not None:
                 assert dev[idx].tobytes() == one.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.lists(st.integers(1, 4), min_size=2, max_size=5).map(tuple),
+       seed=st.integers(0, 2 ** 32 - 1), stack=st.sampled_from([(1,), (3,), (2, 3)]))
+@example(m=(2, 1, 3), seed=0, stack=(2, 3))      # a single-strategy player
+@example(m=(1, 1), seed=0, stack=(3,))           # no chart coordinates at all
+def test_stacked_chart_points_equal_lone_points(m, seed, stack):
+    # the rebuilt blocks and the payoff of each slice of a stack of chart
+    # points, off the simplex included, are the lone point's bit for bit
+    rng = np.random.default_rng(seed)
+    g = gf.GameSpec(rng.standard_normal(m + (len(m),)))
+    points = rng.uniform(-0.5, 1.0, stack + (g.reduced_dim,))
+    blocks, pay = _blocks_from_reduced(m, points), _payoff_reduced(g, points)
+    assert [b.shape for b in blocks] == [stack + (mi,) for mi in m]
+    for idx in np.ndindex(stack):
+        lone = np.array(points[idx])
+        for b, one in zip(blocks, _blocks_from_reduced(m, lone), strict=True):
+            assert b[idx].tobytes() == one.tobytes()
+        assert pay[idx].tobytes() == _payoff_reduced(g, lone).tobytes()
+    with pytest.raises(ValueError, match=rf"^reduced point has length {g.reduced_dim + 1}, "
+                                         rf"expected {g.reduced_dim}$"):
+        _blocks_from_reduced(m, np.zeros(g.reduced_dim + 1))
 
 
 def test_single_strategy_player_supported():
