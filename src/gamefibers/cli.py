@@ -19,13 +19,7 @@ import math
 import sys
 
 from .affine import extract_affine, is_jointly_affine
-from .equilibria import (
-    SEARCH_EPS,
-    _enumerable,
-    find_equilibrium,
-    pure_equilibria,
-    support_enumeration,
-)
+from .equilibria import SEARCH_EPS, _answers
 from .fibers import DEFAULT_SAMPLES, MAX_SAMPLES, TRACE_TOL, generic_rank, trace_fiber
 from .games import (
     GameSpec,
@@ -190,10 +184,9 @@ def _cmd_analyze(args, read_stdin):
 
 def _cmd_equilibria(args, read_stdin):
     g = _load_valid_game(args, read_stdin)
-    mixed = support_enumeration(g, eps=args.eps) if _enumerable(g) else []
-    search = find_equilibrium(g, seed=args.seed, eps=args.eps)
+    pure, mixed, search = _answers(g, args.eps, args.seed)
     report = {  # a pure equilibrium's gap is 0 by definition
-        "pure": [{"profile": list(v), "epsilon": 0.0} for v in pure_equilibria(g)],
+        "pure": [{"profile": v, "epsilon": 0.0} for v in pure],
         "mixed": [{"blocks": rep.profile, "epsilon": rep.epsilon} for rep in mixed],
         "search": {"blocks": search.profile, "converged": search.converged,
                    "epsilon": search.epsilon},

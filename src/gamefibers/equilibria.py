@@ -33,6 +33,8 @@ from .fibers import _solve
 DAMPING = 0.5
 SUPPORT_MAX_PAIRS = 63 ** 2    # support pairs of a 6x6 game, (2^6 - 1)^2
 SEARCH_EPS = 1e-6          # default epsilon of find_equilibrium and the CLI
+SEARCH_MAX_ITER = 10_000   # their default damped-iteration budget: steps per start
+SEARCH_RESTARTS = 8        # and seeded random starts after the uniform one
 
 
 @dataclass(frozen=True)
@@ -86,8 +88,11 @@ def _enumerable(g: GameSpec) -> bool:
 
 
 def _require_finite(g: GameSpec) -> None:
-    """A non-finite payoff has no gains to compare: NaN would read as no
-    gain, so every equilibrium routine rejects it."""
+    """A player without strategies or a non-finite payoff leaves no gains to
+    compare (NaN would read as no gain), so every equilibrium routine
+    rejects both."""
+    if 0 in g.m:
+        raise ValueError("equilibria need a strategy for every player")
     if not np.isfinite(g.scale):
         raise ValueError("equilibria need finite payoffs")
 
@@ -155,8 +160,9 @@ def _mapped_blocks(blocks, phis, sums) -> list[np.ndarray]:
             for i, (b, phi) in enumerate(zip(blocks, phis))]
 
 
-def find_equilibrium(g: GameSpec, seed: int = 0, max_iter: int = 10_000,
-                     eps: float = SEARCH_EPS, restarts: int = 8) -> EquilibriumReport:
+def find_equilibrium(g: GameSpec, seed: int = 0, max_iter: int = SEARCH_MAX_ITER,
+                     eps: float = SEARCH_EPS,
+                     restarts: int = SEARCH_RESTARTS) -> EquilibriumReport:
     """Search for an equilibrium: the best vertex, then support
     enumeration, then damped improvement iteration.
 
@@ -184,15 +190,29 @@ def find_equilibrium(g: GameSpec, seed: int = 0, max_iter: int = 10_000,
                         ("restarts", restarts)):
         if not value >= 0:
             raise ValueError(f"{name} must be non-negative")
+    return _search(g, _vertex_gaps(g), None, seed, max_iter, eps, restarts)
+
+
+def _answers(g, eps, seed):
+    """The pure equilibria (as lists), support enumeration's reports ([] off
+    its cover) and the search's, from one vertex scan and one enumeration."""
     gaps = _vertex_gaps(g)
+    mixed = support_enumeration(g, eps) if _enumerable(g) else []
+    return (np.argwhere(gaps == 0.0).tolist(), mixed,
+            _search(g, gaps, mixed, seed, SEARCH_MAX_ITER, eps, SEARCH_RESTARTS))
+
+
+def _search(g, gaps, mixed, seed, max_iter, eps, restarts) -> EquilibriumReport:
+    """``find_equilibrium`` on ``gaps = _vertex_gaps(g)``; ``mixed`` is support
+    enumeration's list at ``eps``, or None: enumerate if no vertex is within it."""
     vertex = np.unravel_index(np.argmin(gaps), g.m)
     best_profile, best_gap = pure_profile(g, vertex), float(gaps[vertex])
     if best_gap <= eps:
         return verify_equilibrium(g, best_profile, eps)
-    if _enumerable(g):
-        found = support_enumeration(g, eps)
-        if found:
-            return min(found, key=lambda report: report.epsilon)
+    if mixed is None:
+        mixed = support_enumeration(g, eps) if _enumerable(g) else []
+    if mixed:
+        return min(mixed, key=lambda report: report.epsilon)
     starts = [uniform_profile(g)] + [random_interior_profile(g, np.random.default_rng([seed, t]))
                                      for t in range(1, restarts + 1)]
     cur = [np.stack(column) for column in zip(*(s.blocks for s in starts))]
@@ -251,8 +271,9 @@ def support_enumeration(g: GameSpec, eps: float = 1e-8) -> list[EquilibriumRepor
 
     The indifference systems plus normalization of every pair of supports
     with the same sizes are solved as one stack.  One sweep gives every
-    candidate with nonnegative weights its epsilon; those within ``eps``
-    are verified and kept, deduplicated within 1e-8, in support order: by
+    candidate with nonnegative weights its gaps and epsilon, each slice
+    ``verify_equilibrium``'s bit for bit; those within ``eps`` are kept
+    with that report, deduplicated within 1e-8, in support order: by
     size, then lexicographically, the first player's support outermost.
     Degenerate games may admit continua of equilibria, of which this
     reports representatives.  The systems use the payoffs divided by the
@@ -285,12 +306,12 @@ def support_enumeration(g: GameSpec, eps: float = 1e-8) -> list[EquilibriumRepor
         solved[at, supports1[i1]] = x_w[pairs]
         solved[at, m1 + supports2[i2]] = y_w[pairs]
         rows.append(solved)
-    if not keys:    # a player without strategies; otherwise every pure pair solves
-        return []
     stack = np.concatenate(rows)[sorted(range(len(keys)), key=keys.__getitem__)]
-    _, gap = _improvement(g, [stack[:, :m1], stack[:, m1:]])
+    phis, gap = _improvement(g, [stack[:, :m1], stack[:, m1:]])
+    gaps, kept = np.stack([phi.max(axis=-1) for phi in phis], axis=-1), gap <= eps
     found: list[EquilibriumReport] = []
-    for row in stack[gap <= eps]:
+    for row, row_gaps, epsilon in zip(stack[kept], gaps[kept], gap[kept]):
         if not any(np.abs(row - report.profile.concat()).max() < 1e-8 for report in found):
-            found.append(verify_equilibrium(g, StrategyProfile([row[:m1], row[m1:]]), eps))
+            found.append(EquilibriumReport(StrategyProfile([row[:m1], row[m1:]]), row_gaps,
+                                           float(epsilon), True))
     return found

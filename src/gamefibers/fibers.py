@@ -108,10 +108,6 @@ def _jacobian_blocks(payoffs: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarra
     return pay, jac
 
 
-def _jacobian_reduced(g: GameSpec, r) -> np.ndarray:
-    return _jacobian_blocks(g.payoffs, _blocks_from_reduced(g.m, r))[1]
-
-
 def payoff_jacobian(g: GameSpec, s: StrategyProfile) -> np.ndarray:
     """Analytic Jacobian of the payoff map on the reduced chart,
     shape (n, N - n)."""

@@ -11,8 +11,8 @@ import numpy as np
 
 import gamefibers as gf
 from gamefibers.cli import run as cli_run
-from gamefibers.games import _payoff_reduced
-from gamefibers.fibers import _jacobian_reduced
+from gamefibers.games import _blocks_from_reduced, _payoff_reduced
+from gamefibers.fibers import _jacobian_blocks
 from helpers import fd_jacobian, interior_profile
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -110,7 +110,7 @@ def test_criterion_05_tangent_constancy():
                 assert 50.0 <= res[0] / res[1] <= 200.0
                 assert 50.0 <= res[1] / res[2] <= 200.0
                 residual_at[tuple(v)] = res[1]
-            jac = _jacobian_reduced(g, r)
+            jac = _jacobian_blocks(g.payoffs, _blocks_from_reduced(g.m, r))[1]
             u = np.random.default_rng([88, gi, accepted]).standard_normal(n)
             w = jac.T @ u
             w /= np.linalg.norm(w)

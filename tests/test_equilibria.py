@@ -4,7 +4,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 import gamefibers as gf
 from gamefibers import cli
-from gamefibers.equilibria import SEARCH_EPS, _enumerable, _improvement, _vertex_gaps
+from gamefibers import equilibria
+from gamefibers.equilibria import (
+    SEARCH_EPS,
+    _answers,
+    _enumerable,
+    _improvement,
+    _vertex_gaps,
+)
 from helpers import (
     interior_profile,
     loop_find_equilibrium,
@@ -332,6 +339,67 @@ def test_equilibria_reject_non_finite_payoffs(bad, capfd):
         with pytest.raises(ValueError, match="equilibria need finite payoffs"):
             call(g)
     assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("shape", [(0, 2, 2), (2, 0, 2)])
+def test_equilibria_reject_a_player_without_strategies(shape):
+    g = gf.GameSpec(np.zeros(shape))
+    for call in (gf.support_enumeration, gf.pure_equilibria, gf.find_equilibrium):
+        with pytest.raises(ValueError, match="equilibria need a strategy for every player"):
+            call(g)
+
+
+def same_report(a, b):
+    return (a.profile == b.profile and a.gaps.tobytes() == b.gaps.tobytes()
+            and a.epsilon == b.epsilon and a.converged == b.converged)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_support_enumeration_reports_are_verify_equilibrium_bit_for_bit(seed):
+    # the kept rows take their gaps and epsilon from the one stacked sweep
+    g = gf.random_game(2, [4, 4] if seed % 2 else [3, 5], seed)
+    for eps in (0.0, 1e-8, 1e-6, 0.1):
+        for report in gf.support_enumeration(g, eps):
+            assert same_report(report, gf.verify_equilibrium(g, report.profile, eps))
+
+
+@pytest.mark.parametrize("n, m, seed, eps", [
+    (2, [4, 4], 0, SEARCH_EPS), (2, [4, 4], 1, SEARCH_EPS), (2, [4, 4], 7, 0.0),
+    (2, [4, 4], 10, 0.1), (2, [3, 5], 4, 0.0), (2, [2, 7], 3, SEARCH_EPS),
+    (3, [2, 2, 2], 6, 0.05), (3, [2, 2, 2], 1, SEARCH_EPS)])
+def test_answers_search_is_find_equilibrium(n, m, seed, eps):
+    # covered games with and without a vertex within eps, and 3-player ones
+    g = gf.random_game(n, m, seed)
+    pure, mixed, search = _answers(g, eps, seed=3)
+    assert same_report(search, gf.find_equilibrium(g, seed=3, eps=eps))
+    assert pure == [list(v) for v in gf.pure_equilibria(g)]
+    expected = gf.support_enumeration(g, eps) if _enumerable(g) else []
+    assert len(mixed) == len(expected)
+    assert all(map(same_report, mixed, expected))
+
+
+@pytest.mark.parametrize("game", ["rps", "bar", "affine"])
+def test_equilibria_command_scans_and_enumerates_once(game, monkeypatch):
+    # rps has no pure equilibrium, bar has one, and support enumeration does
+    # not cover the 3-player game
+    g = (gf.random_game(3, [2, 3, 2], 5, jointly_affine=True) if game == "affine"
+         else gf.builtin_game(game))
+    counts = {"scans": 0, "enumerations": 0}
+    scan, enumerate_ = equilibria._vertex_gaps, equilibria.support_enumeration
+
+    def counting_scan(g):
+        counts["scans"] += 1
+        return scan(g)
+
+    def counting_enumeration(g, eps):
+        counts["enumerations"] += 1
+        return enumerate_(g, eps)
+
+    monkeypatch.setattr(equilibria, "_vertex_gaps", counting_scan)
+    monkeypatch.setattr(equilibria, "support_enumeration", counting_enumeration)
+    code, _, err = cli.run(["equilibria"], read_stdin=lambda: gf.write_game(g))
+    assert (code, err) == (0, "")
+    assert counts == {"scans": 1, "enumerations": int(game != "affine")}
 
 
 @settings(max_examples=40, deadline=None)
