@@ -270,11 +270,16 @@ def support_enumeration(g: GameSpec, eps: float = 1e-8) -> list[EquilibriumRepor
     """All equilibria of a two-player game found by support enumeration.
 
     The indifference systems plus normalization of every pair of supports
-    with the same sizes are solved as one stack.  One sweep gives every
+    with the same sizes are solved as one stack per side: first the
+    overdetermined side (player 0's systems, giving y, when k1 >= k2, else
+    player 1's, giving x), then the other side only on the pairs where the
+    first gave weights; a stack's subset solves as the full stack does, so
+    this is the two-sided solve bit for bit.  One sweep gives every
     candidate with nonnegative weights its gaps and epsilon, each slice
     ``verify_equilibrium``'s bit for bit; those within ``eps`` are kept
-    with that report, deduplicated within 1e-8, in support order: by
-    size, then lexicographically, the first player's support outermost.
+    with that report, deduplicated within 1e-8 by one comparison against
+    the rows kept so far, in support order: by size, then
+    lexicographically, the first player's support outermost.
     Degenerate games may admit continua of equilibria, of which this
     reports representatives.  The systems use the payoffs divided by the
     power of two that brings max|T| into [0.5, 1), which is exact, so a
@@ -296,22 +301,36 @@ def support_enumeration(g: GameSpec, eps: float = 1e-8) -> list[EquilibriumRepor
         supports1 = np.array(list(combinations(range(m1), k1)))
         supports2 = np.array(list(combinations(range(m2), k2)))
         sub = normalized[supports1[:, None, :, None], supports2[None, :, None, :]]
-        y_w = _indifference_weights(sub[..., 0].reshape(-1, k1, k2))
-        x_w = _indifference_weights(sub[..., 1].swapaxes(2, 3).reshape(-1, k2, k1))
-        pairs = np.flatnonzero(~np.isnan(x_w[:, 0] + y_w[:, 0]))
+        y_systems = sub[..., 0].reshape(-1, k1, k2)
+        x_systems = sub[..., 1].swapaxes(2, 3).reshape(-1, k2, k1)
+        # a pair counts only where both sides give weights, so the second side
+        # is solved on the first side's survivors; the overdetermined side,
+        # rarely consistent, goes first
+        pairs, weights = np.arange(len(y_systems)), []
+        for systems in (y_systems, x_systems) if k1 >= k2 else (x_systems, y_systems):
+            if pairs.size:
+                w = _indifference_weights(systems[pairs])
+                feasible = ~np.isnan(w[:, 0])
+                pairs, weights = pairs[feasible], [v[feasible] for v in weights + [w]]
+        if not pairs.size:
+            continue
+        y_w, x_w = weights if k1 >= k2 else weights[::-1]
         i1, i2 = np.divmod(pairs, len(supports2))
         keys += [(k1, a, k2, b) for a, b in zip(i1.tolist(), i2.tolist())]
         solved = np.zeros((pairs.size, m1 + m2))       # each pair's x, then its y
         at = np.arange(pairs.size)[:, None]
-        solved[at, supports1[i1]] = x_w[pairs]
-        solved[at, m1 + supports2[i2]] = y_w[pairs]
+        solved[at, supports1[i1]] = x_w
+        solved[at, m1 + supports2[i2]] = y_w
         rows.append(solved)
     stack = np.concatenate(rows)[sorted(range(len(keys)), key=keys.__getitem__)]
     phis, gap = _improvement(g, [stack[:, :m1], stack[:, m1:]])
     gaps, kept = np.stack([phi.max(axis=-1) for phi in phis], axis=-1), gap <= eps
+    candidates = stack[kept]
+    unique = np.empty_like(candidates)     # the rows of the reports found, in order
     found: list[EquilibriumReport] = []
-    for row, row_gaps, epsilon in zip(stack[kept], gaps[kept], gap[kept]):
-        if not any(np.abs(row - report.profile.concat()).max() < 1e-8 for report in found):
+    for row, row_gaps, epsilon in zip(candidates, gaps[kept], gap[kept]):
+        if not (np.abs(unique[:len(found)] - row).max(axis=1) < 1e-8).any():
+            unique[len(found)] = row
             found.append(EquilibriumReport(StrategyProfile([row[:m1], row[m1:]]), row_gaps,
                                            float(epsilon), True))
     return found

@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 
 import gamefibers as gf
-from gamefibers.equilibria import DAMPING, _enumerable
+from gamefibers.equilibria import DAMPING, _enumerable, _indifference_weights
 from gamefibers.fibers import CONSTANCY_EPSILONS
 from gamefibers.games import _payoff_reduced
 
@@ -225,6 +225,40 @@ def loop_support_enumeration(g, eps=1e-8):
             continue
         kept.append(flat)
         found.append(report)
+    return found
+
+
+def two_sided_support_enumeration(g, eps=1e-8):
+    """Class by class, both sides whole: for each size class (k1, k2), one
+    ``_indifference_weights`` stack of player 0's systems (giving y) and one
+    of player 1's (giving x), over every pair of the class, each built
+    pair by pair; the pairs where both gave weights are verified one by one
+    with ``verify_equilibrium`` in support order (by size, then
+    lexicographically, player 0's support outermost) and deduplicated
+    within 1e-8 against the reports kept so far."""
+    m1, m2 = g.m
+    normalized = np.ldexp(g.payoffs, -np.frexp(np.abs(g.payoffs).max())[1])
+    candidates = []
+    for k1, k2 in itertools.product(range(1, m1 + 1), range(1, m2 + 1)):
+        supports1 = list(itertools.combinations(range(m1), k1))
+        supports2 = list(itertools.combinations(range(m2), k2))
+        pairs = list(itertools.product(enumerate(supports1), enumerate(supports2)))
+        blocks = [normalized[np.ix_(s1, s2)] for (_, s1), (_, s2) in pairs]
+        y_w = _indifference_weights(np.array([block[..., 0] for block in blocks]))
+        x_w = _indifference_weights(np.array([block[..., 1].T for block in blocks]))
+        for ((a, s1), (b, s2)), x_row, y_row in zip(pairs, x_w, y_w):
+            if np.isnan(x_row[0]) or np.isnan(y_row[0]):
+                continue
+            x, y = np.zeros(m1), np.zeros(m2)
+            x[list(s1)], y[list(s2)] = x_row, y_row
+            candidates.append(((k1, a, k2, b), x, y))
+    found = []
+    for _, x, y in sorted(candidates, key=lambda c: c[0]):
+        report = gf.verify_equilibrium(g, gf.StrategyProfile([x, y]), eps)
+        flat = report.profile.concat()
+        if report.epsilon <= eps and not any(
+                np.abs(flat - other.profile.concat()).max() < 1e-8 for other in found):
+            found.append(report)
     return found
 
 

@@ -10,6 +10,7 @@ from gamefibers.equilibria import (
     _answers,
     _enumerable,
     _improvement,
+    _indifference_weights,
     _vertex_gaps,
 )
 from helpers import (
@@ -17,6 +18,7 @@ from helpers import (
     loop_find_equilibrium,
     loop_support_enumeration,
     loop_vertex_gaps,
+    two_sided_support_enumeration,
 )
 
 
@@ -419,6 +421,69 @@ def test_support_enumeration_matches_the_pair_by_pair_solve(seed, m1, m2, intege
     assert len(found) == len(expected)
     for a, b in zip(found, expected):
         assert np.abs(a.profile.concat() - b.profile.concat()).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), count=st.integers(1, 40), rows=st.integers(1, 6),
+       cols=st.integers(1, 6), kind=st.sampled_from(["generic", "low-rank", "integer", "binary"]),
+       data=st.data())
+def test_indifference_weights_of_a_subset_are_the_full_stack_rows(seed, count, rows, cols,
+                                                                  kind, data):
+    # support enumeration solves its second side only on the first side's
+    # survivors, so a subset of a stack must solve as the full stack does
+    rng = np.random.default_rng(seed)
+    if kind == "generic":
+        stack = rng.standard_normal((count, rows, cols))
+    elif kind == "low-rank":        # each matrix of its own rank, 0 included
+        inner = rng.integers(0, min(rows, cols) + 1, size=count)
+        stack = np.array([rng.standard_normal((rows, r)) @ rng.standard_normal((r, cols))
+                          for r in inner])
+    else:
+        low, high = (-2, 3) if kind == "integer" else (0, 2)
+        stack = rng.integers(low, high, size=(count, rows, cols)).astype(float)
+    idx = np.array(data.draw(st.lists(st.integers(0, count - 1), min_size=1,
+                                      max_size=count, unique=True)))
+    assert (_indifference_weights(stack[idx]).tobytes()
+            == _indifference_weights(stack)[idx].tobytes())
+
+
+@pytest.mark.parametrize("m", [(1, 1), (1, 4), (2, 2), (3, 2), (3, 3), (4, 4), (2, 6), (6, 3),
+                               (5, 5), (6, 6), (5, 7), (7, 5), (4, 8), (2, 10), (1, 11)])
+@pytest.mark.parametrize("kind", ["generic", "zero-sum", "integer", "binary"])
+def test_support_enumeration_is_the_two_sided_solve_bit_for_bit(m, kind):
+    # solving the second side on the first side's survivors alone changes no bit
+    rng = np.random.default_rng([*m, len(kind)])
+    if kind == "generic":
+        payoffs = rng.standard_normal(m + (2,))
+    elif kind == "zero-sum":
+        a = rng.standard_normal(m)
+        payoffs = np.stack([a, -a], axis=-1)
+    else:       # degenerate: ties, rank-deficient systems and continua
+        low, high = (-2, 3) if kind == "integer" else (0, 2)
+        payoffs = rng.integers(low, high, size=m + (2,)).astype(float)
+    g = gf.GameSpec(payoffs)
+    for eps in (1e-8, 1e-6):
+        found = gf.support_enumeration(g, eps)
+        expected = two_sided_support_enumeration(g, eps)
+        assert len(found) == len(expected)
+        for a, b in zip(found, expected):
+            assert a.profile.concat().tobytes() == b.profile.concat().tobytes()
+            assert a.gaps.tobytes() == b.gaps.tobytes()
+            assert np.float64(a.epsilon).tobytes() == np.float64(b.epsilon).tobytes()
+            assert a.converged and b.converged
+
+
+def test_support_enumeration_of_constant_games_keeps_every_support_pair():
+    # every pair is an equilibrium, uniform on its supports, so each is its
+    # own report: the duplicate check sees every earlier one
+    g = gf.GameSpec(np.zeros((4, 4, 2)))
+    found, expected = gf.support_enumeration(g, 1e-6), loop_support_enumeration(g, 1e-6)
+    assert len(found) == len(expected) == 225
+    for a, b in zip(found, expected):
+        assert np.abs(a.profile.concat() - b.profile.concat()).max() <= 1e-12
+    found = gf.support_enumeration(gf.GameSpec(np.zeros((6, 6, 2))), 1e-6)
+    assert len(found) == 63 ** 2
+    assert len({tuple(r.profile.concat() > 0) for r in found}) == 63 ** 2
 
 
 def test_support_enumeration_rps(rps):
