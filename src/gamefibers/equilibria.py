@@ -36,6 +36,17 @@ SEARCH_EPS = 1e-6          # default epsilon of find_equilibrium and the CLI
 SEARCH_MAX_ITER = 10_000   # their default damped-iteration budget: steps per start
 SEARCH_RESTARTS = 8        # and seeded random starts after the uniform one
 
+# An indifference solve keeps weights only within _SOLVE_TOL of its system
+# (residual) and of the simplex (sign).  On normalized payoffs (|entry| < 1)
+# with k <= 11 columns, the clipped and rescaled y then pays every row of S1
+# within delta = (k + 1) * _SOLVE_TOL / (1 - _SOLVE_TOL) <= 1.2e-8 of one
+# value.  So if a' beats some a in S1 by more than tau against every column
+# of S2, deviating to a' gains more than tau - 2 delta against any x on S1.
+# _PRUNE_SLACK covers 2 delta <= 2.4e-8 with 40x room: a support pair pruned
+# at tau = eps (normalized) + _PRUNE_SLACK never has an epsilon within eps.
+_SOLVE_TOL = 1e-9
+_PRUNE_SLACK = 1e-6
+
 
 @dataclass(frozen=True)
 class EquilibriumReport:
@@ -260,21 +271,29 @@ def _indifference_weights(mat: np.ndarray) -> np.ndarray:
     rhs[-1] = 1.0
     sol = _solve(system, rhs, 1.0)[0]   # scale 1.0: the ones are the systems' largest entries
     w = np.clip(sol[:, :cols], 0.0, None)
-    # a residual within 1e-9 puts the weight sum within 1e-9 of 1, so total > 0
+    # a residual within _SOLVE_TOL puts the weight sum within it of 1, so total > 0
     residual = np.abs((system @ sol[..., None])[..., 0] - rhs).max(axis=1)
-    bad = (residual > 1e-9) | (sol[:, :cols].min(axis=1) < -1e-9)
+    bad = (residual > _SOLVE_TOL) | (sol[:, :cols].min(axis=1) < -_SOLVE_TOL)
     return w / np.where(bad, np.nan, w.sum(axis=1))[:, None]
 
 
 def support_enumeration(g: GameSpec, eps: float = 1e-8) -> list[EquilibriumReport]:
     """All equilibria of a two-player game found by support enumeration.
 
-    The indifference systems plus normalization of every pair of supports
-    with the same sizes are solved as one stack per side: first the
-    overdetermined side (player 0's systems, giving y, when k1 >= k2, else
-    player 1's, giving x), then the other side only on the pairs where the
-    first gave weights; a stack's subset solves as the full stack does, so
-    this is the two-sided solve bit for bit.  One sweep gives every
+    A pair of supports is dropped unsolved when a strategy in one support
+    is beaten by another pure strategy of its player, by more than ``eps``
+    plus a slack, against every strategy of the other support (conditional
+    dominance, Porter, Nudelman & Shoham 2008).  Any weights the solves
+    could give such a pair leave that deviation a gain above ``eps``, as
+    the slack covers the solves' tolerance, so the sweep would drop it:
+    wherever the sweep's gains stay inside the float range, the reports
+    are those of solving every pair, bit for bit.  The indifference
+    systems plus normalization of the remaining pairs of supports with the
+    same sizes are solved as one stack per side: first the overdetermined
+    side (player 0's systems, giving y, when k1 >= k2, else player 1's,
+    giving x), then the other side only on the pairs where the first gave
+    weights; a stack's subset solves as the full stack does, so this is
+    the two-sided solve bit for bit.  One sweep gives every
     candidate with nonnegative weights its gaps and epsilon, each slice
     ``verify_equilibrium``'s bit for bit; those within ``eps`` are kept
     with that report, deduplicated within 1e-8 by one comparison against
@@ -295,7 +314,12 @@ def support_enumeration(g: GameSpec, eps: float = 1e-8) -> list[EquilibriumRepor
             f"supports too large: needs at most {SUPPORT_MAX_PAIRS} support pairs")
     m1, m2 = g.m
     _require_finite(g)
-    normalized = np.ldexp(g.payoffs, -np.frexp(g.scale)[1])
+    exponent = np.frexp(g.scale)[1]
+    normalized = np.ldexp(g.payoffs, -exponent)
+    with np.errstate(over="ignore"):    # eps past the float range prunes nothing
+        tau = np.ldexp(eps, -exponent) + _PRUNE_SLACK
+    # beats[0][a, a', b]: a' beats a by more than tau against b; beats[1][b, b', a] likewise
+    beats = [p[None] - p[:, None] > tau for p in (normalized[..., 0], normalized[..., 1].T)]
     keys, rows = [], []
     for k1, k2 in product(range(1, m1 + 1), range(1, m2 + 1)):
         supports1 = np.array(list(combinations(range(m1), k1)))
@@ -303,10 +327,16 @@ def support_enumeration(g: GameSpec, eps: float = 1e-8) -> list[EquilibriumRepor
         sub = normalized[supports1[:, None, :, None], supports2[None, :, None, :]]
         y_systems = sub[..., 0].reshape(-1, k1, k2)
         x_systems = sub[..., 1].swapaxes(2, 3).reshape(-1, k2, k1)
+        # a pair where a strategy of one support is beaten by more than tau
+        # against every strategy of the other support has no epsilon within
+        # eps (see _PRUNE_SLACK), so neither side is solved for it
+        dominated = [beat[:, :, other].all(axis=-1).any(axis=1)[own].any(axis=1)
+                     for beat, own, other in zip(beats, (supports1, supports2),
+                                                 (supports2, supports1))]
         # a pair counts only where both sides give weights, so the second side
         # is solved on the first side's survivors; the overdetermined side,
         # rarely consistent, goes first
-        pairs, weights = np.arange(len(y_systems)), []
+        pairs, weights = np.flatnonzero(~(dominated[0] | dominated[1].T)), []
         for systems in (y_systems, x_systems) if k1 >= k2 else (x_systems, y_systems):
             if pairs.size:
                 w = _indifference_weights(systems[pairs])
@@ -322,6 +352,8 @@ def support_enumeration(g: GameSpec, eps: float = 1e-8) -> list[EquilibriumRepor
         solved[at, supports1[i1]] = x_w
         solved[at, m1 + supports2[i2]] = y_w
         rows.append(solved)
+    if not rows:
+        return []
     stack = np.concatenate(rows)[sorted(range(len(keys)), key=keys.__getitem__)]
     phis, gap = _improvement(g, [stack[:, :m1], stack[:, m1:]])
     gaps, kept = np.stack([phi.max(axis=-1) for phi in phis], axis=-1), gap <= eps

@@ -229,13 +229,13 @@ def loop_support_enumeration(g, eps=1e-8):
 
 
 def two_sided_support_enumeration(g, eps=1e-8):
-    """Class by class, both sides whole: for each size class (k1, k2), one
-    ``_indifference_weights`` stack of player 0's systems (giving y) and one
-    of player 1's (giving x), over every pair of the class, each built
-    pair by pair; the pairs where both gave weights are verified one by one
-    with ``verify_equilibrium`` in support order (by size, then
-    lexicographically, player 0's support outermost) and deduplicated
-    within 1e-8 against the reports kept so far."""
+    """Class by class, both sides whole and no pair pruned: for each size
+    class (k1, k2), one ``_indifference_weights`` stack of player 0's
+    systems (giving y) and one of player 1's (giving x), over every pair of
+    the class, each built pair by pair; the pairs where both gave weights
+    are verified one by one with ``verify_equilibrium`` in support order
+    (by size, then lexicographically, player 0's support outermost) and
+    deduplicated within 1e-8 against the reports kept so far."""
     m1, m2 = g.m
     normalized = np.ldexp(g.payoffs, -np.frexp(np.abs(g.payoffs).max())[1])
     candidates = []

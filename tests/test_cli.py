@@ -187,6 +187,16 @@ def test_equilibria_rps_json(rps_doc):
     assert data["search"]["epsilon"] <= 1e-6
 
 
+def test_equilibria_json_matches_golden():
+    # 3 pure and 9 mixed equilibria of a 6x6 game, where support enumeration
+    # prunes most support pairs by dominance before solving them
+    code, doc, err = cli("gen", "--random", "n=2", "m=6,6", "seed=9")
+    assert (code, err) == (0, "")
+    code, out, err = cli("equilibria", "--json", stdin=doc)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "equilibria_2x6_seed9.json").read_bytes()
+
+
 def test_overflowing_payoff_differences_are_quiet(capfd):
     # player 0's gains reach 3.4e308, past the float range: read as inf
     payoffs = np.zeros((2, 2, 2))

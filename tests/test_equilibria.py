@@ -447,11 +447,22 @@ def test_indifference_weights_of_a_subset_are_the_full_stack_rows(seed, count, r
             == _indifference_weights(stack)[idx].tobytes())
 
 
+def same_reports_bit_for_bit(found, expected):
+    assert len(found) == len(expected)
+    for a, b in zip(found, expected):
+        assert a.profile.concat().tobytes() == b.profile.concat().tobytes()
+        assert a.gaps.tobytes() == b.gaps.tobytes()
+        assert np.float64(a.epsilon).tobytes() == np.float64(b.epsilon).tobytes()
+        assert a.converged and b.converged
+
+
 @pytest.mark.parametrize("m", [(1, 1), (1, 4), (2, 2), (3, 2), (3, 3), (4, 4), (2, 6), (6, 3),
                                (5, 5), (6, 6), (5, 7), (7, 5), (4, 8), (2, 10), (1, 11)])
 @pytest.mark.parametrize("kind", ["generic", "zero-sum", "integer", "binary"])
 def test_support_enumeration_is_the_two_sided_solve_bit_for_bit(m, kind):
-    # solving the second side on the first side's survivors alone changes no bit
+    # the oracle solves both sides of every pair, so neither the pairs pruned
+    # by dominance nor the second side solved on the first side's survivors
+    # alone may change a bit
     rng = np.random.default_rng([*m, len(kind)])
     if kind == "generic":
         payoffs = rng.standard_normal(m + (2,))
@@ -461,16 +472,54 @@ def test_support_enumeration_is_the_two_sided_solve_bit_for_bit(m, kind):
     else:       # degenerate: ties, rank-deficient systems and continua
         low, high = (-2, 3) if kind == "integer" else (0, 2)
         payoffs = rng.integers(low, high, size=m + (2,)).astype(float)
-    g = gf.GameSpec(payoffs)
-    for eps in (1e-8, 1e-6):
+    for scale in (1.0, 1e-7, 3e9):
+        g = gf.GameSpec(scale * payoffs)
+        for eps in (0.0, 1e-8 * scale, 1e-6 * scale, 0.3 * g.scale):
+            same_reports_bit_for_bit(gf.support_enumeration(g, eps),
+                                     two_sided_support_enumeration(g, eps))
+
+
+@pytest.mark.parametrize("player", [0, 1])
+@pytest.mark.parametrize("scale, eps", [(1.0, 1e-3), (1.0, 0.1), (3e9, 3e6), (1e-7, 1e-12)])
+def test_support_enumeration_prunes_exactly_at_the_dominance_margin(player, scale, eps,
+                                                                   monkeypatch):
+    # one player's second strategy beats the first by a margin: within eps
+    # the pure pair stays an equilibrium; just past eps, inside the prune
+    # slack, the pair is solved and the sweep drops it; at twice eps the two
+    # pairs holding the beaten strategy are pruned unsolved, leaving 2 of the
+    # 5 systems.  Either way the reports are the unpruned solve's.
+    solved = []
+    weights = equilibria._indifference_weights
+    monkeypatch.setattr(equilibria, "_indifference_weights",
+                        lambda mat: solved.append(len(mat)) or weights(mat))
+    for margin, reports, systems in ((0.999 * eps, 2, 5), (eps * (1 + 1e-9), 1, 5),
+                                     (2 * eps, 1, 2)):
+        payoffs = np.zeros((2, 1, 2))
+        payoffs[:, 0, player] = scale * 0.5, scale * 0.5 + margin
+        payoffs[:, 0, 1 - player] = scale, -scale
+        g = gf.GameSpec(payoffs if player == 0 else payoffs.transpose(1, 0, 2))
+        solved.clear()
         found = gf.support_enumeration(g, eps)
-        expected = two_sided_support_enumeration(g, eps)
-        assert len(found) == len(expected)
-        for a, b in zip(found, expected):
-            assert a.profile.concat().tobytes() == b.profile.concat().tobytes()
-            assert a.gaps.tobytes() == b.gaps.tobytes()
-            assert np.float64(a.epsilon).tobytes() == np.float64(b.epsilon).tobytes()
-            assert a.converged and b.converged
+        assert (len(found), sum(solved)) == (reports, systems)
+        same_reports_bit_for_bit(found, two_sided_support_enumeration(g, eps))
+
+
+def test_support_enumeration_solves_few_dominance_survivors(monkeypatch):
+    # equilibria-lib's seed-0 6x6 game: every one of its 3,969 pairs was
+    # solved for one side, 4,335 matrices in all, before the dominance prune
+    solved = []
+    weights = equilibria._indifference_weights
+    monkeypatch.setattr(equilibria, "_indifference_weights",
+                        lambda mat: solved.append(len(mat)) or weights(mat))
+    gf.support_enumeration(gf.random_game(2, (6, 6), 6))
+    assert sum(solved) <= 400
+
+
+def test_support_enumeration_without_a_feasible_pair_is_empty(monkeypatch):
+    # no pair left to verify makes an empty stack, not a failed concatenation
+    monkeypatch.setattr(equilibria, "_indifference_weights",
+                        lambda mat: np.full(mat.shape[::2], np.nan))
+    assert gf.support_enumeration(gf.builtin_game("rps")) == []
 
 
 def test_support_enumeration_of_constant_games_keeps_every_support_pair():
