@@ -14,11 +14,13 @@ returned profile is verified and the achieved epsilon reported honestly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
 
 from .games import (
+    TAU_SIMPLEX,
     GameSpec,
     StrategyProfile,
     _deviations,
@@ -67,17 +69,16 @@ def best_response_gap(g: GameSpec, s: StrategyProfile, player: int) -> float:
     """
     if not 0 <= player < g.n:
         raise IndexError(f"player index {player} out of range")
-    phis, _ = _improvement(g, s)
-    return float(phis[player].max())
+    return float(verify_equilibrium(g, s, 0.0).gaps[player])
 
 
+@np.errstate(over="ignore", invalid="ignore")    # see _improvement
 def verify_equilibrium(g: GameSpec, s: StrategyProfile, eps: float) -> EquilibriumReport:
     """Gap report for a profile; converged iff no player can improve by
     more than eps."""
     if not eps >= 0:
         raise ValueError("eps must be non-negative")
-    phis, epsilon = _improvement(g, s)
-    gaps = np.array([float(phi.max()) for phi in phis])
+    _, gaps, epsilon = _improvement(g, s)
     return EquilibriumReport(profile=s, gaps=gaps, epsilon=epsilon,
                              converged=epsilon <= eps)
 
@@ -122,24 +123,49 @@ def _vertex_gaps(g: GameSpec) -> np.ndarray:
     return gaps
 
 
-@np.errstate(over="ignore", invalid="ignore")   # overflow reads as ±inf, inf * 0 as no gain
-def _improvement(g: GameSpec, s) -> tuple[list[np.ndarray], float | np.ndarray]:
-    """Per-player positive-part payoff gains of pure deviations, plus the
-    largest gain (the profile's epsilon).  The payoff and every player's
-    deviations come from one ``_deviations`` sweep.  ``s`` is a profile or
-    a stack of them, given as blocks (*stack, m_i); a stack's gains are
-    (*stack, m_i) and its epsilons an array (*stack).  A player whose
-    gains hold a NaN adds nothing to the epsilon."""
+@lru_cache
+def _offsets(m: tuple[int, ...]) -> tuple[int, ...]:
+    """Block i of a flat profile of blocks sized ``m`` is [offsets[i], offsets[i + 1])."""
+    return (0, *np.cumsum(m).tolist())
+
+
+def _improvement(g: GameSpec, s) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
+    """Positive-part payoff gains of every pure deviation, flat (*stack, N)
+    with N = sum m_i and player i's at ``_offsets(g.m)[i]``; the players'
+    largest gains (*stack, n), NaN where a gain is; and the largest of those
+    (the profile's epsilon), to which a NaN adds nothing.  The payoff and
+    every player's deviations come from one ``_deviations`` sweep.  ``s`` is
+    a profile or a stack of them, given as blocks (*stack, m_i); a stack's
+    epsilons are an array (*stack).  Callers hold ``np.errstate(over=
+    "ignore", invalid="ignore")``: overflow reads as ±inf, inf * 0 as NaN."""
     lone = isinstance(s, StrategyProfile)
     if lone:
         _require_match(g, s)
     _require_finite(g)
     pay, devs = _deviations(g.payoffs, s.blocks if lone else s)
-    phis = [np.maximum(0.0, dev[..., i] - pay[..., i, None]) for i, dev in enumerate(devs)]
-    gap = np.fmax.reduce([phi.max(axis=-1) for phi in phis], initial=0.0)
-    return phis, float(gap) if lone else gap
+    gains = np.concatenate([dev[..., i] for i, dev in enumerate(devs)], axis=-1)
+    gains = np.maximum(0.0, gains - np.repeat(pay, g.m, axis=-1))
+    maxima = np.maximum.reduceat(gains, _offsets(g.m)[:-1], axis=-1)
+    gap = np.fmax.reduce(maxima, axis=-1, initial=0.0)
+    return gains, maxima, float(gap) if lone else gap
 
 
+def _block_sums(flat, m) -> np.ndarray:
+    """Each block's sum (*stack, n), summed as ``_require_simplex`` sums it:
+    ``np.add.reduceat`` would differ on blocks of 8 or more strategies."""
+    at, sums = _offsets(m), np.empty((*flat.shape[:-1], len(m)))
+    for i, (a, b) in enumerate(zip(at, at[1:])):
+        flat[..., a:b].sum(axis=-1, out=sums[..., i])
+    return sums
+
+
+def _mapped(flat, gains, sums, m) -> np.ndarray:
+    """The Nash-map image of a flat profile or stack, given its gains and
+    their finite block sums."""
+    return (flat + gains) / (1.0 + np.repeat(sums, m, axis=-1))
+
+
+@np.errstate(over="ignore", invalid="ignore")    # see _improvement
 def nash_map(g: GameSpec, s: StrategyProfile) -> StrategyProfile:
     """Continuous improvement map with fixed points exactly at equilibria.
 
@@ -149,26 +175,12 @@ def nash_map(g: GameSpec, s: StrategyProfile) -> StrategyProfile:
     the input iff no deviation gains.  A block whose gains sum past the
     float range has no image and raises ValueError.
     """
-    phis, _ = _improvement(g, s)
-    sums = _gain_sums(phis)
+    gains, _, _ = _improvement(g, s)
+    sums = _block_sums(gains, g.m)
     if not np.isfinite(sums).all():
         raise ValueError(f"block {int(np.argmin(np.isfinite(sums)))}: "
                          "the payoff gains sum past the float range")
-    return StrategyProfile(_mapped_blocks(s.blocks, phis, sums))
-
-
-@np.errstate(over="ignore")     # a sum past the float range reads as inf
-def _gain_sums(phis) -> np.ndarray:
-    """Each block's gain sum, shape (*stack, n); the Nash map has an image
-    only where all of a profile's sums are finite."""
-    return np.stack([phi.sum(axis=-1) for phi in phis], axis=-1)
-
-
-def _mapped_blocks(blocks, phis, sums) -> list[np.ndarray]:
-    """The Nash-map image of each block of a profile or stack, given its
-    gains and their finite sums."""
-    return [(b + phi) / (1.0 + sums[..., i, None])
-            for i, (b, phi) in enumerate(zip(blocks, phis))]
+    return StrategyProfile(np.split(_mapped(s.concat(), gains, sums, g.m), _offsets(g.m)[1:-1]))
 
 
 def find_equilibrium(g: GameSpec, seed: int = 0, max_iter: int = SEARCH_MAX_ITER,
@@ -184,11 +196,13 @@ def find_equilibrium(g: GameSpec, seed: int = 0, max_iter: int = SEARCH_MAX_ITER
     empty or the game is not covered, the iteration runs from the uniform
     profile and ``restarts`` seeded random interior starts (start t drawn
     by ``default_rng([seed, t])``); ``seed``, ``max_iter`` and
-    ``restarts`` budget it alone.  The starts run in lockstep, one stack of
-    ``restarts + 1`` profiles through one ``_deviations`` sweep an
-    iteration, and each start ends at its first epsilon within ``eps``,
-    after ``max_iter`` steps, or where a block's gains sum past the float
-    range (an epsilon of inf among them), as the map has no image there.
+    ``restarts`` budget it alone.  The starts run in lockstep as one array
+    of flat profiles (restarts + 1, sum m_i): an iteration is one
+    ``_deviations`` sweep of its block views, the map and damping as one
+    expression each, and one exact check of the whole array on the simplex.
+    Each start ends at its first epsilon within ``eps``, after ``max_iter``
+    steps, or where a block's gains sum past the float range (an epsilon of
+    inf among them), as the map has no image there.
     The loop ends once every start up to the first that converged has
     ended; later starts do not count.  The starts are then read in order,
     each by its first smallest epsilon, and a profile replaces the best
@@ -226,34 +240,36 @@ def _search(g, gaps, mixed, seed, max_iter, eps, restarts) -> EquilibriumReport:
         return min(mixed, key=lambda report: report.epsilon)
     starts = [uniform_profile(g)] + [random_interior_profile(g, np.random.default_rng([seed, t]))
                                      for t in range(1, restarts + 1)]
-    cur = [np.stack(column) for column in zip(*(s.blocks for s in starts))]
-    least = np.full(restarts + 1, np.inf)       # each start's first smallest epsilon
-    best = [np.array(b) for b in cur]           # and its profile there
-    live = np.arange(restarts + 1)              # the starts still running, in order
-    first = restarts                            # the first start that converged, else the last
-    for it in range(max_iter + 1):
-        phis, gap = _improvement(g, cur)
-        better = gap < least[live]
-        least[live[better]] = gap[better]
-        for b, rows in zip(best, cur):
-            b[live[better]] = rows[better]
-        sums = _gain_sums(phis)
-        converged = gap <= eps
-        if converged.any():
-            first = min(first, int(live[converged][0]))
-        keep = ~converged & np.isfinite(sums).all(axis=-1) & (live <= first)
-        if it == max_iter or not keep.any():
-            break
-        if not keep.all():
-            live, sums = live[keep], sums[keep]
-            cur, phis = [b[keep] for b in cur], [phi[keep] for phi in phis]
-        mapped = _mapped_blocks(cur, phis, sums)
-        cur = [(1.0 - DAMPING) * b + DAMPING * mb for b, mb in zip(cur, mapped)]
-        for i, b in enumerate(cur):
-            _require_simplex(i, b)
+    at = _offsets(g.m)
+    cur = np.stack([s.concat() for s in starts])    # the live starts' flat profiles
+    least = np.full(restarts + 1, np.inf)           # each start's first smallest epsilon
+    best = cur.copy()                               # and its profile there
+    live = np.arange(restarts + 1)                  # the starts still running, in order
+    first = restarts                                # the first start that converged, else the last
+    with np.errstate(over="ignore", invalid="ignore"):     # see _improvement
+        for it in range(max_iter + 1):
+            gains, _, gap = _improvement(g, [cur[:, a:b] for a, b in zip(at, at[1:])])
+            better = gap < least[live]
+            least[live[better]], best[live[better]] = gap[better], cur[better]
+            sums = _block_sums(gains, g.m)
+            converged = gap <= eps
+            if converged.any():
+                first = min(first, int(live[converged][0]))
+            keep = ~converged & np.isfinite(sums).all(axis=-1) & (live <= first)
+            if it == max_iter or not keep.any():
+                break
+            if not keep.all():
+                live, cur, gains, sums = live[keep], cur[keep], gains[keep], sums[keep]
+            cur = (1.0 - DAMPING) * cur + DAMPING * _mapped(cur, gains, sums, g.m)
+            # one exact check of the stack (a NaN or inf fails its min or max),
+            # then block by block only to raise the first failing block's error
+            if not (cur.min() >= -TAU_SIMPLEX and cur.max() <= 1.0 + TAU_SIMPLEX
+                    and np.abs(_block_sums(cur, g.m) - 1.0).max() <= TAU_SIMPLEX):
+                for i, (a, b) in enumerate(zip(at, at[1:])):
+                    _require_simplex(i, cur[:, a:b])
     for t in range(first + 1):
         if least[t] < best_gap:
-            best_profile, best_gap = StrategyProfile([b[t] for b in best]), float(least[t])
+            best_profile, best_gap = StrategyProfile(np.split(best[t], at[1:-1])), float(least[t])
     return verify_equilibrium(g, best_profile, eps)
 
 
@@ -295,10 +311,11 @@ def support_enumeration(g: GameSpec, eps: float = 1e-8) -> list[EquilibriumRepor
     weights; a stack's subset solves as the full stack does, so this is
     the two-sided solve bit for bit.  One sweep gives every
     candidate with nonnegative weights its gaps and epsilon, each slice
-    ``verify_equilibrium``'s bit for bit; those within ``eps`` are kept
-    with that report, deduplicated within 1e-8 by one comparison against
-    the rows kept so far, in support order: by size, then
-    lexicographically, the first player's support outermost.
+    ``verify_equilibrium``'s bit for bit; those within ``eps`` whose gaps
+    hold no NaN (an inf - inf gain decides nothing) are kept with that
+    report, deduplicated within 1e-8 by one comparison against the rows
+    kept so far, in support order: by size, then lexicographically, the
+    first player's support outermost.
     Degenerate games may admit continua of equilibria, of which this
     reports representatives.  The systems use the payoffs divided by the
     power of two that brings max|T| into [0.5, 1), which is exact, so a
@@ -355,8 +372,9 @@ def support_enumeration(g: GameSpec, eps: float = 1e-8) -> list[EquilibriumRepor
     if not rows:
         return []
     stack = np.concatenate(rows)[sorted(range(len(keys)), key=keys.__getitem__)]
-    phis, gap = _improvement(g, [stack[:, :m1], stack[:, m1:]])
-    gaps, kept = np.stack([phi.max(axis=-1) for phi in phis], axis=-1), gap <= eps
+    with np.errstate(over="ignore", invalid="ignore"):     # see _improvement
+        _, gaps, gap = _improvement(g, [stack[:, :m1], stack[:, m1:]])
+    kept = (gap <= eps) & ~np.isnan(gaps).any(axis=-1)
     candidates = stack[kept]
     unique = np.empty_like(candidates)     # the rows of the reports found, in order
     found: list[EquilibriumReport] = []

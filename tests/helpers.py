@@ -262,16 +262,32 @@ def two_sided_support_enumeration(g, eps=1e-8):
     return found
 
 
+def loop_nash_map(g, s):
+    """The Nash map block by block from the public payoffs: block i plus its
+    gains phi = max(0, deviation payoff - payoff), over 1 + sum(phi); None
+    where a block's gains sum past the float range (or hold a NaN)."""
+    pay = gf.total_payoff(g, s)
+    blocks = []
+    with np.errstate(over="ignore", invalid="ignore"):  # a gain past the float range reads as inf
+        for i, b in enumerate(s.blocks):
+            phi = np.maximum(0.0, gf.deviation_payoffs(g, s, i)[:, i] - pay[i])
+            total = phi.sum()
+            if not np.isfinite(total):
+                return None
+            blocks.append((b + phi) / (1.0 + total))
+    return blocks
+
+
 def loop_find_equilibrium(g, seed=0, max_iter=10_000, eps=1e-6, restarts=8):
     """Start by start: the vertex scan and support enumeration first, then
     the damped improvement iteration from the uniform profile and each
     seeded restart in turn, every iterate a checked ``StrategyProfile``.
     A start ends at its first epsilon within ``eps``, after ``max_iter``
-    steps, or where ``nash_map`` has no image; a converged start ends the
+    steps, or where the map has no image; a converged start ends the
     search, and a profile replaces the best only when its epsilon is
     strictly smaller.  It is the oracle of the lockstep, not of the sweep:
     each profile goes through the lone ``verify_equilibrium`` and
-    ``nash_map``."""
+    ``loop_nash_map``."""
     with np.errstate(over="ignore"):    # a gain past the float range reads as inf
         gaps = loop_vertex_gaps(g)
     vertex = np.unravel_index(np.argmin(gaps), g.m)
@@ -291,10 +307,9 @@ def loop_find_equilibrium(g, seed=0, max_iter=10_000, eps=1e-6, restarts=8):
                 best_profile, best_gap = cur, gap
             if best_gap <= eps or it == max_iter:
                 break
-            try:
-                mapped = gf.nash_map(g, cur)
-            except ValueError:      # the gains of a block sum past the float range
+            mapped = loop_nash_map(g, cur)
+            if mapped is None:
                 break
             cur = gf.StrategyProfile([(1.0 - DAMPING) * b + DAMPING * mb
-                                      for b, mb in zip(cur.blocks, mapped.blocks)])
+                                      for b, mb in zip(cur.blocks, mapped)])
     return gf.verify_equilibrium(g, best_profile, eps)

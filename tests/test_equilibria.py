@@ -11,11 +11,13 @@ from gamefibers.equilibria import (
     _enumerable,
     _improvement,
     _indifference_weights,
+    _offsets,
     _vertex_gaps,
 )
 from helpers import (
     interior_profile,
     loop_find_equilibrium,
+    loop_nash_map,
     loop_support_enumeration,
     loop_vertex_gaps,
     two_sided_support_enumeration,
@@ -67,8 +69,12 @@ def test_improvement_gains_use_the_exact_total_payoff():
         pay = gf.total_payoff(g, s)
         expected = [np.maximum(0.0, gf.deviation_payoffs(g, s, i)[:, i] - pay[i])
                     for i in range(n)]
-        phis, gap = _improvement(g, s)
-        assert all(np.array_equal(a, b) for a, b in zip(phis, expected, strict=True))
+        gains, maxima, gap = _improvement(g, s)
+        at = _offsets(g.m)
+        assert gains.shape == (at[-1],)
+        assert all(np.array_equal(gains[a:b], e)
+                   for a, b, e in zip(at[:-1], at[1:], expected, strict=True))
+        assert np.array_equal(maxima, [phi.max() for phi in expected])
         assert gap == max(float(phi.max()) for phi in expected)
 
 
@@ -173,14 +179,20 @@ def test_search_answers_a_game_the_iteration_misses():
 def search_games(draw):
     """Generic games, integer-tie games and subnormal ones, whose gains
     round to a few values, so iterates and starts tie exactly; 2 to 4
-    players, or 2 past support enumeration's cover.  No vertex is within
-    0.2 max|T|, so the iteration runs at every ``eps`` of the test below."""
+    players with at most 3 strategies each, 3 or 4 players with one block
+    of 8 to 10 (where a sequential block sum differs from numpy's pairwise
+    one), or 2 players past support enumeration's cover.  No vertex is
+    within 0.2 max|T|, so the iteration runs at every ``eps`` of the test
+    below."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    past_cover = draw(st.booleans())
+    shapes = draw(st.sampled_from(["small", "wide", "past cover"]))
     kind = draw(st.sampled_from(["generic", "integer", "subnormal"]))
     for _ in range(100):
-        if past_cover:
+        if shapes == "past cover":
             m = [(7, 7), (2, 11), (11, 2), (3, 10)][rng.integers(4)]
+        elif shapes == "wide":
+            m = rng.integers(2, 4, size=rng.integers(3, 5))
+            m[rng.integers(m.size)] = rng.integers(8, 11)
         else:
             m = rng.integers(1, 4, size=rng.integers(2, 5))
         shape = (*m, len(m))
@@ -194,7 +206,7 @@ def search_games(draw):
     assume(False)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(g=search_games(), seed=st.integers(0, 10 ** 6), max_iter=st.integers(0, 40),
        rel_eps=st.sampled_from([0.0, 1e-6, 0.02, 0.1, 0.2]), restarts=st.integers(0, 8))
 def test_search_matches_the_start_by_start_loop(g, seed, max_iter, rel_eps, restarts):
@@ -219,6 +231,23 @@ def test_search_ends_a_start_whose_gains_sum_past_the_float_range():
     code, out, err = cli.run(["equilibria"], read_stdin=lambda: gf.write_game(g))
     assert (code, err) == (0, "")
     assert out.decode().splitlines()[-1].startswith("search: ")
+
+
+@pytest.mark.parametrize("damping, error", [
+    (3.0, "block 2 is off-simplex: entries outside [0, 1]"),
+    (10.0, "block 0 is off-simplex: entries outside [0, 1]"),
+    (2.0, None)])
+def test_search_checks_the_whole_stack_on_the_simplex(damping, error, monkeypatch):
+    # an overshooting damping leaves the simplex; the one check of the stack
+    # raises the error of the first block at fault, as a check per block does
+    monkeypatch.setattr(equilibria, "DAMPING", damping)
+    g = gf.random_game(3, (3, 3, 3), 0)
+    if error is None:
+        gf.find_equilibrium(g, max_iter=100)
+        return
+    with pytest.raises(ValueError) as info:
+        gf.find_equilibrium(g, max_iter=100)
+    assert str(info.value) == error
 
 
 def test_support_enumeration_covers_games_by_their_support_pairs():
@@ -259,6 +288,18 @@ def test_nash_map_output_always_valid():
             assert abs(block.sum() - 1.0) <= 1e-12
 
 
+def test_nash_map_is_the_block_by_block_map():
+    # the flat map against the oracle's own arithmetic, blocks of 1 to 9
+    rng = np.random.default_rng(71)
+    for k in range(200):
+        m = rng.integers(1, 10, size=2 + k % 3)
+        payoffs = rng.standard_normal((*m, m.size))
+        g = gf.GameSpec(np.round(payoffs) if k % 4 == 1 else payoffs)
+        s = gf.random_interior_profile(g, rng)
+        expected = np.concatenate(loop_nash_map(g, s))
+        assert gf.nash_map(g, s).concat().tobytes() == expected.tobytes()
+
+
 def _overflowing_gains(kind):
     """A game and profile where the gains are inf, or finite (1.25e308
     each) with a sum past the float range."""
@@ -277,7 +318,8 @@ def _overflowing_gains(kind):
 def test_nash_map_rejects_gains_that_sum_past_the_float_range(kind):
     # one clear error instead of inf/inf or an overflowing sum
     g, s = _overflowing_gains(kind)
-    assert _improvement(g, s)[1] == (np.inf if kind == "inf" else 1.25e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _improvement(g, s)[2] == (np.inf if kind == "inf" else 1.25e308)
     with pytest.raises(ValueError, match="block 0: the payoff gains sum past the float range"):
         gf.nash_map(g, s)
 
@@ -533,6 +575,24 @@ def test_support_enumeration_of_constant_games_keeps_every_support_pair():
     found = gf.support_enumeration(gf.GameSpec(np.zeros((6, 6, 2))), 1e-6)
     assert len(found) == 63 ** 2
     assert len({tuple(r.profile.concat() > 0) for r in found}) == 63 ** 2
+
+
+def test_support_enumeration_drops_candidates_with_a_nan_gain():
+    # at the float range the sweep's gains can be inf - inf, which decides
+    # nothing: two candidates with NaN gaps used to be kept with epsilon 0
+    payoffs = np.stack([[[0.0, 1.0], [0.0, 1.0]], [[-1.0, 1.0], [1.0, 1.0]]], axis=-1)
+    g = gf.GameSpec(payoffs * 1.7976931348623157e308)
+    assert gf.validate_game(g) == []
+    found = gf.support_enumeration(g, SEARCH_EPS)
+    assert [r.profile.concat().tolist() for r in found] == [
+        [1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0],
+        [0.0, 1.0, 0.6666666666666666, 0.33333333333333337]]
+    assert all(r.gaps.tolist() == [0.0, 0.0] and r.epsilon == 0.0 for r in found)
+    code, out, err = cli.run(["equilibria"], read_stdin=lambda: gf.write_game(g))
+    lines = out.decode().splitlines()
+    assert (code, err) == (0, "")
+    assert sum(line.startswith("mixed: ") for line in lines) == 4
+    assert lines[-1] == "search: 1,0; 0,1 converged=yes epsilon=0"
 
 
 def test_support_enumeration_rps(rps):
