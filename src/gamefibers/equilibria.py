@@ -5,10 +5,12 @@ of strategy.  Own-block linearity means the best unilateral improvement is
 always attained at a pure strategy, so verification only needs the m_i
 pure deviations per player; at a vertex those are one slice of the payoff
 tensor, so one scan gives every vertex's epsilon.  Search starts from the
-best vertex, then asks support enumeration on the games it covers, and
-only then iterates the classical continuous improvement map whose fixed
-points are exactly the equilibria; iteration is a heuristic, so every
-returned profile is verified and the achieved epsilon reported honestly.
+best vertex, then asks support enumeration on the 2-player games it
+covers, or on games of 3 or more players the support pairs of every two
+players while the others play pure strategies, and only then iterates the
+classical continuous improvement map whose fixed points are exactly the
+equilibria; iteration is a heuristic, so every returned profile is
+verified and the achieved epsilon reported honestly.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
+from math import comb, prod
 
 import numpy as np
 
@@ -75,12 +78,12 @@ def best_response_gap(g: GameSpec, s: StrategyProfile, player: int) -> float:
 @np.errstate(over="ignore", invalid="ignore")    # see _improvement
 def verify_equilibrium(g: GameSpec, s: StrategyProfile, eps: float) -> EquilibriumReport:
     """Gap report for a profile; converged iff no player can improve by
-    more than eps."""
+    more than eps and no gap is NaN (an inf - inf gain decides nothing)."""
     if not eps >= 0:
         raise ValueError("eps must be non-negative")
     _, gaps, epsilon = _improvement(g, s)
     return EquilibriumReport(profile=s, gaps=gaps, epsilon=epsilon,
-                             converged=epsilon <= eps)
+                             converged=epsilon <= eps and not np.isnan(gaps).any())
 
 
 def pure_equilibria(g: GameSpec) -> list[tuple[int, ...]]:
@@ -191,12 +194,16 @@ def find_equilibrium(g: GameSpec, seed: int = 0, max_iter: int = SEARCH_MAX_ITER
 
     The best vertex is the first with the smallest gap, in lexicographic
     order; it is returned when its gap is at most ``eps``.  Otherwise, on a
-    game support enumeration covers, its report with the smallest epsilon
-    is returned, the first in support order on a tie.  When that list is
-    empty or the game is not covered, the iteration runs from the uniform
-    profile and ``restarts`` seeded random interior starts (start t drawn
-    by ``default_rng([seed, t])``); ``seed``, ``max_iter`` and
-    ``restarts`` budget it alone.  The starts run in lockstep as one array
+    2-player game support enumeration covers, its report with the smallest
+    epsilon is returned, the first in support order on a tie.  On a game of
+    3 or more players, the first profile within ``eps`` on which two
+    players mix and the others play pure strategies is returned, found by
+    support enumeration's solves class by class, smallest supports first,
+    within ``SUPPORT_MAX_PAIRS`` support pairs (see ``_two_mixers``).  When
+    neither answers, the iteration runs from the uniform profile and
+    ``restarts`` seeded random interior starts (start t drawn by
+    ``default_rng([seed, t])``); ``seed``, ``max_iter`` and ``restarts``
+    budget this damped loop alone.  The starts run in lockstep as one array
     of flat profiles (restarts + 1, sum m_i): an iteration is one
     ``_deviations`` sweep of its block views, the map and damping as one
     expression each, and one exact check of the whole array on the simplex.
@@ -209,7 +216,8 @@ def find_equilibrium(g: GameSpec, seed: int = 0, max_iter: int = SEARCH_MAX_ITER
     only when its epsilon is strictly smaller, so the result is never worse
     than any vertex, the earlier start wins exact ties, and the answer is
     the one of running the starts one after another.  ``converged`` is
-    false when the best epsilon exceeds ``eps``.
+    ``verify_equilibrium``'s: false when the best epsilon exceeds ``eps``
+    or a gap is NaN.
     """
     for name, value in (("seed", seed), ("max_iter", max_iter), ("eps", eps),
                         ("restarts", restarts)):
@@ -238,6 +246,9 @@ def _search(g, gaps, mixed, seed, max_iter, eps, restarts) -> EquilibriumReport:
         mixed = support_enumeration(g, eps) if _enumerable(g) else []
     if mixed:
         return min(mixed, key=lambda report: report.epsilon)
+    found = _two_mixers(g, eps) if g.n >= 3 else None
+    if found is not None:
+        return found
     starts = [uniform_profile(g)] + [random_interior_profile(g, np.random.default_rng([seed, t]))
                                      for t in range(1, restarts + 1)]
     at = _offsets(g.m)
@@ -273,6 +284,59 @@ def _search(g, gaps, mixed, seed, max_iter, eps, restarts) -> EquilibriumReport:
     return verify_equilibrium(g, best_profile, eps)
 
 
+def _two_mixers(g: GameSpec, eps: float) -> EquilibriumReport | None:
+    """The first profile within ``eps`` on which two players mix and every
+    other player plays one pure strategy, or None.
+
+    A class is a pair of players a < b with support sizes k_a, k_b >= 2;
+    classes go by k_a + k_b, then |k_a - k_b|, then a, b and k_a (Porter,
+    Nudelman & Shoham 2008 try the smallest supports first).  With the
+    others pure, each support pair is a bimatrix indifference problem, so a
+    class is one ``_class_weights`` solve over the stack of the (a, b)
+    subgames, one slice per pure profile of the others in lexicographic
+    order, on the payoffs ``support_enumeration`` normalizes.  Each solved
+    pair is embedded, the pure players one-hot, and one sweep checks every
+    player's deviations; the first within ``eps`` whose gaps hold no NaN,
+    by slice and then support order, is returned with that sweep's report.
+    The classes tried hold at most ``SUPPORT_MAX_PAIRS`` support pairs in
+    all, counted before a class's stack is built; the first class past it
+    ends the search.
+    """
+    at = _offsets(g.m)
+    normalized, tau = _normalized(g, eps)
+    classes = sorted((ka + kb, abs(ka - kb), a, b, ka, kb)
+                     for a, b in combinations(range(g.n), 2)
+                     for ka in range(2, g.m[a] + 1) for kb in range(2, g.m[b] + 1))
+    budget = SUPPORT_MAX_PAIRS
+    for *_, a, b, ka, kb in classes:
+        others = [q for q in range(g.n) if q not in (a, b)]
+        rest = [g.m[q] for q in others]
+        budget -= comb(g.m[a], ka) * comb(g.m[b], kb) * prod(rest)
+        if budget < 0:
+            return None
+        stack = np.moveaxis(normalized[..., [a, b]], (a, b), (-3, -2))
+        stack = stack.reshape(-1, g.m[a], g.m[b], 2)
+        supports_a, supports_b, pairs, x_w, y_w = _class_weights(stack, _beats(stack, tau),
+                                                                 ka, kb)
+        if not pairs.size:
+            continue
+        slices, ia, ib = np.unravel_index(pairs, (len(stack), len(supports_a), len(supports_b)))
+        flat = np.zeros((pairs.size, at[-1]))
+        rows = np.arange(pairs.size)
+        flat[rows[:, None], at[a] + supports_a[ia]] = x_w
+        flat[rows[:, None], at[b] + supports_b[ib]] = y_w
+        for q, j in zip(others, np.unravel_index(slices, rest)):
+            flat[rows, at[q] + j] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):     # see _improvement
+            _, gaps, gap = _improvement(g, [flat[:, lo:hi] for lo, hi in zip(at, at[1:])])
+        kept = np.flatnonzero((gap <= eps) & ~np.isnan(gaps).any(axis=-1))
+        if kept.size:
+            k = kept[0]
+            return EquilibriumReport(StrategyProfile(np.split(flat[k], at[1:-1])), gaps[k],
+                                     float(gap[k]), True)
+    return None
+
+
 def _indifference_weights(mat: np.ndarray) -> np.ndarray:
     """Weights on the columns of each matrix in a stack ``(count, rows,
     cols)`` that equalize all its row payoffs, solved with the
@@ -291,6 +355,57 @@ def _indifference_weights(mat: np.ndarray) -> np.ndarray:
     residual = np.abs((system @ sol[..., None])[..., 0] - rhs).max(axis=1)
     bad = (residual > _SOLVE_TOL) | (sol[:, :cols].min(axis=1) < -_SOLVE_TOL)
     return w / np.where(bad, np.nan, w.sum(axis=1))[:, None]
+
+
+def _normalized(g: GameSpec, eps: float) -> tuple[np.ndarray, float]:
+    """The payoffs divided by the power of two that brings max|T| into
+    [0.5, 1), which is exact, and the dominance margin: eps on that scale
+    plus ``_PRUNE_SLACK``."""
+    exponent = np.frexp(g.scale)[1]
+    with np.errstate(over="ignore"):    # eps past the float range prunes nothing
+        return np.ldexp(g.payoffs, -exponent), np.ldexp(eps, -exponent) + _PRUNE_SLACK
+
+
+def _beats(stack: np.ndarray, tau: float) -> list[np.ndarray]:
+    """Conditional-dominance tables of a stack of bimatrix games (slices,
+    m1, m2, 2): beats[0][s, a, a', b] when a' beats a by more than tau
+    against b in slice s, beats[1][s, b, b', a] likewise."""
+    return [p[:, None] - p[:, :, None] > tau
+            for p in (stack[..., 0], stack[..., 1].swapaxes(1, 2))]
+
+
+def _class_weights(stack: np.ndarray, beats: list[np.ndarray], k1: int, k2: int):
+    """Support enumeration's solve of one size class (k1, k2) over a stack
+    of bimatrix games (slices, m1, m2, 2) with their ``_beats`` tables.
+    Returns every support of each side, in lexicographic order, the flat
+    indices (slice, i1, i2) of the support pairs where both sides gave
+    weights, in order, and those pairs' weights x (pairs, k1) and y (pairs,
+    k2)."""
+    m1, m2 = stack.shape[1:3]
+    supports1 = np.array(list(combinations(range(m1), k1)))
+    supports2 = np.array(list(combinations(range(m2), k2)))
+    sub = stack[:, supports1[:, None, :, None], supports2[None, :, None, :]]
+    y_systems = sub[..., 0].reshape(-1, k1, k2)
+    x_systems = sub[..., 1].swapaxes(-1, -2).reshape(-1, k2, k1)
+    # a pair where a strategy of one support is beaten by more than tau
+    # against every strategy of the other support has no epsilon within
+    # eps (see _PRUNE_SLACK), so neither side is solved for it
+    dominated = [beat[..., other].all(axis=-1).any(axis=2)[:, own].any(axis=2)
+                 for beat, own, other in zip(beats, (supports1, supports2),
+                                             (supports2, supports1))]
+    # a pair counts only where both sides give weights, so the second side
+    # is solved on the first side's survivors; the overdetermined side,
+    # rarely consistent, goes first
+    pairs, weights = np.flatnonzero(~(dominated[0] | dominated[1].swapaxes(1, 2))), []
+    for systems in (y_systems, x_systems) if k1 >= k2 else (x_systems, y_systems):
+        if pairs.size:
+            w = _indifference_weights(systems[pairs])
+            feasible = ~np.isnan(w[:, 0])
+            pairs, weights = pairs[feasible], [v[feasible] for v in weights + [w]]
+    if not pairs.size:
+        return supports1, supports2, pairs, None, None
+    y_w, x_w = weights if k1 >= k2 else weights[::-1]
+    return supports1, supports2, pairs, x_w, y_w
 
 
 def support_enumeration(g: GameSpec, eps: float = 1e-8) -> list[EquilibriumReport]:
@@ -331,37 +446,14 @@ def support_enumeration(g: GameSpec, eps: float = 1e-8) -> list[EquilibriumRepor
             f"supports too large: needs at most {SUPPORT_MAX_PAIRS} support pairs")
     m1, m2 = g.m
     _require_finite(g)
-    exponent = np.frexp(g.scale)[1]
-    normalized = np.ldexp(g.payoffs, -exponent)
-    with np.errstate(over="ignore"):    # eps past the float range prunes nothing
-        tau = np.ldexp(eps, -exponent) + _PRUNE_SLACK
-    # beats[0][a, a', b]: a' beats a by more than tau against b; beats[1][b, b', a] likewise
-    beats = [p[None] - p[:, None] > tau for p in (normalized[..., 0], normalized[..., 1].T)]
+    normalized, tau = _normalized(g, eps)
+    slices = normalized[None]       # a stack of one slice: the game itself
+    beats = _beats(slices, tau)
     keys, rows = [], []
     for k1, k2 in product(range(1, m1 + 1), range(1, m2 + 1)):
-        supports1 = np.array(list(combinations(range(m1), k1)))
-        supports2 = np.array(list(combinations(range(m2), k2)))
-        sub = normalized[supports1[:, None, :, None], supports2[None, :, None, :]]
-        y_systems = sub[..., 0].reshape(-1, k1, k2)
-        x_systems = sub[..., 1].swapaxes(2, 3).reshape(-1, k2, k1)
-        # a pair where a strategy of one support is beaten by more than tau
-        # against every strategy of the other support has no epsilon within
-        # eps (see _PRUNE_SLACK), so neither side is solved for it
-        dominated = [beat[:, :, other].all(axis=-1).any(axis=1)[own].any(axis=1)
-                     for beat, own, other in zip(beats, (supports1, supports2),
-                                                 (supports2, supports1))]
-        # a pair counts only where both sides give weights, so the second side
-        # is solved on the first side's survivors; the overdetermined side,
-        # rarely consistent, goes first
-        pairs, weights = np.flatnonzero(~(dominated[0] | dominated[1].T)), []
-        for systems in (y_systems, x_systems) if k1 >= k2 else (x_systems, y_systems):
-            if pairs.size:
-                w = _indifference_weights(systems[pairs])
-                feasible = ~np.isnan(w[:, 0])
-                pairs, weights = pairs[feasible], [v[feasible] for v in weights + [w]]
+        supports1, supports2, pairs, x_w, y_w = _class_weights(slices, beats, k1, k2)
         if not pairs.size:
             continue
-        y_w, x_w = weights if k1 >= k2 else weights[::-1]
         i1, i2 = np.divmod(pairs, len(supports2))
         keys += [(k1, a, k2, b) for a, b in zip(i1.tolist(), i2.tolist())]
         solved = np.zeros((pairs.size, m1 + m2))       # each pair's x, then its y

@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 
 import gamefibers as gf
-from gamefibers.equilibria import DAMPING, _enumerable, _indifference_weights
+from gamefibers.equilibria import DAMPING, _enumerable, _indifference_weights, _two_mixers
 from gamefibers.fibers import CONSTANCY_EPSILONS
 from gamefibers.games import _payoff_reduced
 
@@ -228,6 +228,37 @@ def loop_support_enumeration(g, eps=1e-8):
     return found
 
 
+def loop_embedded_subgame_equilibria(g, eps):
+    """Subgame by subgame: for every pair of players a < b and every pure
+    profile of the others, ``support_enumeration`` of the two-player game
+    they leave, each report embedded with the others one-hot and kept when
+    it is within ``eps`` of an equilibrium of the whole game and both a and
+    b mix.  Returns the flat profiles by class (k_a + k_b, |k_a - k_b|, a,
+    b, k_a, k_b), k the support sizes; no budget."""
+    found = {}
+    for a, b in itertools.combinations(range(g.n), 2):
+        others = [q for q in range(g.n) if q not in (a, b)]
+        for rest in itertools.product(*(range(g.m[q]) for q in others)):
+            index = [slice(None)] * g.n
+            for q, j in zip(others, rest):
+                index[q] = j
+            sub = gf.GameSpec(g.payoffs[tuple(index)][..., [a, b]])
+            for report in gf.support_enumeration(sub, eps):
+                x, y = report.profile.blocks
+                ka, kb = int((x > 0).sum()), int((y > 0).sum())
+                if min(ka, kb) < 2:
+                    continue
+                blocks = [np.zeros(mi) for mi in g.m]
+                blocks[a], blocks[b] = x, y
+                for q, j in zip(others, rest):
+                    blocks[q][j] = 1.0
+                profile = gf.StrategyProfile(blocks)
+                if gf.verify_equilibrium(g, profile, eps).converged:
+                    key = (ka + kb, abs(ka - kb), a, b, ka, kb)
+                    found.setdefault(key, []).append(profile.concat())
+    return found
+
+
 def two_sided_support_enumeration(g, eps=1e-8):
     """Class by class, both sides whole and no pair pruned: for each size
     class (k1, k2), one ``_indifference_weights`` stack of player 0's
@@ -279,8 +310,9 @@ def loop_nash_map(g, s):
 
 
 def loop_find_equilibrium(g, seed=0, max_iter=10_000, eps=1e-6, restarts=8):
-    """Start by start: the vertex scan and support enumeration first, then
-    the damped improvement iteration from the uniform profile and each
+    """Start by start: the vertex scan, support enumeration on 2 players
+    and the two-mixer classes on 3 or more first, then the damped
+    improvement iteration from the uniform profile and each
     seeded restart in turn, every iterate a checked ``StrategyProfile``.
     A start ends at its first epsilon within ``eps``, after ``max_iter``
     steps, or where the map has no image; a converged start ends the
@@ -296,6 +328,10 @@ def loop_find_equilibrium(g, seed=0, max_iter=10_000, eps=1e-6, restarts=8):
         found = gf.support_enumeration(g, eps)
         if found:
             return min(found, key=lambda report: report.epsilon)
+    if best_gap > eps and g.n >= 3:
+        found = _two_mixers(g, eps)
+        if found is not None:
+            return found
     for t in range(restarts + 1):
         if best_gap <= eps:
             break

@@ -12,10 +12,12 @@ from gamefibers.equilibria import (
     _improvement,
     _indifference_weights,
     _offsets,
+    _two_mixers,
     _vertex_gaps,
 )
 from helpers import (
     interior_profile,
+    loop_embedded_subgame_equilibria,
     loop_find_equilibrium,
     loop_nash_map,
     loop_support_enumeration,
@@ -56,6 +58,18 @@ def test_verify_equilibrium(bar):
     assert report.epsilon == report.gaps.max()
     report = gf.verify_equilibrium(constant_game(), gf.uniform_profile(constant_game()), eps=0.0)
     assert report.converged and report.epsilon == 0.0
+
+
+def test_verify_equilibrium_calls_a_nan_gap_unconverged():
+    # at the float range a gain can be inf - inf, which decides nothing:
+    # player 1 gains about 1.8e308 here, though every gap reads NaN
+    payoffs = np.stack([[[0.0, 1.0], [0.0, 1.0]], [[-1.0, 1.0], [1.0, 1.0]]], axis=-1)
+    g = gf.GameSpec(payoffs * 1.7976931348623157e308)
+    assert gf.validate_game(g) == []
+    report = gf.verify_equilibrium(g, gf.StrategyProfile([[0.5000000000000001, 0.5], [1, 0]]),
+                                   SEARCH_EPS)
+    assert np.isnan(report.gaps).all() and report.epsilon == 0.0
+    assert not report.converged
 
 
 def test_improvement_gains_use_the_exact_total_payoff():
@@ -175,6 +189,99 @@ def test_search_answers_a_game_the_iteration_misses():
     assert " converged=yes " in out.decode().splitlines()[-1]
 
 
+@pytest.mark.parametrize("n, m, seed, zero_sum", [
+    (3, [2, 3, 2], 7116, False), (3, [2, 3, 2], 7117, True), (4, [2, 2, 2, 2], 7120, True),
+    (4, [4, 4, 4, 4], 3, False)])
+def test_search_answers_small_games_from_two_player_subgames(n, m, seed, zero_sum):
+    # no vertex is within eps and the damped loop misses all four (epsilon
+    # 3e-3 to 5e-2); two players mixing against the others' pure strategies
+    # give an equilibrium in a few ms
+    g = gf.random_game(n, m, seed, zero_sum=zero_sum)
+    assert _vertex_gaps(g).min() > SEARCH_EPS
+    code, out, err = cli.run(["equilibria"], read_stdin=lambda: gf.write_game(g))
+    assert (code, err) == (0, "")
+    assert " converged=yes " in out.decode().splitlines()[-1]
+
+
+def two_mixer_corpus():
+    """Generic and zero-sum games of 3 and 4 players with 2 to 4
+    strategies, and none with a vertex within ``SEARCH_EPS``."""
+    games = []
+    for n, m in ((3, 2), (3, 3), (3, 4), (4, 2), (4, 3)):
+        for seed in range(40):
+            g = gf.random_game(n, [m] * n, seed, zero_sum=seed % 3 == 1)
+            if _vertex_gaps(g).min() > SEARCH_EPS:
+                games.append(g)
+    return games
+
+
+def test_two_mixers_answer_from_the_first_class_that_holds_an_equilibrium():
+    # the oracle enumerates every two-player subgame on its own with the
+    # public support_enumeration and embeds its reports; the stage's profile
+    # must be one of those of the first class, in the stage's order, that
+    # holds an equilibrium of the whole game, and None when no class does
+    answered = 0
+    for g in two_mixer_corpus():
+        found = loop_embedded_subgame_equilibria(g, SEARCH_EPS)
+        report = _two_mixers(g, SEARCH_EPS)
+        if not found:
+            assert report is None
+            continue
+        first = found[min(found)]
+        answered += 1
+        assert report is not None and report.converged
+        assert same_report(report, gf.verify_equilibrium(g, report.profile, SEARCH_EPS))
+        assert min(np.abs(report.profile.concat() - other).max() for other in first) <= 1e-9
+    assert answered >= 60
+
+
+@pytest.mark.parametrize("n, m, seed", [(3, 3, 45), (3, 3, 54), (3, 3, 86), (3, 2, 16),
+                                        (3, 2, 35)])
+def test_search_runs_the_damped_loop_where_no_two_mixer_class_answers(n, m, seed):
+    # equilibria where three players mix: the stage finds nothing, and the
+    # lockstep loop still gives the start-by-start answer bit for bit
+    g = gf.random_game(n, [m] * n, seed)
+    assert _vertex_gaps(g).min() > SEARCH_EPS and _two_mixers(g, SEARCH_EPS) is None
+    report = gf.find_equilibrium(g, seed=seed, max_iter=40, restarts=3)
+    expected = loop_find_equilibrium(g, seed=seed, max_iter=40, restarts=3)
+    assert same_report(report, expected)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), shape=st.sampled_from([(3, 2), (3, 3), (4, 2), (3, 4)]),
+       power=st.integers(-60, 60), exponent=st.floats(-12.0, 12.0))
+def test_two_mixers_do_not_depend_on_the_payoff_scale(seed, shape, power, exponent):
+    # the solves run on the payoffs normalized by a power of two, so a
+    # power-of-two rescaling gives the same profile bit for bit and any
+    # other one the same profile up to rounding
+    n, m = shape
+    g = gf.random_game(n, [m] * n, seed)
+    assume(_vertex_gaps(g).min() > SEARCH_EPS)
+    base = _two_mixers(g, SEARCH_EPS)
+    assume(base is not None)
+    exact = _two_mixers(gf.GameSpec(np.ldexp(g.payoffs, power)), np.ldexp(SEARCH_EPS, power))
+    assert exact.profile.concat().tobytes() == base.profile.concat().tobytes()
+    scale = 10.0 ** exponent
+    scaled = _two_mixers(gf.GameSpec(scale * g.payoffs), scale * SEARCH_EPS)
+    assert scaled.converged
+    assert np.abs(scaled.profile.concat() - base.profile.concat()).max() <= 1e-9
+
+
+@pytest.mark.parametrize("n, m, seed", [(5, 5, 2), (6, 4, 0)])
+def test_two_mixers_past_the_budget_build_no_stack(n, m, seed, monkeypatch):
+    # the first class alone holds 12,500 (5x5^5) or 9,216 (6x4^6) support
+    # pairs, past SUPPORT_MAX_PAIRS: the search goes straight to the loop
+    built = []
+    for name in ("_beats", "_class_weights"):
+        monkeypatch.setattr(equilibria, name, lambda *args, _name=name: built.append(_name))
+    g = gf.random_game(n, [m] * n, seed)
+    assert _vertex_gaps(g).min() > SEARCH_EPS
+    report = gf.find_equilibrium(g, max_iter=5, restarts=1)
+    expected = loop_find_equilibrium(g, max_iter=5, restarts=1)
+    assert built == []
+    assert same_report(report, expected)
+
+
 @st.composite
 def search_games(draw):
     """Generic games, integer-tie games and subnormal ones, whose gains
@@ -182,8 +289,10 @@ def search_games(draw):
     players with at most 3 strategies each, 3 or 4 players with one block
     of 8 to 10 (where a sequential block sum differs from numpy's pairwise
     one), or 2 players past support enumeration's cover.  No vertex is
-    within 0.2 max|T|, so the iteration runs at every ``eps`` of the test
-    below."""
+    within 0.2 max|T|, so the vertex scan answers at no ``eps`` of the test
+    below.  The two-mixer classes answer most games of 3 or 4 players at
+    ``eps`` > 0, but not generic ones at ``eps`` 0, many subnormal ones or
+    those where three players mix, so the iteration still runs on many."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     shapes = draw(st.sampled_from(["small", "wide", "past cover"]))
     kind = draw(st.sampled_from(["generic", "integer", "subnormal"]))
@@ -241,7 +350,7 @@ def test_search_checks_the_whole_stack_on_the_simplex(damping, error, monkeypatc
     # an overshooting damping leaves the simplex; the one check of the stack
     # raises the error of the first block at fault, as a check per block does
     monkeypatch.setattr(equilibria, "DAMPING", damping)
-    g = gf.random_game(3, (3, 3, 3), 0)
+    g = gf.random_game(3, (2, 2, 2), 16)        # no two-mixer class answers it
     if error is None:
         gf.find_equilibrium(g, max_iter=100)
         return
