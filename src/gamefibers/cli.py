@@ -20,7 +20,8 @@ import sys
 
 from .affine import extract_affine, is_jointly_affine
 from .equilibria import SEARCH_EPS, _answers
-from .fibers import DEFAULT_SAMPLES, MAX_SAMPLES, TRACE_TOL, generic_rank, trace_fiber
+from .fibers import (DEFAULT_SAMPLES, MAX_SAMPLES, MAX_TRACE_STEPS, TRACE_TOL, generic_rank,
+                     trace_fiber)
 from .games import (
     GameSpec,
     StrategyProfile,
@@ -277,7 +278,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--start", required=True, help="starting profile (same syntax as eval)")
     p.add_argument("--direction", type=_number(int, 0), required=True)
     p.add_argument("--step", type=_number(float), required=True)
-    p.add_argument("--steps", type=_number(int, 0), required=True)
+    p.add_argument("--steps", type=_number(int, 0, MAX_TRACE_STEPS), required=True)
     p.add_argument("--tol", type=_number(float, 0), default=TRACE_TOL)
     p.set_defaults(func=_cmd_trace)
 

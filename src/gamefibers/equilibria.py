@@ -5,12 +5,13 @@ of strategy.  Own-block linearity means the best unilateral improvement is
 always attained at a pure strategy, so verification only needs the m_i
 pure deviations per player; at a vertex those are one slice of the payoff
 tensor, so one scan gives every vertex's epsilon.  Search starts from the
-best vertex, then asks support enumeration on the 2-player games it
-covers, or on games of 3 or more players the support pairs of every two
-players while the others play pure strategies, and only then iterates the
-classical continuous improvement map whose fixed points are exactly the
-equilibria; iteration is a heuristic, so every returned profile is
-verified and the achieved epsilon reported honestly.
+best vertex, then solves support classes with ``_class_profiles`` (one
+size class of two players' support pairs, the others pure): support
+enumeration on the 2-player games it covers, the two-mixer stage on games
+of 3 or more players.  Only then does it iterate the classical continuous
+improvement map whose fixed points are exactly the equilibria; iteration
+is a heuristic, so every returned profile is verified and the achieved
+epsilon reported honestly.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb, prod
+from math import comb
 
 import numpy as np
 
@@ -138,19 +139,26 @@ def _improvement(g: GameSpec, s) -> tuple[np.ndarray, np.ndarray, float | np.nda
     largest gains (*stack, n), NaN where a gain is; and the largest of those
     (the profile's epsilon), to which a NaN adds nothing.  The payoff and
     every player's deviations come from one ``_deviations`` sweep.  ``s`` is
-    a profile or a stack of them, given as blocks (*stack, m_i); a stack's
+    a profile or a nonempty stack of flat ones (*stack, N); a stack's
     epsilons are an array (*stack).  Callers hold ``np.errstate(over=
     "ignore", invalid="ignore")``: overflow reads as ±inf, inf * 0 as NaN."""
     lone = isinstance(s, StrategyProfile)
     if lone:
         _require_match(g, s)
     _require_finite(g)
-    pay, devs = _deviations(g.payoffs, s.blocks if lone else s)
+    at = _offsets(g.m)
+    pay, devs = _deviations(g.payoffs, s.blocks if lone
+                            else [s[..., a:b] for a, b in zip(at, at[1:])])
     gains = np.concatenate([dev[..., i] for i, dev in enumerate(devs)], axis=-1)
     gains = np.maximum(0.0, gains - np.repeat(pay, g.m, axis=-1))
-    maxima = np.maximum.reduceat(gains, _offsets(g.m)[:-1], axis=-1)
+    maxima = np.maximum.reduceat(gains, at[:-1], axis=-1)
     gap = np.fmax.reduce(maxima, axis=-1, initial=0.0)
     return gains, maxima, float(gap) if lone else gap
+
+
+def _profile(flat, m) -> StrategyProfile:
+    """The profile of a flat row of blocks sized ``m``."""
+    return StrategyProfile(np.split(flat, _offsets(m)[1:-1]))
 
 
 def _block_sums(flat, m) -> np.ndarray:
@@ -183,7 +191,7 @@ def nash_map(g: GameSpec, s: StrategyProfile) -> StrategyProfile:
     if not np.isfinite(sums).all():
         raise ValueError(f"block {int(np.argmin(np.isfinite(sums)))}: "
                          "the payoff gains sum past the float range")
-    return StrategyProfile(np.split(_mapped(s.concat(), gains, sums, g.m), _offsets(g.m)[1:-1]))
+    return _profile(_mapped(s.concat(), gains, sums, g.m), g.m)
 
 
 def find_equilibrium(g: GameSpec, seed: int = 0, max_iter: int = SEARCH_MAX_ITER,
@@ -259,7 +267,7 @@ def _search(g, gaps, mixed, seed, max_iter, eps, restarts) -> EquilibriumReport:
     first = restarts                                # the first start that converged, else the last
     with np.errstate(over="ignore", invalid="ignore"):     # see _improvement
         for it in range(max_iter + 1):
-            gains, _, gap = _improvement(g, [cur[:, a:b] for a, b in zip(at, at[1:])])
+            gains, _, gap = _improvement(g, cur)
             better = gap < least[live]
             least[live[better]], best[live[better]] = gap[better], cur[better]
             sums = _block_sums(gains, g.m)
@@ -280,7 +288,7 @@ def _search(g, gaps, mixed, seed, max_iter, eps, restarts) -> EquilibriumReport:
                     _require_simplex(i, cur[:, a:b])
     for t in range(first + 1):
         if least[t] < best_gap:
-            best_profile, best_gap = StrategyProfile(np.split(best[t], at[1:-1])), float(least[t])
+            best_profile, best_gap = _profile(best[t], g.m), float(least[t])
     return verify_equilibrium(g, best_profile, eps)
 
 
@@ -292,48 +300,36 @@ def _two_mixers(g: GameSpec, eps: float) -> EquilibriumReport | None:
     classes go by k_a + k_b, then |k_a - k_b|, then a, b and k_a (Porter,
     Nudelman & Shoham 2008 try the smallest supports first).  With the
     others pure, each support pair is a bimatrix indifference problem, so a
-    class is one ``_class_weights`` solve over the stack of the (a, b)
+    class is one ``_class_profiles`` solve over the stack of the (a, b)
     subgames, one slice per pure profile of the others in lexicographic
-    order, on the payoffs ``support_enumeration`` normalizes.  Each solved
-    pair is embedded, the pure players one-hot, and one sweep checks every
-    player's deviations; the first within ``eps`` whose gaps hold no NaN,
-    by slice and then support order, is returned with that sweep's report.
-    The classes tried hold at most ``SUPPORT_MAX_PAIRS`` support pairs in
-    all, counted before a class's stack is built; the first class past it
-    ends the search.
+    order, on the payoffs ``support_enumeration`` normalizes.  One sweep
+    checks every player's deviations at the profiles it returns; the first
+    within ``eps`` whose gaps hold no NaN, by slice and then support order,
+    is returned with that sweep's report.  The classes tried hold at most
+    ``SUPPORT_MAX_PAIRS`` support pairs in all, counted before a class's
+    stack is built; the first class past it ends the search.
     """
-    at = _offsets(g.m)
     normalized, tau = _normalized(g, eps)
     classes = sorted((ka + kb, abs(ka - kb), a, b, ka, kb)
                      for a, b in combinations(range(g.n), 2)
                      for ka in range(2, g.m[a] + 1) for kb in range(2, g.m[b] + 1))
     budget = SUPPORT_MAX_PAIRS
     for *_, a, b, ka, kb in classes:
-        others = [q for q in range(g.n) if q not in (a, b)]
-        rest = [g.m[q] for q in others]
-        budget -= comb(g.m[a], ka) * comb(g.m[b], kb) * prod(rest)
+        slices = normalized[..., 0].size // (g.m[a] * g.m[b])    # the others' pure profiles
+        budget -= comb(g.m[a], ka) * comb(g.m[b], kb) * slices
         if budget < 0:
             return None
         stack = np.moveaxis(normalized[..., [a, b]], (a, b), (-3, -2))
         stack = stack.reshape(-1, g.m[a], g.m[b], 2)
-        supports_a, supports_b, pairs, x_w, y_w = _class_weights(stack, _beats(stack, tau),
-                                                                 ka, kb)
-        if not pairs.size:
+        flat, _, _ = _class_profiles(g, stack, _beats(stack, tau), a, b, ka, kb)
+        if not len(flat):
             continue
-        slices, ia, ib = np.unravel_index(pairs, (len(stack), len(supports_a), len(supports_b)))
-        flat = np.zeros((pairs.size, at[-1]))
-        rows = np.arange(pairs.size)
-        flat[rows[:, None], at[a] + supports_a[ia]] = x_w
-        flat[rows[:, None], at[b] + supports_b[ib]] = y_w
-        for q, j in zip(others, np.unravel_index(slices, rest)):
-            flat[rows, at[q] + j] = 1.0
         with np.errstate(over="ignore", invalid="ignore"):     # see _improvement
-            _, gaps, gap = _improvement(g, [flat[:, lo:hi] for lo, hi in zip(at, at[1:])])
+            _, gaps, gap = _improvement(g, flat)
         kept = np.flatnonzero((gap <= eps) & ~np.isnan(gaps).any(axis=-1))
         if kept.size:
             k = kept[0]
-            return EquilibriumReport(StrategyProfile(np.split(flat[k], at[1:-1])), gaps[k],
-                                     float(gap[k]), True)
+            return EquilibriumReport(_profile(flat[k], g.m), gaps[k], float(gap[k]), True)
     return None
 
 
@@ -374,64 +370,72 @@ def _beats(stack: np.ndarray, tau: float) -> list[np.ndarray]:
             for p in (stack[..., 0], stack[..., 1].swapaxes(1, 2))]
 
 
-def _class_weights(stack: np.ndarray, beats: list[np.ndarray], k1: int, k2: int):
-    """Support enumeration's solve of one size class (k1, k2) over a stack
-    of bimatrix games (slices, m1, m2, 2) with their ``_beats`` tables.
-    Returns every support of each side, in lexicographic order, the flat
-    indices (slice, i1, i2) of the support pairs where both sides gave
-    weights, in order, and those pairs' weights x (pairs, k1) and y (pairs,
-    k2)."""
-    m1, m2 = stack.shape[1:3]
-    supports1 = np.array(list(combinations(range(m1), k1)))
-    supports2 = np.array(list(combinations(range(m2), k2)))
-    sub = stack[:, supports1[:, None, :, None], supports2[None, :, None, :]]
-    y_systems = sub[..., 0].reshape(-1, k1, k2)
-    x_systems = sub[..., 1].swapaxes(-1, -2).reshape(-1, k2, k1)
+def _class_profiles(g: GameSpec, stack: np.ndarray, beats: list[np.ndarray], a: int, b: int,
+                    k_a: int, k_b: int):
+    """The solve of one size class of support pairs: players a < b mix on
+    supports of sizes k_a and k_b, over the stack (slices, m_a, m_b, 2) of
+    their bimatrix subgames, one slice per pure profile of the others in
+    lexicographic order, with its ``_beats`` tables.  Returns the flat
+    profiles (pairs, N) of the support pairs where both sides gave weights,
+    in (slice, support of a, support of b) order, the others one-hot, and
+    each pair's indices into a's and b's lexicographic supports."""
+    m_a, m_b = stack.shape[1:3]
+    supports_a = np.array(list(combinations(range(m_a), k_a)))
+    supports_b = np.array(list(combinations(range(m_b), k_b)))
+    sub = stack[:, supports_a[:, None, :, None], supports_b[None, :, None, :]]
+    y_systems = sub[..., 0].reshape(-1, k_a, k_b)
+    x_systems = sub[..., 1].swapaxes(-1, -2).reshape(-1, k_b, k_a)
     # a pair where a strategy of one support is beaten by more than tau
     # against every strategy of the other support has no epsilon within
-    # eps (see _PRUNE_SLACK), so neither side is solved for it
+    # eps (see _PRUNE_SLACK), so neither side is solved for it (conditional
+    # dominance, Porter, Nudelman & Shoham 2008)
     dominated = [beat[..., other].all(axis=-1).any(axis=2)[:, own].any(axis=2)
-                 for beat, own, other in zip(beats, (supports1, supports2),
-                                             (supports2, supports1))]
+                 for beat, own, other in zip(beats, (supports_a, supports_b),
+                                             (supports_b, supports_a))]
     # a pair counts only where both sides give weights, so the second side
-    # is solved on the first side's survivors; the overdetermined side,
-    # rarely consistent, goes first
+    # is solved on the first side's survivors (a stack's subset solves as
+    # the full stack does, so this is the two-sided solve bit for bit); the
+    # overdetermined side, rarely consistent, goes first: a's systems, which
+    # give b's weights, when k_a >= k_b
     pairs, weights = np.flatnonzero(~(dominated[0] | dominated[1].swapaxes(1, 2))), []
-    for systems in (y_systems, x_systems) if k1 >= k2 else (x_systems, y_systems):
+    for systems in (y_systems, x_systems) if k_a >= k_b else (x_systems, y_systems):
         if pairs.size:
             w = _indifference_weights(systems[pairs])
             feasible = ~np.isnan(w[:, 0])
             pairs, weights = pairs[feasible], [v[feasible] for v in weights + [w]]
+    at = _offsets(g.m)
     if not pairs.size:
-        return supports1, supports2, pairs, None, None
-    y_w, x_w = weights if k1 >= k2 else weights[::-1]
-    return supports1, supports2, pairs, x_w, y_w
+        return np.empty((0, at[-1])), pairs, pairs
+    y_w, x_w = weights if k_a >= k_b else weights[::-1]
+    others = [q for q in range(g.n) if q not in (a, b)]
+    *pure, i_a, i_b = np.unravel_index(pairs, (*(g.m[q] for q in others), len(supports_a),
+                                               len(supports_b)))
+    flat, rows = np.zeros((pairs.size, at[-1])), np.arange(pairs.size)
+    flat[rows[:, None], at[a] + supports_a[i_a]] = x_w
+    flat[rows[:, None], at[b] + supports_b[i_b]] = y_w
+    for q, j in zip(others, pure):
+        flat[rows, at[q] + j] = 1.0
+    return flat, i_a, i_b
 
 
 def support_enumeration(g: GameSpec, eps: float = 1e-8) -> list[EquilibriumReport]:
     """All equilibria of a two-player game found by support enumeration.
 
-    A pair of supports is dropped unsolved when a strategy in one support
-    is beaten by another pure strategy of its player, by more than ``eps``
-    plus a slack, against every strategy of the other support (conditional
-    dominance, Porter, Nudelman & Shoham 2008).  Any weights the solves
-    could give such a pair leave that deviation a gain above ``eps``, as
-    the slack covers the solves' tolerance, so the sweep would drop it:
-    wherever the sweep's gains stay inside the float range, the reports
-    are those of solving every pair, bit for bit.  The indifference
-    systems plus normalization of the remaining pairs of supports with the
-    same sizes are solved as one stack per side: first the overdetermined
-    side (player 0's systems, giving y, when k1 >= k2, else player 1's,
-    giving x), then the other side only on the pairs where the first gave
-    weights; a stack's subset solves as the full stack does, so this is
-    the two-sided solve bit for bit.  One sweep gives every
-    candidate with nonnegative weights its gaps and epsilon, each slice
+    Each size class (k1, k2) of support pairs is one ``_class_profiles``
+    solve, on the game as a stack of one slice.  It drops a pair unsolved
+    when a strategy in one support is beaten by another pure strategy of
+    its player, by more than ``eps`` plus a slack, against every strategy
+    of the other support.  Any weights the solves could give such a pair
+    leave that deviation a gain above ``eps``, as the slack covers the
+    solves' tolerance, so the sweep would drop it: wherever the sweep's
+    gains stay inside the float range, the reports are those of solving
+    every pair, bit for bit.  One sweep gives every candidate with
+    nonnegative weights its gaps and epsilon, each slice
     ``verify_equilibrium``'s bit for bit; those within ``eps`` whose gaps
     hold no NaN (an inf - inf gain decides nothing) are kept with that
     report, deduplicated within 1e-8 by one comparison against the rows
     kept so far, in support order: by size, then lexicographically, the
-    first player's support outermost.
-    Degenerate games may admit continua of equilibria, of which this
+    first player's support outermost.  Degenerate games may admit continua of equilibria, of which this
     reports representatives.  The systems use the payoffs divided by the
     power of two that brings max|T| into [0.5, 1), which is exact, so a
     power-of-two rescaling gives the same profiles bit for bit; ``eps``
@@ -444,28 +448,20 @@ def support_enumeration(g: GameSpec, eps: float = 1e-8) -> list[EquilibriumRepor
     if not _enumerable(g):
         raise ValueError(
             f"supports too large: needs at most {SUPPORT_MAX_PAIRS} support pairs")
-    m1, m2 = g.m
     _require_finite(g)
     normalized, tau = _normalized(g, eps)
     slices = normalized[None]       # a stack of one slice: the game itself
     beats = _beats(slices, tau)
     keys, rows = [], []
-    for k1, k2 in product(range(1, m1 + 1), range(1, m2 + 1)):
-        supports1, supports2, pairs, x_w, y_w = _class_weights(slices, beats, k1, k2)
-        if not pairs.size:
-            continue
-        i1, i2 = np.divmod(pairs, len(supports2))
+    for k1, k2 in product(range(1, g.m[0] + 1), range(1, g.m[1] + 1)):
+        flat, i1, i2 = _class_profiles(g, slices, beats, 0, 1, k1, k2)
         keys += [(k1, a, k2, b) for a, b in zip(i1.tolist(), i2.tolist())]
-        solved = np.zeros((pairs.size, m1 + m2))       # each pair's x, then its y
-        at = np.arange(pairs.size)[:, None]
-        solved[at, supports1[i1]] = x_w
-        solved[at, m1 + supports2[i2]] = y_w
-        rows.append(solved)
-    if not rows:
+        rows.append(flat)
+    if not keys:
         return []
     stack = np.concatenate(rows)[sorted(range(len(keys)), key=keys.__getitem__)]
     with np.errstate(over="ignore", invalid="ignore"):     # see _improvement
-        _, gaps, gap = _improvement(g, [stack[:, :m1], stack[:, m1:]])
+        _, gaps, gap = _improvement(g, stack)
     kept = (gap <= eps) & ~np.isnan(gaps).any(axis=-1)
     candidates = stack[kept]
     unique = np.empty_like(candidates)     # the rows of the reports found, in order
@@ -473,6 +469,5 @@ def support_enumeration(g: GameSpec, eps: float = 1e-8) -> list[EquilibriumRepor
     for row, row_gaps, epsilon in zip(candidates, gaps[kept], gap[kept]):
         if not (np.abs(unique[:len(found)] - row).max(axis=1) < 1e-8).any():
             unique[len(found)] = row
-            found.append(EquilibriumReport(StrategyProfile([row[:m1], row[m1:]]), row_gaps,
-                                           float(epsilon), True))
+            found.append(EquilibriumReport(_profile(row, g.m), row_gaps, float(epsilon), True))
     return found

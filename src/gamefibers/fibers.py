@@ -33,6 +33,7 @@ from .games import (
 
 DEFAULT_SAMPLES = 64
 MAX_SAMPLES = 4096
+MAX_TRACE_STEPS = 10_000          # largest step budget of trace_fiber
 INTERIOR_MIN = 1e-6
 CONSTANCY_EPSILONS = (1e-2, 1e-3, 1e-4)
 CORRECTOR_MAX_ITER = 20
@@ -253,8 +254,9 @@ def trace_fiber(g: GameSpec, s0: StrategyProfile, direction_index: int,
     onto the new nullspace and normalized, so the path depends on the
     tangent space, not on the basis ``nullspace`` returns, and keeps its
     orientation on a smooth fiber.  The trace stops when the step budget
-    runs out, when a corrected point leaves the interior of the simplex
-    (a coordinate below ``INTERIOR_MIN``), or when the corrector fails to
+    (at most ``MAX_TRACE_STEPS``, as every step may add a point) runs
+    out, when a corrected point leaves the interior of the simplex (a
+    coordinate below ``INTERIOR_MIN``), or when the corrector fails to
     converge; a step so large that the corrector diverges and a tangent
     whose projection vanishes are ``corrector_failure`` too.
 
@@ -271,6 +273,8 @@ def trace_fiber(g: GameSpec, s0: StrategyProfile, direction_index: int,
     """
     if max_steps < 0:
         raise ValueError("max_steps must be non-negative")
+    if max_steps > MAX_TRACE_STEPS:
+        raise ValueError(f"at most {MAX_TRACE_STEPS} steps")
     rows = _rows(g)
     r0, target, rank0, _, basis = _tangent_space(g, s0, rows)
     if k_generic is not None and rank0 > k_generic:

@@ -197,6 +197,16 @@ def test_equilibria_json_matches_golden():
     assert out == (GOLDEN / "equilibria_2x6_seed9.json").read_bytes()
 
 
+def test_equilibria_json_matches_the_four_player_golden():
+    # no vertex of this 4x4^4 game is an equilibrium, and the two-mixer
+    # stage answers it: players 0 and 1 mix on two strategies each
+    code, doc, err = cli("gen", "--random", "n=4", "m=4,4,4,4", "seed=3")
+    assert (code, err) == (0, "")
+    code, out, err = cli("equilibria", "--json", stdin=doc)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "equilibria_4x4_seed3.json").read_bytes()
+
+
 def test_overflowing_payoff_differences_are_quiet(capfd):
     # player 0's gains reach 3.4e308, past the float range: read as inf
     payoffs = np.zeros((2, 2, 2))
@@ -289,6 +299,7 @@ TRACE = {"--start": "uniform", "--direction": "0", "--step": "0.05", "--steps": 
     ("trace", "--step", "nan"),
     ("trace", "--step", "inf"),
     ("trace", "--steps", "-5"),
+    ("trace", "--steps", "1000000000000"),
     ("trace", "--tol", "nan"),
     ("trace", "--tol", "-inf"),
     ("trace", "--tol", "-1"),

@@ -90,6 +90,21 @@ def test_improvement_gains_use_the_exact_total_payoff():
                    for a, b, e in zip(at[:-1], at[1:], expected, strict=True))
         assert np.array_equal(maxima, [phi.max() for phi in expected])
         assert gap == max(float(phi.max()) for phi in expected)
+        # a flat stack (2, 3, N) of this profile, vertices, the uniform
+        # profile and more draws gives each slice the lone call's gains,
+        # maxima and epsilon bit for bit
+        extra = np.random.default_rng([17, seed])
+        profiles = [s, gf.uniform_profile(g), gf.pure_profile(g, [0] * n),
+                    gf.pure_profile(g, [k - 1 for k in g.m]),
+                    *(gf.random_interior_profile(g, extra) for _ in range(2))]
+        stack = np.stack([p.concat() for p in profiles]).reshape(2, 3, at[-1])
+        gains, maxima, gap = _improvement(g, stack)
+        assert gains.shape == stack.shape and maxima.shape == (2, 3, n)
+        for k, p in enumerate(profiles):
+            lone_gains, lone_maxima, lone_gap = _improvement(g, p)
+            assert gains[divmod(k, 3)].tobytes() == lone_gains.tobytes()
+            assert maxima[divmod(k, 3)].tobytes() == lone_maxima.tobytes()
+            assert gap[divmod(k, 3)].tobytes() == np.float64(lone_gap).tobytes()
 
 
 def test_pure_equilibria(bar, rps):
@@ -272,7 +287,7 @@ def test_two_mixers_past_the_budget_build_no_stack(n, m, seed, monkeypatch):
     # the first class alone holds 12,500 (5x5^5) or 9,216 (6x4^6) support
     # pairs, past SUPPORT_MAX_PAIRS: the search goes straight to the loop
     built = []
-    for name in ("_beats", "_class_weights"):
+    for name in ("_beats", "_class_profiles"):
         monkeypatch.setattr(equilibria, name, lambda *args, _name=name: built.append(_name))
     g = gf.random_game(n, [m] * n, seed)
     assert _vertex_gaps(g).min() > SEARCH_EPS

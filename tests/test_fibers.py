@@ -468,6 +468,13 @@ def test_trace_rejects_negative_max_steps(bar):
         gf.trace_fiber(bar, gf.uniform_profile(bar), 0, step=0.05, max_steps=-1)
 
 
+@pytest.mark.parametrize("max_steps", [fibers.MAX_TRACE_STEPS + 1, 10 ** 12])
+def test_trace_rejects_a_step_budget_past_the_cap(bar, max_steps):
+    # every step may add a point, so an unbounded budget is an unbounded run
+    with pytest.raises(ValueError, match=f"at most {fibers.MAX_TRACE_STEPS} steps"):
+        gf.trace_fiber(bar, gf.uniform_profile(bar), 0, step=0.0, max_steps=max_steps)
+
+
 def test_trace_without_k_generic_samples_no_rank(rps, monkeypatch):
     calls = []
     monkeypatch.setattr(fibers, "generic_rank", lambda *a, **k: calls.append(a))
