@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import comb
 
 import numpy as np
@@ -305,23 +305,25 @@ def _two_mixers(g: GameSpec, eps: float) -> EquilibriumReport | None:
     order, on the payoffs ``support_enumeration`` normalizes.  One sweep
     checks every player's deviations at the profiles it returns; the first
     within ``eps`` whose gaps hold no NaN, by slice and then support order,
-    is returned with that sweep's report.  The classes tried hold at most
-    ``SUPPORT_MAX_PAIRS`` support pairs in all, counted before a class's
-    stack is built; the first class past it ends the search.
+    is returned with that sweep's report.  The classes tried, up to the
+    first past ``SUPPORT_MAX_PAIRS`` support pairs in all, are counted before
+    any stack is built; each pair's stack and table are built at its first.
     """
     normalized, tau = _normalized(g, eps)
+    m, profiles = g.m, normalized[..., 0].size
     classes = sorted((ka + kb, abs(ka - kb), a, b, ka, kb)
                      for a, b in combinations(range(g.n), 2)
-                     for ka in range(2, g.m[a] + 1) for kb in range(2, g.m[b] + 1))
-    budget = SUPPORT_MAX_PAIRS
-    for *_, a, b, ka, kb in classes:
-        slices = normalized[..., 0].size // (g.m[a] * g.m[b])    # the others' pure profiles
-        budget -= comb(g.m[a], ka) * comb(g.m[b], kb) * slices
-        if budget < 0:
-            return None
-        stack = np.moveaxis(normalized[..., [a, b]], (a, b), (-3, -2))
-        stack = stack.reshape(-1, g.m[a], g.m[b], 2)
-        flat, _, _ = _class_profiles(g, stack, _beats(stack, tau), a, b, ka, kb)
+                     for ka in range(2, m[a] + 1) for kb in range(2, m[b] + 1))
+    # each class holds its sizes' support pairs once per pure profile of the others
+    totals = accumulate(comb(m[a], ka) * comb(m[b], kb) * (profiles // (m[a] * m[b]))
+                        for *_, a, b, ka, kb in classes)
+    tried = [c[2:] for c, total in zip(classes, totals) if total <= SUPPORT_MAX_PAIRS]
+    built = {}      # one stack and table per player pair, over the sizes it tries
+    for a, b, ka, kb in tried:
+        if (a, b) not in built:
+            built[a, b] = _subgames(normalized, tau, a, b,
+                                    *(max(c[i] for c in tried if c[:2] == (a, b)) for i in (2, 3)))
+        flat, _, _ = _class_profiles(g, *built[a, b], a, b, ka, kb)
         if not len(flat):
             continue
         with np.errstate(over="ignore", invalid="ignore"):     # see _improvement
@@ -362,45 +364,65 @@ def _normalized(g: GameSpec, eps: float) -> tuple[np.ndarray, float]:
         return np.ldexp(g.payoffs, -exponent), np.ldexp(eps, -exponent) + _PRUNE_SLACK
 
 
-def _beats(stack: np.ndarray, tau: float) -> list[np.ndarray]:
-    """Conditional-dominance tables of a stack of bimatrix games (slices,
-    m1, m2, 2): beats[0][s, a, a', b] when a' beats a by more than tau
-    against b in slice s, beats[1][s, b, b', a] likewise."""
-    return [p[:, None] - p[:, :, None] > tau
-            for p in (stack[..., 0], stack[..., 1].swapaxes(1, 2))]
+@lru_cache
+def _supports(m: int, k: int) -> tuple[tuple[np.ndarray, ...], tuple[int, ...], np.ndarray]:
+    """The supports of at most k of m strategies, by size and then
+    lexicographically: one index array (count, size) per size, the row
+    offsets of the sizes, and the 0/1 masks (rows, m).  The cache shares
+    them, so the arrays are read-only."""
+    index = tuple(np.array(list(combinations(range(m), size))) for size in range(1, k + 1))
+    mask = np.concatenate([(rows[..., None] == np.arange(m)).any(axis=1) for rows in index]) * 1.0
+    for array in (*index, mask):
+        array.setflags(write=False)
+    return index, (0, *np.cumsum([len(rows) for rows in index]).tolist()), mask
 
 
-def _class_profiles(g: GameSpec, stack: np.ndarray, beats: list[np.ndarray], a: int, b: int,
+def _subgames(normalized: np.ndarray, tau: float, a: int, b: int, k_a: int, k_b: int):
+    """The stack (slices, m_a, m_b, 2) of players a and b's bimatrix
+    subgames, one slice per pure profile of the others in lexicographic
+    order, and its conditional-dominance table (slices, rows of a, rows of
+    b) over their ``_supports`` of at most k_a and k_b strategies: true
+    where a strategy of one support is beaten by another pure strategy of
+    its player, by more than tau, against every strategy of the other."""
+    others = [q for q in range(normalized.ndim - 1) if q not in (a, b)]
+    stack = normalized[..., [a, b]].transpose(others + [a, b, -1])
+    stack = stack.reshape(-1, *stack.shape[-3:])
+    masks = _supports(stack.shape[1], k_a)[2], _supports(stack.shape[2], k_b)[2]
+    held = []
+    for p, own, other in zip((stack[..., 0], stack[..., 1].swapaxes(1, 2)), masks, masks[::-1]):
+        unbeaten = p.swapaxes(0, 1)[:, :, None] - p <= tau     # [j', s, j, t]: j' gains <= tau
+        # [j', (s, j, T)]: j' beats j by more than tau against every strategy of T
+        beaten = (unbeaten.reshape(-1, p.shape[2]) @ other.T == 0).reshape(p.shape[1], -1)
+        held.append(own @ beaten.any(axis=0).reshape(p.shape[:2] + (-1,)))     # [s, S, T]
+    return stack, np.logical_or(held[0], held[1].swapaxes(1, 2))
+
+
+def _class_profiles(g: GameSpec, stack: np.ndarray, table: np.ndarray, a: int, b: int,
                     k_a: int, k_b: int):
     """The solve of one size class of support pairs: players a < b mix on
-    supports of sizes k_a and k_b, over the stack (slices, m_a, m_b, 2) of
-    their bimatrix subgames, one slice per pure profile of the others in
-    lexicographic order, with its ``_beats`` tables.  Returns the flat
-    profiles (pairs, N) of the support pairs where both sides gave weights,
-    in (slice, support of a, support of b) order, the others one-hot, and
-    each pair's indices into a's and b's lexicographic supports."""
-    m_a, m_b = stack.shape[1:3]
-    supports_a = np.array(list(combinations(range(m_a), k_a)))
-    supports_b = np.array(list(combinations(range(m_b), k_b)))
-    sub = stack[:, supports_a[:, None, :, None], supports_b[None, :, None, :]]
-    y_systems = sub[..., 0].reshape(-1, k_a, k_b)
-    x_systems = sub[..., 1].swapaxes(-1, -2).reshape(-1, k_b, k_a)
-    # a pair where a strategy of one support is beaten by more than tau
-    # against every strategy of the other support has no epsilon within
-    # eps (see _PRUNE_SLACK), so neither side is solved for it (conditional
-    # dominance, Porter, Nudelman & Shoham 2008)
-    dominated = [beat[..., other].all(axis=-1).any(axis=2)[:, own].any(axis=2)
-                 for beat, own, other in zip(beats, (supports_a, supports_b),
-                                             (supports_b, supports_a))]
+    supports of sizes k_a and k_b, over a ``_subgames`` stack and table.
+    Returns the flat profiles (pairs, N) of the support pairs where both
+    sides gave weights, in (slice, support of a, support of b) order, the
+    others one-hot, and each pair's rows in a's and b's ``_supports``."""
+    (*_, supports_a), at_a, _ = _supports(stack.shape[1], k_a)
+    (*_, supports_b), at_b, _ = _supports(stack.shape[2], k_b)
+    # the class's block of the table marks each pair where a strategy of one
+    # support is beaten by more than tau against every strategy of the other,
+    # with no epsilon within eps (see _PRUNE_SLACK): only the other pairs'
+    # systems are gathered and solved (Porter, Nudelman & Shoham 2008)
+    block = table[:, at_a[-2]:at_a[-1], at_b[-2]:at_b[-1]]
     # a pair counts only where both sides give weights, so the second side
     # is solved on the first side's survivors (a stack's subset solves as
     # the full stack does, so this is the two-sided solve bit for bit); the
     # overdetermined side, rarely consistent, goes first: a's systems, which
     # give b's weights, when k_a >= k_b
-    pairs, weights = np.flatnonzero(~(dominated[0] | dominated[1].swapaxes(1, 2))), []
-    for systems in (y_systems, x_systems) if k_a >= k_b else (x_systems, y_systems):
+    pairs, weights = np.flatnonzero(~block), []
+    for side in (0, 1) if k_a >= k_b else (1, 0):
         if pairs.size:
-            w = _indifference_weights(systems[pairs])
+            s, i, j = np.unravel_index(pairs, block.shape)
+            systems = stack[s[:, None, None], supports_a[i][:, :, None],
+                            supports_b[j][:, None, :], side]
+            w = _indifference_weights(systems.swapaxes(1, 2) if side else systems)
             feasible = ~np.isnan(w[:, 0])
             pairs, weights = pairs[feasible], [v[feasible] for v in weights + [w]]
     at = _offsets(g.m)
@@ -408,34 +430,34 @@ def _class_profiles(g: GameSpec, stack: np.ndarray, beats: list[np.ndarray], a: 
         return np.empty((0, at[-1])), pairs, pairs
     y_w, x_w = weights if k_a >= k_b else weights[::-1]
     others = [q for q in range(g.n) if q not in (a, b)]
-    *pure, i_a, i_b = np.unravel_index(pairs, (*(g.m[q] for q in others), len(supports_a),
-                                               len(supports_b)))
+    *pure, i_a, i_b = np.unravel_index(pairs, (*(g.m[q] for q in others), *block.shape[1:]))
     flat, rows = np.zeros((pairs.size, at[-1])), np.arange(pairs.size)
     flat[rows[:, None], at[a] + supports_a[i_a]] = x_w
     flat[rows[:, None], at[b] + supports_b[i_b]] = y_w
     for q, j in zip(others, pure):
         flat[rows, at[q] + j] = 1.0
-    return flat, i_a, i_b
+    return flat, at_a[-2] + i_a, at_b[-2] + i_b
 
 
 def support_enumeration(g: GameSpec, eps: float = 1e-8) -> list[EquilibriumReport]:
     """All equilibria of a two-player game found by support enumeration.
 
     Each size class (k1, k2) of support pairs is one ``_class_profiles``
-    solve, on the game as a stack of one slice.  It drops a pair unsolved
-    when a strategy in one support is beaten by another pure strategy of
-    its player, by more than ``eps`` plus a slack, against every strategy
-    of the other support.  Any weights the solves could give such a pair
-    leave that deviation a gain above ``eps``, as the slack covers the
-    solves' tolerance, so the sweep would drop it: wherever the sweep's
-    gains stay inside the float range, the reports are those of solving
-    every pair, bit for bit.  One sweep gives every candidate with
-    nonnegative weights its gaps and epsilon, each slice
-    ``verify_equilibrium``'s bit for bit; those within ``eps`` whose gaps
-    hold no NaN (an inf - inf gain decides nothing) are kept with that
-    report, deduplicated within 1e-8 by one comparison against the rows
-    kept so far, in support order: by size, then lexicographically, the
-    first player's support outermost.  Degenerate games may admit continua of equilibria, of which this
+    solve, on the game as a stack of one slice, and reads its block of the
+    game's one ``_subgames`` table.  It drops a pair unsolved when a
+    strategy in one support is beaten by another pure strategy of its
+    player, by more than ``eps`` plus a slack, against every strategy of
+    the other support.  Any weights the solves could give such a pair leave
+    that deviation a gain above ``eps``, as the slack covers the solves'
+    tolerance, so the sweep would drop it: wherever the sweep's gains stay
+    inside the float range, the reports are those of solving every pair,
+    bit for bit.  One sweep gives every candidate with nonnegative weights
+    its gaps and epsilon, each slice ``verify_equilibrium``'s bit for bit;
+    those within ``eps`` whose gaps hold no NaN (an inf - inf gain decides
+    nothing) are kept with that report, deduplicated within 1e-8 by one
+    comparison against the rows kept so far, in support order: by size,
+    then lexicographically, the first player's support outermost.
+    Degenerate games may admit continua of equilibria, of which this
     reports representatives.  The systems use the payoffs divided by the
     power of two that brings max|T| into [0.5, 1), which is exact, so a
     power-of-two rescaling gives the same profiles bit for bit; ``eps``
@@ -449,17 +471,15 @@ def support_enumeration(g: GameSpec, eps: float = 1e-8) -> list[EquilibriumRepor
         raise ValueError(
             f"supports too large: needs at most {SUPPORT_MAX_PAIRS} support pairs")
     _require_finite(g)
-    normalized, tau = _normalized(g, eps)
-    slices = normalized[None]       # a stack of one slice: the game itself
-    beats = _beats(slices, tau)
+    slices, table = _subgames(*_normalized(g, eps), 0, 1, *g.m)     # a stack of one slice
     keys, rows = [], []
     for k1, k2 in product(range(1, g.m[0] + 1), range(1, g.m[1] + 1)):
-        flat, i1, i2 = _class_profiles(g, slices, beats, 0, 1, k1, k2)
-        keys += [(k1, a, k2, b) for a, b in zip(i1.tolist(), i2.tolist())]
+        flat, i1, i2 = _class_profiles(g, slices, table, 0, 1, k1, k2)
+        keys.append(i1 * table.shape[2] + i2)    # support order: a table row, then column
         rows.append(flat)
-    if not keys:
+    stack = np.concatenate(rows)[np.argsort(np.concatenate(keys))]
+    if not len(stack):
         return []
-    stack = np.concatenate(rows)[sorted(range(len(keys)), key=keys.__getitem__)]
     with np.errstate(over="ignore", invalid="ignore"):     # see _improvement
         _, gaps, gap = _improvement(g, stack)
     kept = (gap <= eps) & ~np.isnan(gaps).any(axis=-1)

@@ -259,6 +259,37 @@ def loop_embedded_subgame_equilibria(g, eps):
     return found
 
 
+def loop_subgame_stack(payoffs, a, b):
+    """Slice by slice: players a and b's payoffs (m_a, m_b, 2) at every
+    pure profile of the others, in lexicographic order."""
+    n = payoffs.ndim - 1
+    others = [q for q in range(n) if q not in (a, b)]
+    slices = []
+    for rest in itertools.product(*(range(payoffs.shape[q]) for q in others)):
+        index = [slice(None)] * n
+        for q, j in zip(others, rest):
+            index[q] = j
+        slices.append(payoffs[tuple(index)][..., [a, b]])
+    return np.array(slices)
+
+
+def class_dominance(stack, tau, k_a, k_b):
+    """One size class's conditional-dominance mask, built for that class
+    alone from its own supports: (slices, supports of k_a, supports of k_b)
+    in lexicographic order, true where a strategy of one support is beaten
+    by another pure strategy of its player, by more than tau, against every
+    strategy of the other support."""
+    m_a, m_b = stack.shape[1:3]
+    supports_a = np.array(list(itertools.combinations(range(m_a), k_a)))
+    supports_b = np.array(list(itertools.combinations(range(m_b), k_b)))
+    beats = [p[:, None] - p[:, :, None] > tau
+             for p in (stack[..., 0], stack[..., 1].swapaxes(1, 2))]
+    dominated = [beat[..., other].all(axis=-1).any(axis=2)[:, own].any(axis=2)
+                 for beat, own, other in zip(beats, (supports_a, supports_b),
+                                             (supports_b, supports_a))]
+    return dominated[0] | dominated[1].swapaxes(1, 2)
+
+
 def two_sided_support_enumeration(g, eps=1e-8):
     """Class by class, both sides whole and no pair pruned: for each size
     class (k1, k2), one ``_indifference_weights`` stack of player 0's

@@ -197,6 +197,16 @@ def test_equilibria_json_matches_golden():
     assert out == (GOLDEN / "equilibria_2x6_seed9.json").read_bytes()
 
 
+def test_equilibria_json_matches_the_non_square_golden():
+    # a 5x7 game: the dominance table indexes each player's supports on its
+    # own, which a square game cannot tell apart from a transposed index
+    code, doc, err = cli("gen", "--random", "n=2", "m=5,7", "seed=0")
+    assert (code, err) == (0, "")
+    code, out, err = cli("equilibria", "--json", stdin=doc)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "equilibria_5x7_seed0.json").read_bytes()
+
+
 def test_equilibria_json_matches_the_four_player_golden():
     # no vertex of this 4x4^4 game is an equilibrium, and the two-mixer
     # stage answers it: players 0 and 1 mix on two strategies each

@@ -1,3 +1,6 @@
+import itertools
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,14 +15,18 @@ from gamefibers.equilibria import (
     _improvement,
     _indifference_weights,
     _offsets,
+    _subgames,
+    _supports,
     _two_mixers,
     _vertex_gaps,
 )
 from helpers import (
+    class_dominance,
     interior_profile,
     loop_embedded_subgame_equilibria,
     loop_find_equilibrium,
     loop_nash_map,
+    loop_subgame_stack,
     loop_support_enumeration,
     loop_vertex_gaps,
     two_sided_support_enumeration,
@@ -287,7 +294,7 @@ def test_two_mixers_past_the_budget_build_no_stack(n, m, seed, monkeypatch):
     # the first class alone holds 12,500 (5x5^5) or 9,216 (6x4^6) support
     # pairs, past SUPPORT_MAX_PAIRS: the search goes straight to the loop
     built = []
-    for name in ("_beats", "_class_profiles"):
+    for name in ("_subgames", "_class_profiles"):
         monkeypatch.setattr(equilibria, name, lambda *args, _name=name: built.append(_name))
     g = gf.random_game(n, [m] * n, seed)
     assert _vertex_gaps(g).min() > SEARCH_EPS
@@ -672,13 +679,57 @@ def test_support_enumeration_prunes_exactly_at_the_dominance_margin(player, scal
 
 def test_support_enumeration_solves_few_dominance_survivors(monkeypatch):
     # equilibria-lib's seed-0 6x6 game: every one of its 3,969 pairs was
-    # solved for one side, 4,335 matrices in all, before the dominance prune
+    # solved for one side, 4,335 matrices in all, before the dominance prune;
+    # the prune leaves exactly 277 systems in 29 stacks, so a table that
+    # prunes less (slower) or more (wrong) fails here
     solved = []
     weights = equilibria._indifference_weights
     monkeypatch.setattr(equilibria, "_indifference_weights",
                         lambda mat: solved.append(len(mat)) or weights(mat))
     gf.support_enumeration(gf.random_game(2, (6, 6), 6))
-    assert sum(solved) <= 400
+    assert (sum(solved), len(solved)) == (277, 29)
+
+
+@pytest.mark.parametrize("m, a, b", [((3, 5), 0, 1), ((5, 2), 0, 1), ((6, 6), 0, 1),
+                                     ((2, 10), 0, 1), ((3, 4, 3), 0, 2), ((2, 3, 4), 1, 2),
+                                     ((3, 2, 2, 3), 1, 3)])
+@pytest.mark.parametrize("kind", ["generic", "integer", "binary"])
+@pytest.mark.parametrize("tau", [0.0, 1.0])
+def test_dominance_table_blocks_are_the_per_class_prune(m, a, b, kind, tau):
+    # every class block of the one table per stack is the mask built for
+    # that class alone, on stacks of one or several slices, with m_a != m_b,
+    # and with integer payoffs whose differences fall exactly at tau
+    rng = np.random.default_rng([*m, a, b, len(kind)])
+    if kind == "generic":
+        payoffs = rng.standard_normal((*m, len(m)))
+    else:
+        low, high = (-2, 3) if kind == "integer" else (0, 2)
+        payoffs = rng.integers(low, high, size=(*m, len(m))).astype(float)
+    for k_a, k_b in ((m[a], m[b]), (min(2, m[a]), min(3, m[b]))):
+        stack, table = _subgames(payoffs, tau, a, b, k_a, k_b)
+        assert stack.tobytes() == loop_subgame_stack(payoffs, a, b).tobytes()
+        if kind != "generic":       # some j' gains exactly tau over another j of a
+            gains = stack[:, None, :, :, 0] - stack[:, :, None, :, 0]
+            assert ((gains == tau) & ~np.eye(m[a], dtype=bool)[:, :, None]).any()
+        rows_a = np.cumsum([0] + [comb(m[a], k) for k in range(1, k_a + 1)])
+        rows_b = np.cumsum([0] + [comb(m[b], k) for k in range(1, k_b + 1)])
+        assert table.shape == (len(stack), rows_a[-1], rows_b[-1])
+        for i, j in itertools.product(range(k_a), range(k_b)):
+            block = table[:, rows_a[i]:rows_a[i + 1], rows_b[j]:rows_b[j + 1]]
+            assert np.array_equal(block, class_dominance(stack, tau, i + 1, j + 1))
+
+
+def test_cached_supports_are_read_only():
+    # the cache hands the same arrays to every caller, so none may write them
+    index, offsets, mask = _supports(5, 3)
+    assert offsets == (0, 5, 15, 25)
+    for k, rows in enumerate(index, start=1):
+        assert rows.tolist() == [list(c) for c in itertools.combinations(range(5), k)]
+        assert mask[offsets[k - 1]:offsets[k]].sum(axis=1).tolist() == [k] * len(rows)
+    for array in (*index, mask):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    assert _supports(5, 3)[2] is mask
 
 
 def test_support_enumeration_without_a_feasible_pair_is_empty(monkeypatch):
