@@ -76,15 +76,12 @@ def best_response_gap(g: GameSpec, s: StrategyProfile, player: int) -> float:
     return float(verify_equilibrium(g, s, 0.0).gaps[player])
 
 
-@np.errstate(over="ignore", invalid="ignore")    # see _improvement
 def verify_equilibrium(g: GameSpec, s: StrategyProfile, eps: float) -> EquilibriumReport:
     """Gap report for a profile; converged iff no player can improve by
-    more than eps and no gap is NaN (an inf - inf gain decides nothing)."""
+    more than eps, decided on the normalized payoffs (see ``_improvement``)."""
     if not eps >= 0:
         raise ValueError("eps must be non-negative")
-    _, gaps, epsilon = _improvement(g, s)
-    return EquilibriumReport(profile=s, gaps=gaps, epsilon=epsilon,
-                             converged=epsilon <= eps and not np.isnan(gaps).any())
+    return EquilibriumReport(s, *_improvement(g, s, eps)[1:])
 
 
 def pure_equilibria(g: GameSpec) -> list[tuple[int, ...]]:
@@ -104,9 +101,7 @@ def _enumerable(g: GameSpec) -> bool:
 
 
 def _require_finite(g: GameSpec) -> None:
-    """A player without strategies or a non-finite payoff leaves no gains to
-    compare (NaN would read as no gain), so every equilibrium routine
-    rejects both."""
+    """Every equilibrium routine rejects a player without strategies or a non-finite payoff."""
     if 0 in g.m:
         raise ValueError("equilibria need a strategy for every player")
     if not np.isfinite(g.scale):
@@ -133,27 +128,31 @@ def _offsets(m: tuple[int, ...]) -> tuple[int, ...]:
     return (0, *np.cumsum(m).tolist())
 
 
-def _improvement(g: GameSpec, s) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
+def _improvement(g: GameSpec, s, eps: float = 0.0) -> tuple[np.ndarray, np.ndarray,
+                                                            float | np.ndarray, bool | np.ndarray]:
     """Positive-part payoff gains of every pure deviation, flat (*stack, N)
     with N = sum m_i and player i's at ``_offsets(g.m)[i]``; the players'
-    largest gains (*stack, n), NaN where a gain is; and the largest of those
-    (the profile's epsilon), to which a NaN adds nothing.  The payoff and
-    every player's deviations come from one ``_deviations`` sweep.  ``s`` is
-    a profile or a nonempty stack of flat ones (*stack, N); a stack's
-    epsilons are an array (*stack).  Callers hold ``np.errstate(over=
-    "ignore", invalid="ignore")``: overflow reads as ±inf, inf * 0 as NaN."""
+    largest gains (*stack, n); their largest, the epsilon; and whether it is
+    within ``eps``.  One ``_deviations`` sweep of the cached payoffs times
+    2^-e gives them, every gain below 2, and decides against eps times 2^-e;
+    they come back times 2^e, exact unless past the float range.  ``s`` is a
+    profile or a nonempty stack of flat ones (*stack, N), whose epsilons and
+    decisions are arrays (*stack)."""
     lone = isinstance(s, StrategyProfile)
     if lone:
         _require_match(g, s)
     _require_finite(g)
-    at = _offsets(g.m)
-    pay, devs = _deviations(g.payoffs, s.blocks if lone
+    at, e = _offsets(g.m), g._exponent
+    pay, devs = _deviations(g._normalized_payoffs, s.blocks if lone
                             else [s[..., a:b] for a, b in zip(at, at[1:])])
     gains = np.concatenate([dev[..., i] for i, dev in enumerate(devs)], axis=-1)
     gains = np.maximum(0.0, gains - np.repeat(pay, g.m, axis=-1))
     maxima = np.maximum.reduceat(gains, at[:-1], axis=-1)
-    gap = np.fmax.reduce(maxima, axis=-1, initial=0.0)
-    return gains, maxima, float(gap) if lone else gap
+    gap = maxima.max(axis=-1, initial=0.0)
+    with np.errstate(over="ignore"):    # past the float range, a gain or eps reads as inf
+        within = gap <= np.ldexp(eps, -e)
+        gains, maxima, gap = np.ldexp(gains, e), np.ldexp(maxima, e), np.ldexp(gap, e)
+    return gains, maxima, *((float(gap), bool(within)) if lone else (gap, within))
 
 
 def _profile(flat, m) -> StrategyProfile:
@@ -176,7 +175,7 @@ def _mapped(flat, gains, sums, m) -> np.ndarray:
     return (flat + gains) / (1.0 + np.repeat(sums, m, axis=-1))
 
 
-@np.errstate(over="ignore", invalid="ignore")    # see _improvement
+@np.errstate(over="ignore")     # the gains may sum past the float range
 def nash_map(g: GameSpec, s: StrategyProfile) -> StrategyProfile:
     """Continuous improvement map with fixed points exactly at equilibria.
 
@@ -186,7 +185,7 @@ def nash_map(g: GameSpec, s: StrategyProfile) -> StrategyProfile:
     the input iff no deviation gains.  A block whose gains sum past the
     float range has no image and raises ValueError.
     """
-    gains, _, _ = _improvement(g, s)
+    gains = _improvement(g, s)[0]
     sums = _block_sums(gains, g.m)
     if not np.isfinite(sums).all():
         raise ValueError(f"block {int(np.argmin(np.isfinite(sums)))}: "
@@ -205,27 +204,21 @@ def find_equilibrium(g: GameSpec, seed: int = 0, max_iter: int = SEARCH_MAX_ITER
     2-player game support enumeration covers, its report with the smallest
     epsilon is returned, the first in support order on a tie.  On a game of
     3 or more players, the first profile within ``eps`` on which two
-    players mix and the others play pure strategies is returned, found by
-    support enumeration's solves class by class, smallest supports first,
-    within ``SUPPORT_MAX_PAIRS`` support pairs (see ``_two_mixers``).  When
-    neither answers, the iteration runs from the uniform profile and
-    ``restarts`` seeded random interior starts (start t drawn by
-    ``default_rng([seed, t])``); ``seed``, ``max_iter`` and ``restarts``
-    budget this damped loop alone.  The starts run in lockstep as one array
-    of flat profiles (restarts + 1, sum m_i): an iteration is one
-    ``_deviations`` sweep of its block views, the map and damping as one
-    expression each, and one exact check of the whole array on the simplex.
+    players mix and the others play pure strategies is returned (see
+    ``_two_mixers``).  When neither answers, the iteration runs from the
+    uniform profile and ``restarts`` seeded random interior starts (start t
+    drawn by ``default_rng([seed, t])``); ``seed``, ``max_iter`` and
+    ``restarts`` budget this damped loop alone.  The starts run in lockstep
+    as one array of flat profiles, one ``_deviations`` sweep an iteration.
     Each start ends at its first epsilon within ``eps``, after ``max_iter``
     steps, or where a block's gains sum past the float range (an epsilon of
-    inf among them), as the map has no image there.
-    The loop ends once every start up to the first that converged has
-    ended; later starts do not count.  The starts are then read in order,
-    each by its first smallest epsilon, and a profile replaces the best
-    only when its epsilon is strictly smaller, so the result is never worse
-    than any vertex, the earlier start wins exact ties, and the answer is
-    the one of running the starts one after another.  ``converged`` is
-    ``verify_equilibrium``'s: false when the best epsilon exceeds ``eps``
-    or a gap is NaN.
+    inf among them), as the map has no image there.  The loop ends once
+    every start up to the first that converged has ended; later starts do
+    not count.  The starts are then read in order, each by its first
+    smallest epsilon, and a profile replaces the best only when its epsilon
+    is strictly smaller, so the result is never worse than any vertex, the
+    earlier start wins exact ties, and the answer is the one of running the
+    starts one after another.  ``converged`` is ``verify_equilibrium``'s.
     """
     for name, value in (("seed", seed), ("max_iter", max_iter), ("eps", eps),
                         ("restarts", restarts)):
@@ -265,13 +258,12 @@ def _search(g, gaps, mixed, seed, max_iter, eps, restarts) -> EquilibriumReport:
     best = cur.copy()                               # and its profile there
     live = np.arange(restarts + 1)                  # the starts still running, in order
     first = restarts                                # the first start that converged, else the last
-    with np.errstate(over="ignore", invalid="ignore"):     # see _improvement
+    with np.errstate(over="ignore"):    # the gains may sum past the float range
         for it in range(max_iter + 1):
-            gains, _, gap = _improvement(g, cur)
+            gains, _, gap, converged = _improvement(g, cur, eps)
             better = gap < least[live]
             least[live[better]], best[live[better]] = gap[better], cur[better]
             sums = _block_sums(gains, g.m)
-            converged = gap <= eps
             if converged.any():
                 first = min(first, int(live[converged][0]))
             keep = ~converged & np.isfinite(sums).all(axis=-1) & (live <= first)
@@ -304,10 +296,10 @@ def _two_mixers(g: GameSpec, eps: float) -> EquilibriumReport | None:
     subgames, one slice per pure profile of the others in lexicographic
     order, on the payoffs ``support_enumeration`` normalizes.  One sweep
     checks every player's deviations at the profiles it returns; the first
-    within ``eps`` whose gaps hold no NaN, by slice and then support order,
-    is returned with that sweep's report.  The classes tried, up to the
-    first past ``SUPPORT_MAX_PAIRS`` support pairs in all, are counted before
-    any stack is built; each pair's stack and table are built at its first.
+    within ``eps``, by slice and then support order, is returned with that
+    sweep's report.  The classes tried, up to the first past
+    ``SUPPORT_MAX_PAIRS`` support pairs in all, are counted before any stack
+    is built; each pair's stack and table are built at its first.
     """
     normalized, tau = _normalized(g, eps)
     m, profiles = g.m, normalized[..., 0].size
@@ -324,14 +316,11 @@ def _two_mixers(g: GameSpec, eps: float) -> EquilibriumReport | None:
             built[a, b] = _subgames(normalized, tau, a, b,
                                     *(max(c[i] for c in tried if c[:2] == (a, b)) for i in (2, 3)))
         flat, _, _ = _class_profiles(g, *built[a, b], a, b, ka, kb)
-        if not len(flat):
-            continue
-        with np.errstate(over="ignore", invalid="ignore"):     # see _improvement
-            _, gaps, gap = _improvement(g, flat)
-        kept = np.flatnonzero((gap <= eps) & ~np.isnan(gaps).any(axis=-1))
-        if kept.size:
-            k = kept[0]
-            return EquilibriumReport(_profile(flat[k], g.m), gaps[k], float(gap[k]), True)
+        if len(flat):
+            _, gaps, gap, within = _improvement(g, flat, eps)
+            if within.any():
+                k = within.argmax()
+                return EquilibriumReport(_profile(flat[k], g.m), gaps[k], float(gap[k]), True)
     return None
 
 
@@ -356,12 +345,10 @@ def _indifference_weights(mat: np.ndarray) -> np.ndarray:
 
 
 def _normalized(g: GameSpec, eps: float) -> tuple[np.ndarray, float]:
-    """The payoffs divided by the power of two that brings max|T| into
-    [0.5, 1), which is exact, and the dominance margin: eps on that scale
-    plus ``_PRUNE_SLACK``."""
-    exponent = np.frexp(g.scale)[1]
+    """The payoffs times 2^-e that the game caches, and the dominance margin:
+    eps on that scale plus ``_PRUNE_SLACK``."""
     with np.errstate(over="ignore"):    # eps past the float range prunes nothing
-        return np.ldexp(g.payoffs, -exponent), np.ldexp(eps, -exponent) + _PRUNE_SLACK
+        return g._normalized_payoffs, np.ldexp(eps, -g._exponent) + _PRUNE_SLACK
 
 
 @lru_cache
@@ -449,19 +436,17 @@ def support_enumeration(g: GameSpec, eps: float = 1e-8) -> list[EquilibriumRepor
     player, by more than ``eps`` plus a slack, against every strategy of
     the other support.  Any weights the solves could give such a pair leave
     that deviation a gain above ``eps``, as the slack covers the solves'
-    tolerance, so the sweep would drop it: wherever the sweep's gains stay
-    inside the float range, the reports are those of solving every pair,
-    bit for bit.  One sweep gives every candidate with nonnegative weights
-    its gaps and epsilon, each slice ``verify_equilibrium``'s bit for bit;
-    those within ``eps`` whose gaps hold no NaN (an inf - inf gain decides
-    nothing) are kept with that report, deduplicated within 1e-8 by one
-    comparison against the rows kept so far, in support order: by size,
-    then lexicographically, the first player's support outermost.
+    tolerance, so the sweep would drop it: the reports are those of solving
+    every pair, bit for bit.  One sweep gives each candidate with nonnegative
+    weights its gaps and epsilon, each slice ``verify_equilibrium``'s bit for
+    bit; those within ``eps`` are kept with that report, deduplicated within
+    1e-8 by one comparison against the rows kept so far, in support order:
+    by size, then lexicographically, the first player's support outermost.
     Degenerate games may admit continua of equilibria, of which this
-    reports representatives.  The systems use the payoffs divided by the
-    power of two that brings max|T| into [0.5, 1), which is exact, so a
-    power-of-two rescaling gives the same profiles bit for bit; ``eps``
-    stays in payoff units.
+    reports representatives.  The systems and the sweep use the payoffs
+    divided by the power of two that brings max|T| into [0.5, 1), which is
+    exact, so a power-of-two rescaling gives the same profiles bit for bit;
+    ``eps`` stays in payoff units.
     """
     if g.n != 2:
         raise ValueError("not a 2-player game")
@@ -480,9 +465,7 @@ def support_enumeration(g: GameSpec, eps: float = 1e-8) -> list[EquilibriumRepor
     stack = np.concatenate(rows)[np.argsort(np.concatenate(keys))]
     if not len(stack):
         return []
-    with np.errstate(over="ignore", invalid="ignore"):     # see _improvement
-        _, gaps, gap = _improvement(g, stack)
-    kept = (gap <= eps) & ~np.isnan(gaps).any(axis=-1)
+    _, gaps, gap, kept = _improvement(g, stack, eps)
     candidates = stack[kept]
     unique = np.empty_like(candidates)     # the rows of the reports found, in order
     found: list[EquilibriumReport] = []

@@ -53,7 +53,8 @@ def _svd(mat, vectors: bool, scale: float) -> tuple[int | np.ndarray, np.ndarray
     per matrix.  This is the library's one decomposition: every rank,
     kernel and solve uses its cutoff."""
     a = np.atleast_2d(np.asarray(mat, dtype=float))
-    if not np.isfinite(a).all():
+    top = np.abs(a).max(initial=0.0)
+    if not top < np.inf:
         raise ValueError("rank needs a finite matrix")
     if not 0 <= scale < np.inf:
         raise ValueError("scale must be finite and non-negative")
@@ -61,6 +62,10 @@ def _svd(mat, vectors: bool, scale: float) -> tuple[int | np.ndarray, np.ndarray
         u, s, vt = np.linalg.svd(a)
     else:
         u, s, vt = None, np.linalg.svd(a, compute_uv=False), None
+    # sigma_1 <= sqrt(rows cols) top, so only past 2^512 can it (and the cutoff) read inf
+    if top > 2.0 ** 512 and np.isinf(s[..., :1]).any():     # then decide the rank on a / 2^e
+        e = np.frexp(top)[1]
+        return _svd(np.ldexp(a, -e), False, np.ldexp(scale, -e))[0], s, u, vt
     smax = np.fmax(s[..., :1], scale)       # sigma_1, or none for an empty matrix
     rank = (s > max(a.shape[-2:]) * 2.0 ** RANK_RTOL_EXPONENT * smax).sum(axis=-1)
     return (int(rank) if a.ndim == 2 else rank), s, u, vt

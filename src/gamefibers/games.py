@@ -135,6 +135,18 @@ class GameSpec:
         return max(float(self.payoffs.max(initial=0.0)), -float(self.payoffs.min(initial=0.0)))
 
     @cached_property
+    def _exponent(self) -> int:
+        """e with max|T| in [2^(e-1), 2^e), 0 for the zero game."""
+        return int(np.frexp(self.scale)[1])
+
+    @cached_property
+    def _normalized_payoffs(self) -> np.ndarray:
+        """The payoffs times 2^-e, read-only: exact, max|entry| in [0.5, 1)."""
+        arr = np.ldexp(self.payoffs, -self._exponent)
+        arr.setflags(write=False)
+        return arr
+
+    @cached_property
     def zero_sum(self) -> bool:
         """``is_zero_sum`` at its default tolerance, decided once."""
         return is_zero_sum(self)

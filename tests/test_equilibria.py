@@ -68,14 +68,14 @@ def test_verify_equilibrium(bar):
 
 
 def test_verify_equilibrium_calls_a_nan_gap_unconverged():
-    # at the float range a gain can be inf - inf, which decides nothing:
-    # player 1 gains about 1.8e308 here, though every gap reads NaN
+    # at the float range a raw gain would be inf - inf; on the normalized
+    # payoffs player 1's gain is about 1, past the float range in payoff units
     payoffs = np.stack([[[0.0, 1.0], [0.0, 1.0]], [[-1.0, 1.0], [1.0, 1.0]]], axis=-1)
     g = gf.GameSpec(payoffs * 1.7976931348623157e308)
     assert gf.validate_game(g) == []
     report = gf.verify_equilibrium(g, gf.StrategyProfile([[0.5000000000000001, 0.5], [1, 0]]),
                                    SEARCH_EPS)
-    assert np.isnan(report.gaps).all() and report.epsilon == 0.0
+    assert report.gaps.tolist() == [0.0, np.inf] and report.epsilon == np.inf
     assert not report.converged
 
 
@@ -90,7 +90,7 @@ def test_improvement_gains_use_the_exact_total_payoff():
         pay = gf.total_payoff(g, s)
         expected = [np.maximum(0.0, gf.deviation_payoffs(g, s, i)[:, i] - pay[i])
                     for i in range(n)]
-        gains, maxima, gap = _improvement(g, s)
+        gains, maxima, gap, _ = _improvement(g, s)
         at = _offsets(g.m)
         assert gains.shape == (at[-1],)
         assert all(np.array_equal(gains[a:b], e)
@@ -105,10 +105,10 @@ def test_improvement_gains_use_the_exact_total_payoff():
                     gf.pure_profile(g, [k - 1 for k in g.m]),
                     *(gf.random_interior_profile(g, extra) for _ in range(2))]
         stack = np.stack([p.concat() for p in profiles]).reshape(2, 3, at[-1])
-        gains, maxima, gap = _improvement(g, stack)
+        gains, maxima, gap, _ = _improvement(g, stack)
         assert gains.shape == stack.shape and maxima.shape == (2, 3, n)
         for k, p in enumerate(profiles):
-            lone_gains, lone_maxima, lone_gap = _improvement(g, p)
+            lone_gains, lone_maxima, lone_gap, _ = _improvement(g, p)
             assert gains[divmod(k, 3)].tobytes() == lone_gains.tobytes()
             assert maxima[divmod(k, 3)].tobytes() == lone_maxima.tobytes()
             assert gap[divmod(k, 3)].tobytes() == np.float64(lone_gap).tobytes()
@@ -269,24 +269,72 @@ def test_search_runs_the_damped_loop_where_no_two_mixer_class_answers(n, m, seed
     assert same_report(report, expected)
 
 
+def two_mixer_games():
+    """(n, m, seed) of the first 20 ``random_game`` seeds of each shape with
+    no vertex within ``SEARCH_EPS`` and a two-mixer answer at it."""
+    found = []
+    for n, m in ((3, 2), (3, 3), (4, 2), (3, 4)):
+        seed, count = 0, 0
+        while count < 20:
+            g = gf.random_game(n, [m] * n, seed)
+            if _vertex_gaps(g).min() > SEARCH_EPS and _two_mixers(g, SEARCH_EPS) is not None:
+                found.append((n, m, seed))
+                count += 1
+            seed += 1
+    return found
+
+
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 10 ** 6), shape=st.sampled_from([(3, 2), (3, 3), (4, 2), (3, 4)]),
-       power=st.integers(-60, 60), exponent=st.floats(-12.0, 12.0))
-def test_two_mixers_do_not_depend_on_the_payoff_scale(seed, shape, power, exponent):
+@given(game=st.sampled_from(two_mixer_games()), power=st.integers(-60, 60),
+       exponent=st.floats(-12.0, 12.0))
+def test_two_mixers_do_not_depend_on_the_payoff_scale(game, power, exponent):
     # the solves run on the payoffs normalized by a power of two, so a
     # power-of-two rescaling gives the same profile bit for bit and any
-    # other one the same profile up to rounding
-    n, m = shape
+    # other one the same profile up to rounding; the games drawn all reach
+    # the stage and get an answer, so no draw is filtered out
+    n, m, seed = game
     g = gf.random_game(n, [m] * n, seed)
-    assume(_vertex_gaps(g).min() > SEARCH_EPS)
     base = _two_mixers(g, SEARCH_EPS)
-    assume(base is not None)
     exact = _two_mixers(gf.GameSpec(np.ldexp(g.payoffs, power)), np.ldexp(SEARCH_EPS, power))
     assert exact.profile.concat().tobytes() == base.profile.concat().tobytes()
     scale = 10.0 ** exponent
     scaled = _two_mixers(gf.GameSpec(scale * g.payoffs), scale * SEARCH_EPS)
     assert scaled.converged
     assert np.abs(scaled.profile.concat() - base.profile.concat()).max() <= 1e-9
+
+
+def integer_games():
+    """Seeded games with integer payoffs in {-2..2}: twenty each of 2
+    players with 2 to 4 strategies, and of 3 and 4 players with 2 or 3."""
+    rng, games = np.random.default_rng(28), []
+    for n, high in ((2, 5), (3, 4), (4, 4)):
+        for _ in range(20):
+            m = rng.integers(2, high, size=n)
+            games.append(gf.GameSpec(rng.integers(-2, 3, size=(*m, n)) * 1.0))
+    return games
+
+
+@pytest.mark.parametrize("power", [-1060, -1050, -1000, 0, 900])
+def test_equilibrium_stages_do_not_depend_on_a_power_of_two_scale(power):
+    # every stage solves, sweeps and decides on the payoffs times 2^-e, so
+    # scaling by 2^power, to subnormal payoffs included, returns the same
+    # profiles bit for bit; eps = eps_n 2^e is exact at each scale.  The
+    # damped loop steps by payoff-unit gains, so find_equilibrium is checked
+    # on the games answered before it
+    def profiles(result):
+        reports = result if isinstance(result, list) else [result] * (result is not None)
+        return [report.profile.concat().tobytes() for report in reports]
+
+    for g in integer_games():
+        scaled, e = gf.GameSpec(np.ldexp(g.payoffs, power)), np.frexp(g.scale)[1]
+        for eps_n in (0.0, 2.0 ** -10, 2.0 ** -4):
+            eps, scaled_eps = np.ldexp(eps_n, e), np.ldexp(eps_n, e + power)
+            stage = gf.support_enumeration if g.n == 2 else _two_mixers
+            base = profiles(stage(g, eps))
+            assert profiles(stage(scaled, scaled_eps)) == base
+            if base or _vertex_gaps(g).min() <= eps:
+                assert (profiles(gf.find_equilibrium(scaled, max_iter=0, eps=scaled_eps))
+                        == profiles(gf.find_equilibrium(g, max_iter=0, eps=eps)))
 
 
 @pytest.mark.parametrize("n, m, seed", [(5, 5, 2), (6, 4, 0)])
@@ -449,8 +497,7 @@ def _overflowing_gains(kind):
 def test_nash_map_rejects_gains_that_sum_past_the_float_range(kind):
     # one clear error instead of inf/inf or an overflowing sum
     g, s = _overflowing_gains(kind)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert _improvement(g, s)[2] == (np.inf if kind == "inf" else 1.25e308)
+    assert _improvement(g, s)[2] == (np.inf if kind == "inf" else 1.25e308)
     with pytest.raises(ValueError, match="block 0: the payoff gains sum past the float range"):
         gf.nash_map(g, s)
 
@@ -753,20 +800,25 @@ def test_support_enumeration_of_constant_games_keeps_every_support_pair():
 
 
 def test_support_enumeration_drops_candidates_with_a_nan_gain():
-    # at the float range the sweep's gains can be inf - inf, which decides
-    # nothing: two candidates with NaN gaps used to be kept with epsilon 0
+    # at the float range a raw gain can be inf - inf; the sweep runs on the
+    # normalized payoffs, so the candidate with a gain past the float range
+    # is dropped and the fifth, whose raw gains read NaN, is kept
     payoffs = np.stack([[[0.0, 1.0], [0.0, 1.0]], [[-1.0, 1.0], [1.0, 1.0]]], axis=-1)
     g = gf.GameSpec(payoffs * 1.7976931348623157e308)
     assert gf.validate_game(g) == []
     found = gf.support_enumeration(g, SEARCH_EPS)
     assert [r.profile.concat().tolist() for r in found] == [
         [1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0],
-        [0.0, 1.0, 0.6666666666666666, 0.33333333333333337]]
+        [0.0, 1.0, 0.6666666666666666, 0.33333333333333337],
+        [0.5000000000000001, 0.5, 0.0, 1.0]]
     assert all(r.gaps.tolist() == [0.0, 0.0] and r.epsilon == 0.0 for r in found)
+    # an equilibrium: the game scaled into range verifies it at epsilon 0
+    small = gf.GameSpec(np.ldexp(g.payoffs, -1000))
+    assert gf.verify_equilibrium(small, found[-1].profile, 0.0).converged
     code, out, err = cli.run(["equilibria"], read_stdin=lambda: gf.write_game(g))
     lines = out.decode().splitlines()
     assert (code, err) == (0, "")
-    assert sum(line.startswith("mixed: ") for line in lines) == 4
+    assert sum(line.startswith("mixed: ") for line in lines) == 5
     assert lines[-1] == "search: 1,0; 0,1 converged=yes epsilon=0"
 
 

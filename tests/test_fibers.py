@@ -333,6 +333,18 @@ def test_constant_game_has_rank_zero_at_any_value(value):
         assert gf.fiber_report(g, s, 0).jacobian_rank == 0
 
 
+@pytest.mark.parametrize("name", ["bar", "rps"])
+def test_generic_rank_holds_when_sigma_1_passes_the_float_range(name):
+    # bar times 1.7e308 has finite Jacobians whose sigma_1 overflows to inf;
+    # a cutoff of inf counted rank 0 there
+    g = gf.builtin_game(name)
+    ranks = [gf.generic_rank(gf.GameSpec(g.payoffs * factor))
+             for factor in (1.7e308, 1.0, 5e-324 * 4)]
+    assert ranks == [gf.generic_rank(g)] * 3
+    rank, svals = gf.numerical_rank([[1.7e308, 1.7e308], [1.7e308, 1.7e308]])
+    assert rank == 1 and svals[0] == np.inf
+
+
 def test_zero_sum_is_decided_once_per_game(monkeypatch):
     calls = [0]
     decide = games.is_zero_sum

@@ -347,6 +347,18 @@ def test_is_zero_sum_does_not_depend_on_the_payoff_scale(seed, zero_sum, jointly
     assert gf.is_zero_sum(scaled) == gf.is_zero_sum(g) == zero_sum
 
 
+@pytest.mark.parametrize("factor", [1.0, 3e9, 1.7e308, 5e-324, 0.0])
+def test_normalized_payoffs_are_a_cached_read_only_power_of_two_rescaling(factor):
+    # the payoffs times 2^-e, max|entry| in [0.5, 1), decided once per game
+    g = gf.GameSpec(gf.builtin_game("rps").payoffs * factor)
+    normalized = g._normalized_payoffs
+    assert normalized is g._normalized_payoffs
+    assert np.array_equal(np.ldexp(normalized, g._exponent), g.payoffs)
+    assert np.abs(normalized).max() == (0.0 if factor == 0.0 else np.frexp(g.scale)[0])
+    with pytest.raises(ValueError, match="read-only"):
+        normalized[0, 0, 0] = 1.0
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(2, 4), data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
        kind=st.sampled_from(["generic", "zero-sum", "affine", "rounded"]))
