@@ -127,6 +127,20 @@ def _chart_box(g: GameSpec) -> tuple[np.ndarray, np.ndarray]:
             np.vstack([np.eye(owner.size), implied]))
 
 
+def _witness(g: GameSpec, rep: AffineRepresentation, rhs: np.ndarray, base: np.ndarray,
+             basis: np.ndarray) -> bool:
+    """Whether the point of base + span(basis) nearest the uniform profile
+    has a residual of at most ``LEVEL_SET_RESIDUAL`` times the scale and lies
+    in the chart's box with no slack: a point proving the set meets the simplex."""
+    center = np.concatenate([np.full(mi - 1, 1.0 / mi) for mi in g.m])
+    point = base + basis.T @ (basis @ (center - base))
+    shift, rows = _chart_box(g)
+    box = shift + rows @ point
+    residual = np.abs(rep.matrix @ point - rhs).max(initial=0.0)
+    return bool(residual <= LEVEL_SET_RESIDUAL * rep.scale
+                and box.min() >= 0.0 and box.max() <= 1.0)
+
+
 def _simplex_feasible(g: GameSpec, matrix: np.ndarray, rhs: np.ndarray) -> bool:
     """Whether matrix * r = rhs has a solution inside the chart's box
     constraints: a small LP feasibility problem.  scipy is imported here,
@@ -152,7 +166,8 @@ def affine_level_set(rep: AffineRepresentation, y,
     ``fibers`` at the representation's scale.  The set is declared empty
     when the residual exceeds ``LEVEL_SET_RESIDUAL`` times that scale (y
     outside the affine image) or, when the game is supplied, when the
-    solution set misses the strategy simplex.
+    solution set misses the strategy simplex: an LP decides that, unless
+    one ``_witness`` point proves the set meets it.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     rows = rep.matrix.shape[0]
@@ -163,11 +178,11 @@ def affine_level_set(rep: AffineRepresentation, y,
     rhs = y - rep.offset
     base, rank, vt = _solve(rep.matrix, rhs, rep.scale)
     basis = vt[rank:]
-    residual = np.abs(rep.matrix @ base - rhs).max() if rows else 0.0
-    if residual > LEVEL_SET_RESIDUAL * rep.scale:
+    if np.abs(rep.matrix @ base - rhs).max(initial=0.0) > LEVEL_SET_RESIDUAL * rep.scale:
         return None
     e = np.frexp(rep.scale)[1]      # HiGHS's tolerances are absolute: exact 2^-e rescaling
-    if g is not None and not _simplex_feasible(g, np.ldexp(rep.matrix, -e), np.ldexp(rhs, -e)):
+    if g is not None and not (_witness(g, rep, rhs, base, basis) or _simplex_feasible(
+            g, np.ldexp(rep.matrix, -e), np.ldexp(rhs, -e))):
         return None
     return AffineLevelSet(base_point=base, kernel_basis=basis,
                           dimension=basis.shape[0])

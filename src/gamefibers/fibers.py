@@ -101,19 +101,19 @@ def nullspace(mat, scale: float = 0.0) -> np.ndarray:
     return vt[rank:]
 
 
-@np.errstate(over="ignore")     # an overflowed difference reads as inf, caught by the rank
 def _jacobian_blocks(payoffs: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
     """Payoff and payoff Jacobian on the chart, both from one every-player
     ``_deviations`` sweep, so the payoff is ``total_payoff``'s bit for bit.
     By own-block linearity the derivative of component i along player p's
     chart coordinate j is the payoff difference between the pure
-    replacements e_j and e_{m_p}.
-    """
+    replacements e_j and e_{m_p}.  Callers ignore overflow: an overflowed
+    difference reads as inf, caught by the rank."""
     pay, devs = _deviations(payoffs, blocks)
     jac = np.concatenate([(dev[:-1] - dev[-1]).T for dev in devs], axis=1)
     return pay, jac
 
 
+@np.errstate(over="ignore")
 def payoff_jacobian(g: GameSpec, s: StrategyProfile) -> np.ndarray:
     """Analytic Jacobian of the payoff map on the reduced chart,
     shape (n, N - n)."""
@@ -178,10 +178,7 @@ class FiberReport:
         return self.nullspace_basis.shape[0]
 
 
-def _min_coordinate(blocks) -> float:
-    return min(float(b.min()) for b in blocks)
-
-
+@np.errstate(over="ignore")
 def _tangent_space(g: GameSpec, s: StrategyProfile, rows: int):
     """Chart point r, payoff there, and rank, singular values and kernel of
     the first ``rows`` Jacobian rows from one ``_svd``.  The payoff and the
@@ -189,7 +186,7 @@ def _tangent_space(g: GameSpec, s: StrategyProfile, rows: int):
     ``total_payoff(g, s)``; rebuilt from r, a zero block entry can gain
     noise rank and the payoff can move by rounding."""
     _require_match(g, s)
-    if _min_coordinate(s.blocks) < INTERIOR_MIN:
+    if s.concat().min() < INTERIOR_MIN:
         raise ValueError(f"boundary point: need every coordinate >= {INTERIOR_MIN}")
     pay, jac = _jacobian_blocks(g.payoffs, s.blocks)
     rank, svals, _, vt = _svd(jac[:rows], True, g.scale)
@@ -203,13 +200,16 @@ def fiber_report(g: GameSpec, s: StrategyProfile, k_generic: int) -> FiberReport
     For each nullspace direction v and each probe size eps, the residual is
     the largest payoff-component change between the point and point + eps*v.
     Along true tangent directions the residual is second order in eps.
+    The probes are swept in stacks of at most m_0, whose first intermediate
+    is no larger than the payoff tensor; each is its lone sweep bit for bit.
     """
     r, base, rank, svals, basis = _tangent_space(g, s, _rows(g))
-    worst = np.zeros(len(CONSTANCY_EPSILONS))
-    for v in basis:     # one sweep per direction: a stack of all would outgrow the cache
-        dev = np.abs(_payoff_reduced(g, r + np.multiply.outer(CONSTANCY_EPSILONS, v)) - base)
-        worst = np.fmax(worst, dev.max(axis=-1))    # a NaN probe adds nothing
-    residuals = list(zip(CONSTANCY_EPSILONS, worst.tolist()))
+    probes = np.concatenate(r + np.multiply.outer(CONSTANCY_EPSILONS, basis))   # eps-major
+    dev = np.zeros(len(probes))
+    for i in range(0, len(probes), g.m[0]):
+        dev[i:i + g.m[0]] = np.abs(_payoff_reduced(g, probes[i:i + g.m[0]]) - base).max(axis=-1)
+    worst = np.fmax.reduce(dev.reshape(len(CONSTANCY_EPSILONS), -1), axis=1, initial=0.0)
+    residuals = list(zip(CONSTANCY_EPSILONS, worst.tolist()))   # a NaN probe adds nothing
     return FiberReport(point=r, jacobian_rank=rank, singular_values=svals,
                        nullspace_basis=basis, constancy_residuals=residuals,
                        regular=(rank == k_generic))
@@ -226,24 +226,23 @@ class FiberPath:
 
 
 def _correct(g: GameSpec, r: np.ndarray, target: np.ndarray, tol: float,
-             rows: int) -> tuple[np.ndarray, float, np.ndarray, list[np.ndarray]]:
+             rows: int, flat: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     """Gauss-Newton projection of a chart point back onto the level set:
     the last point, its largest payoff residual over all n components
-    (success iff <= tol), the first ``rows`` Jacobian rows there and its
-    blocks.  Each iteration takes the payoff and the Jacobian from one
-    ``_jacobian_blocks`` call and steps by ``_solve`` on those rows.  A
-    diverging step stops at the first non-finite Jacobian and fails."""
-    cur = np.asarray(r, dtype=float)
-    with np.errstate(all="ignore"):
-        for it in range(CORRECTOR_MAX_ITER + 1):
-            blocks = _blocks_from_reduced(g.m, cur)
-            pay, jac = _jacobian_blocks(g.payoffs, blocks)
-            f = pay - target
-            residual = float(np.abs(f).max())
-            if residual <= tol or it == CORRECTOR_MAX_ITER or not np.isfinite(jac).all():
-                break
-            cur = cur + _solve(jac[:rows], -f[:rows], g.scale)[0]
-    return cur, residual, jac[:rows], blocks
+    (success iff <= tol) and the first ``rows`` Jacobian rows there.  Each
+    iteration rebuilds the profile into ``flat`` (the last one stays there),
+    takes the payoff and the Jacobian from one ``_jacobian_blocks`` call
+    and steps by ``_solve`` on those rows.  A diverging step stops at the
+    first non-finite Jacobian and fails."""
+    cur = r
+    for it in range(CORRECTOR_MAX_ITER + 1):
+        pay, jac = _jacobian_blocks(g.payoffs, _blocks_from_reduced(g.m, cur, flat))
+        f = pay - target
+        residual = float(np.abs(f).max())
+        if residual <= tol or it == CORRECTOR_MAX_ITER or not np.isfinite(jac).all():
+            break
+        cur = cur + _solve(jac[:rows], -f[:rows], g.scale)[0]
+    return cur, residual, jac[:rows]
 
 
 def trace_fiber(g: GameSpec, s0: StrategyProfile, direction_index: int,
@@ -294,23 +293,26 @@ def trace_fiber(g: GameSpec, s0: StrategyProfile, direction_index: int,
     points = [r0]
     drift = 0.0
     terminated = "step_budget"
-    for _ in range(max_steps):
-        predicted = points[-1] + step * tangent
-        corrected, residual, jac, blocks = _correct(g, predicted, target, tol, rows)
-        if not residual <= tol:     # a NaN residual fails too
-            terminated = "corrector_failure"
-            break
-        if _min_coordinate(blocks) < INTERIOR_MIN:
-            terminated = "boundary"
-            break
-        points.append(corrected)
-        drift = max(drift, residual)
-        basis = nullspace(jac, g.scale)
-        tangent = basis.T @ (basis @ tangent)
-        norm = float(np.linalg.norm(tangent))
-        if norm < 1e-8:     # no continuation in the new nullspace, an empty one included
-            terminated = "corrector_failure"
-            break
-        tangent = tangent / norm
+    flat = np.empty(g.num_coords)       # each corrector evaluation's profile
+    with np.errstate(all="ignore"):     # a diverging corrector overflows: a corrector_failure
+        for _ in range(max_steps):
+            corrected, residual, jac = _correct(g, points[-1] + step * tangent, target, tol,
+                                                rows, flat)
+            if not residual <= tol:     # a NaN residual fails too
+                terminated = "corrector_failure"
+                break
+            if flat.min() < INTERIOR_MIN:
+                terminated = "boundary"
+                break
+            points.append(corrected)
+            drift = max(drift, residual)
+            rank, _, _, vt = _svd(jac, True, g.scale)
+            basis = vt[rank:]
+            tangent = basis.T @ (basis @ tangent)
+            norm = float(np.linalg.norm(tangent))
+            if norm < 1e-8:     # no continuation in the new nullspace, an empty one included
+                terminated = "corrector_failure"
+                break
+            tangent = tangent / norm
     return FiberPath(points=points, target_payoff=target,
                      max_payoff_drift=drift, terminated_by=terminated)

@@ -434,25 +434,29 @@ def reduce_profile(s: StrategyProfile) -> np.ndarray:
     return np.concatenate([b[:-1] for b in s.blocks])
 
 
-def _blocks_from_reduced(m, r) -> list[np.ndarray]:
+def _blocks_from_reduced(m, r, out=None) -> list[np.ndarray]:
     """Rebuild per-player blocks from chart coordinates, without validation.
 
     The implied last coordinate of each block is 1 minus the rest, so the
     result always sums to one per block but may leave [0, 1]; this is the
     polynomial extension of the strategy space used by derivative probes
     and the continuation corrector.  Stacked points give stacked blocks.
+    The blocks are consecutive views of one flat profile (or stack of
+    them), written into ``out`` when given, so a loop need not allocate.
     """
     r = np.asarray(r, dtype=float)
     want = sum(m) - len(m)
     if r.shape[-1:] != (want,):
         raise ValueError(f"reduced point has length {r.size}, expected {want}")
-    blocks = []
+    flat = np.empty(r.shape[:-1] + (sum(m),)) if out is None else out
+    blocks, at = [], 0
     for mi in m:
         head, r = r[..., :mi - 1], r[..., mi - 1:]
-        b = np.empty(head.shape[:-1] + (mi,))
+        b = flat[..., at:at + mi]
         b[..., :-1] = head
-        b[..., -1] = 1.0 - head.sum(axis=-1)
+        b[..., -1] = 1.0 - np.add.reduce(head, axis=-1)     # head.sum(), without its wrapper
         blocks.append(b)
+        at += mi
     return blocks
 
 

@@ -1,7 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gamefibers as gf
+from gamefibers import affine
+from gamefibers.fibers import _solve
 from helpers import interior_profile, loop_is_jointly_affine
 
 
@@ -241,6 +246,46 @@ def test_level_set_base_and_kernel_from_one_svd(monkeypatch):
         residual = np.abs(rep.matrix @ base + rep.offset - y).max()
         assert residual <= gf.affine.LEVEL_SET_RESIDUAL
         assert ls.dimension + rep.rank == g.reduced_dim
+
+
+def level_set_bytes(ls):
+    return None if ls is None else (ls.dimension, ls.base_point.tobytes(),
+                                    ls.kernel_basis.tobytes())
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 4), seed=st.integers(0, 2 ** 16), zero_sum=st.booleans(),
+       kind=st.sampled_from(["interior", "pure", "two-strategy"]),
+       stretch=st.sampled_from([1.0, 1.2]))
+def test_witness_only_certifies_what_the_lp_finds(n, seed, zero_sum, kind, stretch):
+    # the witness point says "nonempty" only where the LP does, so the level
+    # set is the LP-only path's, and rescaling by 2^-1000 or 2^900 (the
+    # representation and the target scale exactly) changes no decision
+    rng = np.random.default_rng(seed)
+    m = [int(x) for x in rng.integers(2, 5, size=n)]
+    g = gf.random_game(n, m, seed=seed, zero_sum=zero_sum, jointly_affine=True)
+    if kind == "interior":
+        s = interior_profile(g, rng)
+    elif kind == "pure":
+        s = gf.pure_profile(g, [int(rng.integers(mi)) for mi in m])
+    else:
+        s = gf.StrategyProfile([np.eye(mi)[rng.choice(mi, 2, replace=False)].T
+                                @ np.array([w, 1.0 - w]) for mi, w in zip(m, rng.uniform(size=n))])
+    decisions = []
+    for scale in (1.0, 2.0 ** -1000, 2.0 ** 900):
+        gs = gf.GameSpec(g.payoffs * scale)
+        rep = gf.extract_affine(gs, use_zero_sum_reduction=zero_sum)
+        y = stretch * gf.total_payoff(gs, s)[:rep.matrix.shape[0]]
+        rhs = y - rep.offset
+        base, rank, vt = _solve(rep.matrix, rhs, rep.scale)
+        e = np.frexp(rep.scale)[1]
+        if affine._witness(gs, rep, rhs, base, vt[rank:]):
+            assert affine._simplex_feasible(gs, np.ldexp(rep.matrix, -e), np.ldexp(rhs, -e))
+        ls = gf.affine_level_set(rep, y, gs)
+        with mock.patch.object(affine, "_witness", lambda *args: False):
+            assert level_set_bytes(ls) == level_set_bytes(gf.affine_level_set(rep, y, gs))
+        decisions.append(None if ls is None else ls.dimension)
+    assert decisions[1:] == decisions[:-1]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

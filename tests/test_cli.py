@@ -341,23 +341,48 @@ def test_trace_diverging_step_exits_0_quietly(capfd):
     assert capfd.readouterr().err == ""
 
 
+def scipy_modules(script):
+    """Run ``script`` in a fresh interpreter on this checkout's ``src`` and
+    return what it prints, where ``loaded()`` lists the scipy modules loaded."""
+    prelude = ("import sys\n"
+               "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n")
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", prelude + script], capture_output=True,
+                          text=True, env=env, check=True)
+    return proc.stdout
+
+
 def test_scipy_is_imported_only_by_the_lp():
-    script = (
-        "import sys\n"
+    assert scipy_modules(
         "import gamefibers as gf\n"
         "import gamefibers.cli\n"
-        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "print(loaded())\n"
         "doc = gf.write_game(gf.builtin_game('rps'))\n"
         "assert gamefibers.cli.run(['analyze'], read_stdin=lambda: doc)[0] == 0\n"
         "print(loaded())\n"
-    )
-    src = str(Path(__file__).parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env, check=True)
-    assert proc.stdout == "[]\n[]\n"
+    ) == "[]\n[]\n"
+
+
+# the uniform payoff of this 3x3^3 affine game has a witness point in the
+# simplex, the payoff at its all-last-strategies vertex has none: there the LP runs
+LEVEL_SET_AT = (
+    "import gamefibers as gf\n"
+    "g = gf.random_game(3, [3, 3, 3], seed=0, jointly_affine=True)\n"
+    "rep = gf.extract_affine(g)\n"
+    "s = gf.{}\n"
+    "assert gf.affine_level_set(rep, gf.total_payoff(g, s), g) is not None\n"
+    "print(bool(loaded()))\n"
+)
+
+
+def test_a_witnessed_level_set_loads_no_scipy():
+    assert scipy_modules(LEVEL_SET_AT.format("uniform_profile(g)")) == "False\n"
+
+
+def test_a_level_set_without_a_witness_runs_the_lp():
+    assert scipy_modules(LEVEL_SET_AT.format("pure_profile(g, [2, 2, 2])")) == "True\n"
 
 
 FUZZ_DOCS = [gf.write_game(g) for g in (

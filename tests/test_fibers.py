@@ -246,6 +246,14 @@ def test_fiber_report_residuals_equal_the_probe_by_probe_loop(seed, zero_sum, m)
     assert report.constancy_residuals == loop_constancy_residuals(g, s, report.nullspace_basis)
 
 
+def test_fiber_report_without_chart_coordinates():
+    # every player has one strategy: no direction, no probe, zero residuals
+    for shape in [(1, 1), (1, 1, 2), (1, 1, 1, 3)]:
+        g = gf.GameSpec(np.arange(np.prod(shape), dtype=float).reshape(shape))
+        report = gf.fiber_report(g, gf.uniform_profile(g), 1)
+        assert report.constancy_residuals == [(eps, 0.0) for eps in fibers.CONSTANCY_EPSILONS]
+
+
 def test_report_and_trace_start_make_one_svd(monkeypatch):
     # rank, singular values and kernel come from one decomposition
     calls = [0]
@@ -432,9 +440,9 @@ def test_trace_reuses_the_corrector_jacobian(monkeypatch):
         counts["sweeps"] += 1
         return sweep(payoffs, blocks)
 
-    def counting_rebuild(m, r):
+    def counting_rebuild(m, r, *out):
         counts["evaluations"] += inside[0]
-        return rebuild(m, r)
+        return rebuild(m, r, *out)
 
     def flagged_correct(*args):
         inside[0] = True
