@@ -127,27 +127,27 @@ def _chart_box(g: GameSpec) -> tuple[np.ndarray, np.ndarray]:
             np.vstack([np.eye(owner.size), implied]))
 
 
-def _witness(g: GameSpec, rep: AffineRepresentation, rhs: np.ndarray, base: np.ndarray,
-             basis: np.ndarray) -> bool:
+def _witness(g: GameSpec, box, rep: AffineRepresentation, rhs: np.ndarray,
+             base: np.ndarray, basis: np.ndarray) -> bool:
     """Whether the point of base + span(basis) nearest the uniform profile
     has a residual of at most ``LEVEL_SET_RESIDUAL`` times the scale and lies
-    in the chart's box with no slack: a point proving the set meets the simplex."""
+    in the chart's ``box`` with no slack: a point proving the set meets the simplex."""
     center = np.concatenate([np.full(mi - 1, 1.0 / mi) for mi in g.m])
     point = base + basis.T @ (basis @ (center - base))
-    shift, rows = _chart_box(g)
-    box = shift + rows @ point
+    shift, rows = box
+    coords = shift + rows @ point
     residual = np.abs(rep.matrix @ point - rhs).max(initial=0.0)
     return bool(residual <= LEVEL_SET_RESIDUAL * rep.scale
-                and box.min() >= 0.0 and box.max() <= 1.0)
+                and coords.min() >= 0.0 and coords.max() <= 1.0)
 
 
-def _simplex_feasible(g: GameSpec, matrix: np.ndarray, rhs: np.ndarray) -> bool:
-    """Whether matrix * r = rhs has a solution inside the chart's box
+def _simplex_feasible(box, matrix: np.ndarray, rhs: np.ndarray) -> bool:
+    """Whether matrix * r = rhs has a solution inside the chart's ``box``
     constraints: a small LP feasibility problem.  scipy is imported here,
     so only callers that reach the LP pay for it."""
     from scipy.optimize import linprog
 
-    shift, rows = _chart_box(g)
+    shift, rows = box
     res = linprog(c=np.zeros(matrix.shape[1]), A_eq=matrix, b_eq=rhs,
                   A_ub=np.vstack([rows, -rows]),
                   b_ub=np.concatenate([1.0 - shift, shift]),
@@ -180,10 +180,12 @@ def affine_level_set(rep: AffineRepresentation, y,
     basis = vt[rank:]
     if np.abs(rep.matrix @ base - rhs).max(initial=0.0) > LEVEL_SET_RESIDUAL * rep.scale:
         return None
-    e = np.frexp(rep.scale)[1]      # HiGHS's tolerances are absolute: exact 2^-e rescaling
-    if g is not None and not (_witness(g, rep, rhs, base, basis) or _simplex_feasible(
-            g, np.ldexp(rep.matrix, -e), np.ldexp(rhs, -e))):
-        return None
+    if g is not None:
+        box = _chart_box(g)
+        e = np.frexp(rep.scale)[1]  # HiGHS's tolerances are absolute: exact 2^-e rescaling
+        if not (_witness(g, box, rep, rhs, base, basis) or _simplex_feasible(
+                box, np.ldexp(rep.matrix, -e), np.ldexp(rhs, -e))):
+            return None
     return AffineLevelSet(base_point=base, kernel_basis=basis,
                           dimension=basis.shape[0])
 

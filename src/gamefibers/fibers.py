@@ -101,19 +101,19 @@ def nullspace(mat, scale: float = 0.0) -> np.ndarray:
     return vt[rank:]
 
 
+@np.errstate(over="ignore")     # an overflowed difference reads as inf, caught by the rank
 def _jacobian_blocks(payoffs: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
     """Payoff and payoff Jacobian on the chart, both from one every-player
     ``_deviations`` sweep, so the payoff is ``total_payoff``'s bit for bit.
     By own-block linearity the derivative of component i along player p's
     chart coordinate j is the payoff difference between the pure
-    replacements e_j and e_{m_p}.  Callers ignore overflow: an overflowed
-    difference reads as inf, caught by the rank."""
+    replacements e_j and e_{m_p}.
+    """
     pay, devs = _deviations(payoffs, blocks)
     jac = np.concatenate([(dev[:-1] - dev[-1]).T for dev in devs], axis=1)
     return pay, jac
 
 
-@np.errstate(over="ignore")
 def payoff_jacobian(g: GameSpec, s: StrategyProfile) -> np.ndarray:
     """Analytic Jacobian of the payoff map on the reduced chart,
     shape (n, N - n)."""
@@ -178,7 +178,6 @@ class FiberReport:
         return self.nullspace_basis.shape[0]
 
 
-@np.errstate(over="ignore")
 def _tangent_space(g: GameSpec, s: StrategyProfile, rows: int):
     """Chart point r, payoff there, and rank, singular values and kernel of
     the first ``rows`` Jacobian rows from one ``_svd``.  The payoff and the
@@ -200,14 +199,16 @@ def fiber_report(g: GameSpec, s: StrategyProfile, k_generic: int) -> FiberReport
     For each nullspace direction v and each probe size eps, the residual is
     the largest payoff-component change between the point and point + eps*v.
     Along true tangent directions the residual is second order in eps.
-    The probes are swept in stacks of at most m_0, whose first intermediate
-    is no larger than the payoff tensor; each is its lone sweep bit for bit.
+    The probes are swept in stacks of max(m_0, len(CONSTANCY_EPSILONS)), so
+    the first intermediate outgrows the payoff tensor only where one
+    direction's probes already did; each is its lone sweep bit for bit.
     """
     r, base, rank, svals, basis = _tangent_space(g, s, _rows(g))
     probes = np.concatenate(r + np.multiply.outer(CONSTANCY_EPSILONS, basis))   # eps-major
     dev = np.zeros(len(probes))
-    for i in range(0, len(probes), g.m[0]):
-        dev[i:i + g.m[0]] = np.abs(_payoff_reduced(g, probes[i:i + g.m[0]]) - base).max(axis=-1)
+    stack = max(g.m[0], len(CONSTANCY_EPSILONS))
+    for i in range(0, len(probes), stack):
+        dev[i:i + stack] = np.abs(_payoff_reduced(g, probes[i:i + stack]) - base).max(axis=-1)
     worst = np.fmax.reduce(dev.reshape(len(CONSTANCY_EPSILONS), -1), axis=1, initial=0.0)
     residuals = list(zip(CONSTANCY_EPSILONS, worst.tolist()))   # a NaN probe adds nothing
     return FiberReport(point=r, jacobian_rank=rank, singular_values=svals,
@@ -234,14 +235,15 @@ def _correct(g: GameSpec, r: np.ndarray, target: np.ndarray, tol: float,
     takes the payoff and the Jacobian from one ``_jacobian_blocks`` call
     and steps by ``_solve`` on those rows.  A diverging step stops at the
     first non-finite Jacobian and fails."""
-    cur = r
-    for it in range(CORRECTOR_MAX_ITER + 1):
-        pay, jac = _jacobian_blocks(g.payoffs, _blocks_from_reduced(g.m, cur, flat))
-        f = pay - target
-        residual = float(np.abs(f).max())
-        if residual <= tol or it == CORRECTOR_MAX_ITER or not np.isfinite(jac).all():
-            break
-        cur = cur + _solve(jac[:rows], -f[:rows], g.scale)[0]
+    cur = np.asarray(r, dtype=float)
+    with np.errstate(all="ignore"):
+        for it in range(CORRECTOR_MAX_ITER + 1):
+            pay, jac = _jacobian_blocks(g.payoffs, _blocks_from_reduced(g.m, cur, flat))
+            f = pay - target
+            residual = float(np.abs(f).max())
+            if residual <= tol or it == CORRECTOR_MAX_ITER or not np.isfinite(jac).all():
+                break
+            cur = cur + _solve(jac[:rows], -f[:rows], g.scale)[0]
     return cur, residual, jac[:rows]
 
 
@@ -294,25 +296,23 @@ def trace_fiber(g: GameSpec, s0: StrategyProfile, direction_index: int,
     drift = 0.0
     terminated = "step_budget"
     flat = np.empty(g.num_coords)       # each corrector evaluation's profile
-    with np.errstate(all="ignore"):     # a diverging corrector overflows: a corrector_failure
-        for _ in range(max_steps):
-            corrected, residual, jac = _correct(g, points[-1] + step * tangent, target, tol,
-                                                rows, flat)
-            if not residual <= tol:     # a NaN residual fails too
-                terminated = "corrector_failure"
-                break
-            if flat.min() < INTERIOR_MIN:
-                terminated = "boundary"
-                break
-            points.append(corrected)
-            drift = max(drift, residual)
-            rank, _, _, vt = _svd(jac, True, g.scale)
-            basis = vt[rank:]
-            tangent = basis.T @ (basis @ tangent)
-            norm = float(np.linalg.norm(tangent))
-            if norm < 1e-8:     # no continuation in the new nullspace, an empty one included
-                terminated = "corrector_failure"
-                break
-            tangent = tangent / norm
+    for _ in range(max_steps):
+        predicted = points[-1] + step * tangent
+        corrected, residual, jac = _correct(g, predicted, target, tol, rows, flat)
+        if not residual <= tol:     # a NaN residual fails too
+            terminated = "corrector_failure"
+            break
+        if flat.min() < INTERIOR_MIN:
+            terminated = "boundary"
+            break
+        points.append(corrected)
+        drift = max(drift, residual)
+        basis = nullspace(jac, g.scale)
+        tangent = basis.T @ (basis @ tangent)
+        norm = float(np.linalg.norm(tangent))
+        if norm < 1e-8:     # no continuation in the new nullspace, an empty one included
+            terminated = "corrector_failure"
+            break
+        tangent = tangent / norm
     return FiberPath(points=points, target_payoff=target,
                      max_payoff_drift=drift, terminated_by=terminated)

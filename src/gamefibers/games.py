@@ -454,7 +454,7 @@ def _blocks_from_reduced(m, r, out=None) -> list[np.ndarray]:
         head, r = r[..., :mi - 1], r[..., mi - 1:]
         b = flat[..., at:at + mi]
         b[..., :-1] = head
-        b[..., -1] = 1.0 - np.add.reduce(head, axis=-1)     # head.sum(), without its wrapper
+        b[..., -1] = 1.0 - head.sum(axis=-1)
         blocks.append(b)
         at += mi
     return blocks

@@ -279,8 +279,9 @@ def test_witness_only_certifies_what_the_lp_finds(n, seed, zero_sum, kind, stret
         rhs = y - rep.offset
         base, rank, vt = _solve(rep.matrix, rhs, rep.scale)
         e = np.frexp(rep.scale)[1]
-        if affine._witness(gs, rep, rhs, base, vt[rank:]):
-            assert affine._simplex_feasible(gs, np.ldexp(rep.matrix, -e), np.ldexp(rhs, -e))
+        box = affine._chart_box(gs)
+        if affine._witness(gs, box, rep, rhs, base, vt[rank:]):
+            assert affine._simplex_feasible(box, np.ldexp(rep.matrix, -e), np.ldexp(rhs, -e))
         ls = gf.affine_level_set(rep, y, gs)
         with mock.patch.object(affine, "_witness", lambda *args: False):
             assert level_set_bytes(ls) == level_set_bytes(gf.affine_level_set(rep, y, gs))

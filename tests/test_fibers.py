@@ -239,6 +239,7 @@ def test_fiber_report_dimension_count():
                                                       max_size=n)))
 @example(seed=0, zero_sum=False, m=[2, 2])    # rank 2 on a 2-dimensional chart: d = 0
 @example(seed=0, zero_sum=True, m=[3, 3])
+@example(seed=0, zero_sum=False, m=[2, 4, 4])   # m_0 < 3: stacks of 3 cross probe sizes
 def test_fiber_report_residuals_equal_the_probe_by_probe_loop(seed, zero_sum, m):
     g = gf.random_game(len(m), m, seed=seed, zero_sum=zero_sum)
     s = interior_profile(g, np.random.default_rng(seed))
