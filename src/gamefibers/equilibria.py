@@ -81,7 +81,9 @@ def verify_equilibrium(g: GameSpec, s: StrategyProfile, eps: float) -> Equilibri
     more than eps, decided on the normalized payoffs (see ``_improvement``)."""
     if not eps >= 0:
         raise ValueError("eps must be non-negative")
-    return EquilibriumReport(s, *_improvement(g, s, eps)[1:])
+    _require_match(g, s)
+    _, gaps, gap, within = _improvement(g, s.concat(), eps)
+    return EquilibriumReport(s, gaps, float(gap), bool(within))
 
 
 def pure_equilibria(g: GameSpec) -> list[tuple[int, ...]]:
@@ -128,23 +130,19 @@ def _offsets(m: tuple[int, ...]) -> tuple[int, ...]:
     return (0, *np.cumsum(m).tolist())
 
 
-def _improvement(g: GameSpec, s, eps: float = 0.0) -> tuple[np.ndarray, np.ndarray,
-                                                            float | np.ndarray, bool | np.ndarray]:
+def _improvement(g: GameSpec, flat: np.ndarray,
+                 eps: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Positive-part payoff gains of every pure deviation, flat (*stack, N)
     with N = sum m_i and player i's at ``_offsets(g.m)[i]``; the players'
     largest gains (*stack, n); their largest, the epsilon; and whether it is
     within ``eps``.  One ``_deviations`` sweep of the cached payoffs times
     2^-e gives them, every gain below 2, and decides against eps times 2^-e;
-    they come back times 2^e, exact unless past the float range.  ``s`` is a
-    profile or a nonempty stack of flat ones (*stack, N), whose epsilons and
-    decisions are arrays (*stack)."""
-    lone = isinstance(s, StrategyProfile)
-    if lone:
-        _require_match(g, s)
+    they come back times 2^e, exact unless past the float range.  ``flat``
+    holds flat profiles (*stack, N), a lone row (N,) the empty stack; the
+    epsilons and decisions are arrays (*stack)."""
     _require_finite(g)
     at, e = _offsets(g.m), g._exponent
-    pay, devs = _deviations(g._normalized_payoffs, s.blocks if lone
-                            else [s[..., a:b] for a, b in zip(at, at[1:])])
+    pay, devs = _deviations(g._normalized_payoffs, [flat[..., a:b] for a, b in zip(at, at[1:])])
     gains = np.concatenate([dev[..., i] for i, dev in enumerate(devs)], axis=-1)
     gains = np.maximum(0.0, gains - np.repeat(pay, g.m, axis=-1))
     maxima = np.maximum.reduceat(gains, at[:-1], axis=-1)
@@ -152,7 +150,7 @@ def _improvement(g: GameSpec, s, eps: float = 0.0) -> tuple[np.ndarray, np.ndarr
     with np.errstate(over="ignore"):    # past the float range, a gain or eps reads as inf
         within = gap <= np.ldexp(eps, -e)
         gains, maxima, gap = np.ldexp(gains, e), np.ldexp(maxima, e), np.ldexp(gap, e)
-    return gains, maxima, *((float(gap), bool(within)) if lone else (gap, within))
+    return gains, maxima, gap, within
 
 
 def _profile(flat, m) -> StrategyProfile:
@@ -185,7 +183,8 @@ def nash_map(g: GameSpec, s: StrategyProfile) -> StrategyProfile:
     the input iff no deviation gains.  A block whose gains sum past the
     float range has no image and raises ValueError.
     """
-    gains = _improvement(g, s)[0]
+    _require_match(g, s)
+    gains = _improvement(g, s.concat())[0]
     sums = _block_sums(gains, g.m)
     if not np.isfinite(sums).all():
         raise ValueError(f"block {int(np.argmin(np.isfinite(sums)))}: "
@@ -299,7 +298,8 @@ def _two_mixers(g: GameSpec, eps: float) -> EquilibriumReport | None:
     within ``eps``, by slice and then support order, is returned with that
     sweep's report.  The classes tried, up to the first past
     ``SUPPORT_MAX_PAIRS`` support pairs in all, are counted before any stack
-    is built; each pair's stack and table are built at its first.
+    is built; each class builds its own stack and table (``_subgames`` up
+    to its two sizes) when it is solved.
     """
     normalized, tau = _normalized(g, eps)
     m, profiles = g.m, normalized[..., 0].size
@@ -310,12 +310,8 @@ def _two_mixers(g: GameSpec, eps: float) -> EquilibriumReport | None:
     totals = accumulate(comb(m[a], ka) * comb(m[b], kb) * (profiles // (m[a] * m[b]))
                         for *_, a, b, ka, kb in classes)
     tried = [c[2:] for c, total in zip(classes, totals) if total <= SUPPORT_MAX_PAIRS]
-    built = {}      # one stack and table per player pair, over the sizes it tries
     for a, b, ka, kb in tried:
-        if (a, b) not in built:
-            built[a, b] = _subgames(normalized, tau, a, b,
-                                    *(max(c[i] for c in tried if c[:2] == (a, b)) for i in (2, 3)))
-        flat, _, _ = _class_profiles(g, *built[a, b], a, b, ka, kb)
+        flat = _class_profiles(g, *_subgames(normalized, tau, a, b, ka, kb), a, b, ka, kb)[0]
         if len(flat):
             _, gaps, gap, within = _improvement(g, flat, eps)
             if within.any():
@@ -390,7 +386,8 @@ def _class_profiles(g: GameSpec, stack: np.ndarray, table: np.ndarray, a: int, b
     supports of sizes k_a and k_b, over a ``_subgames`` stack and table.
     Returns the flat profiles (pairs, N) of the support pairs where both
     sides gave weights, in (slice, support of a, support of b) order, the
-    others one-hot, and each pair's rows in a's and b's ``_supports``."""
+    others one-hot, and each pair's support-order key: its row-major index
+    within one slice of the table, by a's support, then b's."""
     (*_, supports_a), at_a, _ = _supports(stack.shape[1], k_a)
     (*_, supports_b), at_b, _ = _supports(stack.shape[2], k_b)
     # the class's block of the table marks each pair where a strategy of one
@@ -414,7 +411,7 @@ def _class_profiles(g: GameSpec, stack: np.ndarray, table: np.ndarray, a: int, b
             pairs, weights = pairs[feasible], [v[feasible] for v in weights + [w]]
     at = _offsets(g.m)
     if not pairs.size:
-        return np.empty((0, at[-1])), pairs, pairs
+        return np.empty((0, at[-1])), pairs
     y_w, x_w = weights if k_a >= k_b else weights[::-1]
     others = [q for q in range(g.n) if q not in (a, b)]
     *pure, i_a, i_b = np.unravel_index(pairs, (*(g.m[q] for q in others), *block.shape[1:]))
@@ -423,7 +420,7 @@ def _class_profiles(g: GameSpec, stack: np.ndarray, table: np.ndarray, a: int, b
     flat[rows[:, None], at[b] + supports_b[i_b]] = y_w
     for q, j in zip(others, pure):
         flat[rows, at[q] + j] = 1.0
-    return flat, at_a[-2] + i_a, at_b[-2] + i_b
+    return flat, (at_a[-2] + i_a) * table.shape[2] + at_b[-2] + i_b
 
 
 def support_enumeration(g: GameSpec, eps: float = 1e-8) -> list[EquilibriumReport]:
@@ -457,11 +454,8 @@ def support_enumeration(g: GameSpec, eps: float = 1e-8) -> list[EquilibriumRepor
             f"supports too large: needs at most {SUPPORT_MAX_PAIRS} support pairs")
     _require_finite(g)
     slices, table = _subgames(*_normalized(g, eps), 0, 1, *g.m)     # a stack of one slice
-    keys, rows = [], []
-    for k1, k2 in product(range(1, g.m[0] + 1), range(1, g.m[1] + 1)):
-        flat, i1, i2 = _class_profiles(g, slices, table, 0, 1, k1, k2)
-        keys.append(i1 * table.shape[2] + i2)    # support order: a table row, then column
-        rows.append(flat)
+    rows, keys = zip(*(_class_profiles(g, slices, table, 0, 1, k1, k2)
+                       for k1, k2 in product(range(1, g.m[0] + 1), range(1, g.m[1] + 1))))
     stack = np.concatenate(rows)[np.argsort(np.concatenate(keys))]
     if not len(stack):
         return []

@@ -297,6 +297,13 @@ def test_level_set_rejects_non_finite_payoff_value(bad):
         gf.affine_level_set(rep, [bad, 0.0, 0.0])
 
 
+def test_level_set_rejects_a_value_of_the_wrong_length(bar):
+    with pytest.raises(ValueError, match="payoff value has length 2, expected 1"):
+        gf.affine_level_set(gf.extract_affine(bar, use_zero_sum_reduction=True), [0.0, 0.0])
+    with pytest.raises(ValueError, match="payoff value has length 1, expected 2"):
+        gf.affine_level_set(gf.extract_affine(bar), [0.0])
+
+
 def test_agreement_with_payoff_map():
     rng = np.random.default_rng(37)
     for seed in range(10):
@@ -323,6 +330,14 @@ def test_simplex_interval_bar_segment(bar):
 def test_simplex_interval_missing_line(bar):
     # a line at constant x = 2 never meets the square
     assert gf.simplex_interval(bar, np.array([2.0, 0.0]), np.array([0.0, 1.0])) is None
+
+
+def test_simplex_interval_directions_parallel_to_a_face(bar):
+    # a coordinate that does not move bounds nothing when it lies inside
+    # [0, 1], and leaves no segment when it lies outside
+    lo, hi = gf.simplex_interval(bar, np.array([0.5, 0.5]), np.array([0.0, 1.0]))
+    assert (lo, hi) == (-0.5, 0.5)
+    assert gf.simplex_interval(bar, np.array([0.5, 2.0]), np.array([1.0, 0.0])) is None
 
 
 @pytest.mark.parametrize("base, direction", [

@@ -54,6 +54,13 @@ def test_gen_usage_errors():
     assert code == 2 and "invalid choice" in err
 
 
+def test_unknown_parameters_and_empty_entries_are_one_line_errors(bar_doc):
+    assert cli("gen", "--random", "n=2", "m=3,3", "foo=1") == (
+        2, b"", "gen: unknown parameter 'foo=1' (use n=, m=, seed=)\n")
+    assert cli("eval", "--profile", "0.5,;1,0", stdin=bar_doc) == (
+        1, b"", "error: empty probability entry in profile\n")
+
+
 def test_validate_ok_and_defects(bar_doc):
     code, out, err = cli("validate", stdin=bar_doc)
     assert (code, out) == (0, b"ok\n")
@@ -316,6 +323,7 @@ TRACE = {"--start": "uniform", "--direction": "0", "--step": "0.05", "--steps": 
     ("equilibria", "--eps", "-1"),
     ("equilibria", "--eps", "nan"),
     ("analyze", "--samples", "0"),
+    ("analyze", "--samples", "x"),
     ("analyze", "--samples", "4097"),
     ("analyze", "--seed", "-1"),
     ("equilibria", "--seed", "-1"),

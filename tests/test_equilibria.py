@@ -90,7 +90,7 @@ def test_improvement_gains_use_the_exact_total_payoff():
         pay = gf.total_payoff(g, s)
         expected = [np.maximum(0.0, gf.deviation_payoffs(g, s, i)[:, i] - pay[i])
                     for i in range(n)]
-        gains, maxima, gap, _ = _improvement(g, s)
+        gains, maxima, gap, _ = _improvement(g, s.concat())
         at = _offsets(g.m)
         assert gains.shape == (at[-1],)
         assert all(np.array_equal(gains[a:b], e)
@@ -108,7 +108,7 @@ def test_improvement_gains_use_the_exact_total_payoff():
         gains, maxima, gap, _ = _improvement(g, stack)
         assert gains.shape == stack.shape and maxima.shape == (2, 3, n)
         for k, p in enumerate(profiles):
-            lone_gains, lone_maxima, lone_gap, _ = _improvement(g, p)
+            lone_gains, lone_maxima, lone_gap, _ = _improvement(g, p.concat())
             assert gains[divmod(k, 3)].tobytes() == lone_gains.tobytes()
             assert maxima[divmod(k, 3)].tobytes() == lone_maxima.tobytes()
             assert gap[divmod(k, 3)].tobytes() == np.float64(lone_gap).tobytes()
@@ -352,6 +352,21 @@ def test_two_mixers_past_the_budget_build_no_stack(n, m, seed, monkeypatch):
     assert same_report(report, expected)
 
 
+def test_two_mixers_build_each_class_table_when_they_solve_it(monkeypatch):
+    # a class builds the stack and table of its own two sizes, so a game
+    # answered by its first class builds one, sized (2, 2), and a game that
+    # exhausts the stage builds one per class tried
+    sizes = []
+    subgames = equilibria._subgames
+    monkeypatch.setattr(equilibria, "_subgames",
+                        lambda *args: sizes.append(args[2:]) or subgames(*args))
+    assert _two_mixers(gf.random_game(4, [4] * 4, 3), SEARCH_EPS) is not None
+    assert sizes == [(0, 1, 2, 2)]
+    sizes.clear()
+    assert _two_mixers(gf.random_game(3, [3] * 3, 54), SEARCH_EPS) is None
+    assert len(sizes) == len(set(sizes)) == 12
+
+
 @st.composite
 def search_games(draw):
     """Generic games, integer-tie games and subnormal ones, whose gains
@@ -497,7 +512,7 @@ def _overflowing_gains(kind):
 def test_nash_map_rejects_gains_that_sum_past_the_float_range(kind):
     # one clear error instead of inf/inf or an overflowing sum
     g, s = _overflowing_gains(kind)
-    assert _improvement(g, s)[2] == (np.inf if kind == "inf" else 1.25e308)
+    assert _improvement(g, s.concat())[2] == (np.inf if kind == "inf" else 1.25e308)
     with pytest.raises(ValueError, match="block 0: the payoff gains sum past the float range"):
         gf.nash_map(g, s)
 

@@ -177,6 +177,13 @@ def test_generic_rank_sample_limit(rps):
         gf.generic_rank(rps, samples=fibers.MAX_SAMPLES + 1)
 
 
+def test_generic_rank_rejects_bad_arguments(rps):
+    with pytest.raises(ValueError, match="need at least one sample"):
+        gf.generic_rank(rps, samples=0)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        gf.generic_rank(rps, seed=-1)
+
+
 def test_fiber_report_bar(bar):
     s = gf.embed_profile(bar, [0.5, 0.5])
     report = gf.fiber_report(bar, s, k_generic=1)
@@ -546,6 +553,15 @@ def test_trace_does_not_depend_on_the_kernel_basis(monkeypatch):
         assert mixed.terminated_by == path.terminated_by == "step_budget"
         assert len(mixed.points) == len(path.points) == 31
         assert np.abs(np.array(mixed.points) - np.array(path.points)).max() <= 1e-12
+
+
+def test_trace_stops_where_the_tangent_leaves_the_kernel(rps, monkeypatch):
+    # an empty kernel at the first accepted point projects the tangent to
+    # zero: no continuation, so the trace ends there
+    monkeypatch.setattr(fibers, "nullspace", lambda mat, scale=0.0: np.empty((0, mat.shape[1])))
+    path = gf.trace_fiber(rps, gf.uniform_profile(rps), 0, step=0.01, max_steps=10)
+    assert path.terminated_by == "corrector_failure"
+    assert len(path.points) == 2
 
 
 def test_trace_turns_smoothly():

@@ -95,6 +95,12 @@ def test_parse_rejects_bad_documents():
         gf.parse_game(b'{"players": [], "extra": 1}')
     with pytest.raises(GameFormatError, match="players"):
         gf.parse_game(b'{"players": [], "payoffs": []}')
+    with pytest.raises(GameFormatError, match="player 0 needs a string name"):
+        gf.parse_game(b'{"players": [{"name": 1, "strategies": ["x"]}], "payoffs": []}')
+    with pytest.raises(GameFormatError, match="player 0 needs a nonempty list of strategy labels"):
+        gf.parse_game(b'{"players": [{"name": "a", "strategies": []}], "payoffs": []}')
+    with pytest.raises(GameFormatError, match='"payoffs" must be a list'):
+        gf.parse_game(b'{"players": [{"name": "a", "strategies": ["x"]}], "payoffs": {}}')
 
 
 def test_parse_rejects_bad_payoff_entries():
@@ -314,9 +320,12 @@ def test_parse_names_first_failing_entry(doc, message):
      "missing profile [0, 0, 0, 0, 0, 0] (1000000 of 1000000 profiles absent)"),
     ('{"meta": ' + "{\"a\": " * 100_000 + "1" + "}" * 100_001,
      "parse error: document nested too deeply"),
+    (_doc(([0, 0], [1, 2]), f'{{"profile": [0, 1], "values": [1, {"1" * 5000}]}}'),
+     "parse error: Exceeds the limit (4300 digits) for integer string conversion: "
+     "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit"),
 ], ids=["overflow", "overflow-before-bool-index", "negative-overflow",
         "overflow-before-string", "string-before-overflow", "deep-list",
-        "million-profiles-none-given", "deep-meta"])
+        "million-profiles-none-given", "deep-meta", "5000-digit-integer"])
 def test_hostile_documents_raise_format_errors(doc, message):
     with pytest.raises(GameFormatError) as info:
         gf.parse_game(doc)

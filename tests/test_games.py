@@ -49,6 +49,32 @@ def test_validate_reports_player_count_and_shape():
     assert "payoff vector length" in codes
 
 
+def test_validate_reports_empty_strategies_and_label_shape():
+    g = gf.GameSpec(np.zeros((0, 2, 2)))  # a player without strategies
+    assert [d.code for d in gf.validate_game(g)] == ["empty strategy set"]
+    g = gf.GameSpec(np.zeros((2, 2, 2)), player_names=["a"], strategy_labels=[["x"], ["y", "z"]])
+    assert [(d.code, d.message) for d in gf.validate_game(g)] == [
+        ("label shape", "player_names length does not match player count"),
+        ("label shape", "strategy_labels do not match strategy counts")]
+
+
+def test_bad_arguments_raise(bar):
+    with pytest.raises(ValueError, match="player axes plus a trailing payoff axis"):
+        gf.GameSpec(np.zeros(3))
+    with pytest.raises(ValueError, match="profile needs at least one block"):
+        gf.StrategyProfile([])
+    with pytest.raises(ValueError, match="block 0 must be a nonempty vector"):
+        gf.StrategyProfile([[[1.0]]])
+    with pytest.raises(ValueError, match=r"profile \(0,\) does not have 2 entries"):
+        gf.pure_profile(bar, (0,))
+    with pytest.raises(IndexError, match="strategy index 5 out of range for player 1"):
+        gf.pure_profile(bar, (0, 5))
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        gf.random_game(2, (2, 2), -1)
+    with pytest.raises(IndexError, match="player index 2 out of range"):
+        gf.deviation_payoffs(bar, gf.uniform_profile(bar), 2)
+
+
 def test_from_entries_rejects_duplicates_and_bad_indices():
     with pytest.raises(ValueError, match="duplicate profile"):
         gf.GameSpec.from_entries((2, 2), [((0, 0), (0, 0)), ((0, 0), (1, 1))])
