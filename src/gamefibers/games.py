@@ -238,17 +238,16 @@ def validate_game(g: GameSpec) -> list[Defect]:
 
 
 def _require_simplex(i: int, b: np.ndarray) -> None:
-    """Raise ValueError unless block i is finite, in [0, 1] and sums to 1,
-    each up to ``TAU_SIMPLEX``: ``StrategyProfile``'s check, which a stack
-    of blocks (*stack, m_i) passes row by row."""
+    """Raise ValueError unless block i, a nonempty vector, is finite, in
+    [0, 1] and sums to 1, each up to ``TAU_SIMPLEX``: ``StrategyProfile``'s
+    check."""
     if not np.isfinite(b).all():
         raise ValueError(f"block {i} has non-finite entries")
     if b.min() < -TAU_SIMPLEX or b.max() > 1.0 + TAU_SIMPLEX:
         raise ValueError(f"block {i} is off-simplex: entries outside [0, 1]")
-    sums = b.sum(axis=-1)
-    miss = np.abs(sums - 1.0)
-    if miss.max() > TAU_SIMPLEX:
-        raise ValueError(f"block {i} is off-simplex: sums to {sums.flat[np.argmax(miss)]!r}")
+    total = b.sum()
+    if abs(total - 1.0) > TAU_SIMPLEX:
+        raise ValueError(f"block {i} is off-simplex: sums to {total!r}")
 
 
 class StrategyProfile:

@@ -268,6 +268,16 @@ def test_trace_bar(bar_doc):
     assert (x, y) == (0.5, 0.5)
 
 
+def test_trace_json_matches_golden(bar_doc, rps_doc):
+    # the geometry half byte for byte: rps ends at the boundary after 17
+    # points, bar after 36
+    for name, doc in (("rps", rps_doc), ("bar", bar_doc)):
+        code, out, err = cli("trace", "--start", "uniform", "--direction", "0", "--step", "0.02",
+                             "--steps", "100", "--json", stdin=doc)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / f"trace_{name}.json").read_bytes()
+
+
 def test_trace_json_and_errors(rps_doc):
     code, out, _ = cli("trace", "--json", "--start", "uniform", "--direction", "1",
                        "--step", "0.02", "--steps", "10", stdin=rps_doc)

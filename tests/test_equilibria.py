@@ -257,8 +257,13 @@ def test_two_mixers_answer_from_the_first_class_that_holds_an_equilibrium():
     assert answered >= 60
 
 
-@pytest.mark.parametrize("n, m, seed", [(3, 3, 45), (3, 3, 54), (3, 3, 86), (3, 2, 16),
-                                        (3, 2, 35)])
+# games whose search reaches the damped loop: no vertex within SEARCH_EPS,
+# no two-mixer class answers the 3-player ones, and 7x7 is past the cover of
+# support enumeration; (n, m, seed) of ``random_game``
+LOOP_GAMES = [(3, 3, 45), (3, 3, 54), (3, 3, 86), (3, 2, 16), (3, 2, 35), (2, 7, 2)]
+
+
+@pytest.mark.parametrize("n, m, seed", LOOP_GAMES[:-1])     # the 3-player ones
 def test_search_runs_the_damped_loop_where_no_two_mixer_class_answers(n, m, seed):
     # equilibria where three players mix: the stage finds nothing, and the
     # lockstep loop still gives the start-by-start answer bit for bit
@@ -427,21 +432,38 @@ def test_search_ends_a_start_whose_gains_sum_past_the_float_range():
     assert out.decode().splitlines()[-1].startswith("search: ")
 
 
-@pytest.mark.parametrize("damping, error", [
-    (3.0, "block 2 is off-simplex: entries outside [0, 1]"),
-    (10.0, "block 0 is off-simplex: entries outside [0, 1]"),
-    (2.0, None)])
-def test_search_checks_the_whole_stack_on_the_simplex(damping, error, monkeypatch):
-    # an overshooting damping leaves the simplex; the one check of the stack
-    # raises the error of the first block at fault, as a check per block does
-    monkeypatch.setattr(equilibria, "DAMPING", damping)
-    g = gf.random_game(3, (2, 2, 2), 16)        # no two-mixer class answers it
-    if error is None:
-        gf.find_equilibrium(g, max_iter=100)
-        return
-    with pytest.raises(ValueError) as info:
-        gf.find_equilibrium(g, max_iter=100)
-    assert str(info.value) == error
+def test_damped_steps_stay_on_the_simplex():
+    # the loop steps without a simplex check: finite gains >= 0 make each
+    # step a convex combination of two profiles, so no entry goes negative
+    # and a block sum moves off 1 by rounding only
+    for n, m, seed in LOOP_GAMES:
+        g = gf.random_game(n, [m] * n, seed)
+        starts = [gf.uniform_profile(g)] + [
+            gf.random_interior_profile(g, np.random.default_rng([0, t])) for t in range(1, 9)]
+        cur = np.stack([s.concat() for s in starts])
+        for _ in range(2000):
+            gains = _improvement(g, cur)[0]
+            sums = equilibria._block_sums(gains, g.m)
+            assert np.isfinite(sums).all()
+            cur = ((1.0 - equilibria.DAMPING) * cur
+                   + equilibria.DAMPING * equilibria._mapped(cur, gains, sums, g.m))
+            assert cur.min() >= 0.0
+            assert np.abs(equilibria._block_sums(cur, g.m) - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n, m, seed, zero_sum",
+                         [*((n, m, seed, False) for n, m, seed in LOOP_GAMES), (2, 10, 0, True)])
+def test_search_matches_the_loop_on_games_that_reach_it(n, m, seed, zero_sum):
+    # fixed cases of the lockstep loop against the start-by-start one, whose
+    # every iterate is a checked StrategyProfile, at a budget none converges in
+    g = gf.random_game(n, [m] * n, seed, zero_sum=zero_sum)
+    assert _vertex_gaps(g).min() > SEARCH_EPS and not _enumerable(g)
+    assert n == 2 or _two_mixers(g, SEARCH_EPS) is None
+    report = gf.find_equilibrium(g, max_iter=200)
+    expected = loop_find_equilibrium(g, max_iter=200)
+    assert report.profile.concat().tobytes() == expected.profile.concat().tobytes()
+    assert np.float64(report.epsilon).tobytes() == np.float64(expected.epsilon).tobytes()
+    assert report.converged == expected.converged
 
 
 def test_support_enumeration_covers_games_by_their_support_pairs():

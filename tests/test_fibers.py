@@ -403,6 +403,21 @@ def test_trace_bar_straight_path(bar):
     assert len(pts) > 10
 
 
+@pytest.mark.xfail(strict=True, reason="TRACE_TOL is an absolute payoff residual, so the "
+                   "corrector fails on payoffs scaled by 2^34")
+def test_trace_at_the_default_tol_does_not_depend_on_the_payoff_scale(bar, rps):
+    # a power-of-two scale is exact, so at the default tol the trace should
+    # not change: bar gives 29 points to the boundary at scales 2^-30 to
+    # 2^20 and rps 17 at scale 1, but both stop after 1 point at 2^34
+    for g, s0 in ((bar, gf.StrategyProfile([[0.3, 0.7], [0.6, 0.4]])),
+                  (rps, gf.uniform_profile(rps))):
+        path = gf.trace_fiber(g, s0, 0, step=0.02, max_steps=100)
+        scaled = gf.trace_fiber(gf.GameSpec(g.payoffs * 2.0 ** 34), s0, 0, step=0.02,
+                                max_steps=100)
+        assert (len(scaled.points), scaled.terminated_by) == (len(path.points),
+                                                              path.terminated_by)
+
+
 def test_trace_rps_from_uniform_all_directions(rps):
     start = gf.uniform_profile(rps)
     report = gf.fiber_report(rps, start, k_generic=1)
