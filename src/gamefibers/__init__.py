@@ -1,5 +1,13 @@
 """Finite normal-form games: exact payoff evaluation, level-set geometry,
-and equilibria."""
+and equilibria.
+
+The ``games`` and ``gamedoc`` names are imported with the package.  The
+``affine``, ``fibers`` and ``equilibria`` modules, and the names they export,
+are imported on first use (PEP 562), so a program pays for them only when it
+reaches them.
+"""
+
+import importlib
 
 from .games import (
     MAX_PROFILES,
@@ -21,33 +29,6 @@ from .games import (
     uniform_profile,
     unilateral_replace,
     validate_game,
-)
-from .affine import (
-    AffineLevelSet,
-    AffineRepresentation,
-    affine_level_set,
-    extract_affine,
-    is_jointly_affine,
-    simplex_interval,
-)
-from .fibers import (
-    FiberPath,
-    FiberReport,
-    fiber_report,
-    generic_rank,
-    nullspace,
-    numerical_rank,
-    payoff_jacobian,
-    trace_fiber,
-)
-from .equilibria import (
-    EquilibriumReport,
-    best_response_gap,
-    find_equilibrium,
-    nash_map,
-    pure_equilibria,
-    support_enumeration,
-    verify_equilibrium,
 )
 from .gamedoc import (
     GameFormatError,
@@ -108,3 +89,28 @@ __all__ = [
     "verify_equilibrium",
     "write_game",
 ]
+
+# the modules imported on first use, with the names of __all__ they export
+_LAZY = {
+    "affine": ("AffineLevelSet", "AffineRepresentation", "affine_level_set", "extract_affine",
+               "is_jointly_affine", "simplex_interval"),
+    "fibers": ("FiberPath", "FiberReport", "fiber_report", "generic_rank", "nullspace",
+               "numerical_rank", "payoff_jacobian", "trace_fiber"),
+    "equilibria": ("EquilibriumReport", "best_response_gap", "find_equilibrium", "nash_map",
+                   "pure_equilibria", "support_enumeration", "verify_equilibrium"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value    # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _LAZY.keys() | _HOME.keys())

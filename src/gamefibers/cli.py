@@ -4,6 +4,8 @@ Subcommands: ``validate``, ``eval``, ``analyze``, ``equilibria``,
 ``trace``, and ``gen``.  Game documents are read from a file argument or
 from standard input when the argument is ``-`` or omitted, so commands
 compose with pipes.  All reports are deterministic given the arguments.
+A command imports ``affine``, ``fibers`` or ``equilibria`` only when it
+calls into them, so ``gen``, ``validate`` and ``eval`` load none of the three.
 Each command builds one report: ``--json`` prints it as JSON, and the text
 output renders the same values.  Exit codes: 0 success, 1 data errors, 2
 usage errors.
@@ -18,11 +20,12 @@ import json
 import math
 import sys
 
-from .affine import extract_affine, is_jointly_affine
-from .equilibria import SEARCH_EPS, _answers
-from .fibers import (DEFAULT_SAMPLES, MAX_SAMPLES, MAX_TRACE_STEPS, TRACE_TOL, generic_rank,
-                     trace_fiber)
 from .games import (
+    DEFAULT_SAMPLES,
+    MAX_SAMPLES,
+    MAX_TRACE_STEPS,
+    SEARCH_EPS,
+    TRACE_TOL,
     GameSpec,
     StrategyProfile,
     _snap_profile,
@@ -141,6 +144,8 @@ def _cmd_eval(args, read_stdin):
 
 
 def _cmd_analyze(args, read_stdin):
+    from .affine import extract_affine, is_jointly_affine
+    from .fibers import generic_rank
     g = _load_valid_game(args, read_stdin)
     zero_sum = g.zero_sum
     affine = is_jointly_affine(g)
@@ -184,6 +189,7 @@ def _cmd_analyze(args, read_stdin):
 
 
 def _cmd_equilibria(args, read_stdin):
+    from .equilibria import _answers
     g = _load_valid_game(args, read_stdin)
     pure, mixed, search = _answers(g, args.eps, args.seed)
     report = {  # a pure equilibrium's gap is 0 by definition
@@ -203,6 +209,7 @@ def _cmd_equilibria(args, read_stdin):
 
 
 def _cmd_trace(args, read_stdin):
+    from .fibers import trace_fiber
     g = _load_valid_game(args, read_stdin)
     s0 = _parse_profile(args.start, g)
     path = trace_fiber(g, s0, args.direction, args.step, args.steps, tol=args.tol)

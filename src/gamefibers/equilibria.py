@@ -24,6 +24,7 @@ from math import comb
 import numpy as np
 
 from .games import (
+    SEARCH_EPS,
     GameSpec,
     StrategyProfile,
     _deviations,
@@ -36,7 +37,6 @@ from .fibers import _solve
 
 DAMPING = 0.5
 SUPPORT_MAX_PAIRS = 63 ** 2    # support pairs of a 6x6 game, (2^6 - 1)^2
-SEARCH_EPS = 1e-6          # default epsilon of find_equilibrium and the CLI
 SEARCH_MAX_ITER = 10_000   # their default damped-iteration budget: steps per start
 SEARCH_RESTARTS = 8        # and seeded random starts after the uniform one
 

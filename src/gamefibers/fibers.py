@@ -21,6 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import (
+    DEFAULT_SAMPLES,
+    MAX_SAMPLES,
+    MAX_TRACE_STEPS,
+    TRACE_TOL,
     GameSpec,
     StrategyProfile,
     _blocks_from_reduced,
@@ -31,13 +35,9 @@ from .games import (
     reduce_profile,
 )
 
-DEFAULT_SAMPLES = 64
-MAX_SAMPLES = 4096
-MAX_TRACE_STEPS = 10_000          # largest step budget of trace_fiber
 INTERIOR_MIN = 1e-6
 CONSTANCY_EPSILONS = (1e-2, 1e-3, 1e-4)
 CORRECTOR_MAX_ITER = 20
-TRACE_TOL = 1e-10                # largest payoff residual the corrector accepts
 
 # Relative singular-value cutoff: sigma is negligible below max(rows, cols)
 # * 2**-46 * max(sigma_1, max|T|), so crumbs of an all-but-zero Jacobian

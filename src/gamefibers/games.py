@@ -25,6 +25,13 @@ import numpy as np
 TAU_SIMPLEX = 1e-9    # how far input vectors may sit off their simplex
 TAU_EVAL = 1e-10      # relative tolerance for payoff identities (zero-sum etc.)
 MAX_PROFILES = 10 ** 6
+# Limits and defaults of fibers and equilibria, kept here so the CLI's parser
+# reads them without importing those modules.
+DEFAULT_SAMPLES = 64             # generic_rank's default sample budget
+MAX_SAMPLES = 4096               # and its largest
+MAX_TRACE_STEPS = 10_000         # largest step budget of trace_fiber
+TRACE_TOL = 1e-10                # largest payoff residual the trace corrector accepts
+SEARCH_EPS = 1e-6                # default epsilon of find_equilibrium and the CLI
 
 
 def _check_profile_count(m) -> None:

@@ -327,6 +327,7 @@ TRACE = {"--start": "uniform", "--direction": "0", "--step": "0.05", "--steps": 
     ("trace", "--step", "inf"),
     ("trace", "--steps", "-5"),
     ("trace", "--steps", "1000000000000"),
+    ("trace", "--steps", "10001"),
     ("trace", "--tol", "nan"),
     ("trace", "--tol", "-inf"),
     ("trace", "--tol", "-1"),
@@ -348,6 +349,22 @@ def test_bad_numbers_exit_2_with_usage(command, flag, value, rps_doc):
     assert "Traceback" not in err and "DLASCL" not in err
 
 
+@pytest.mark.parametrize("command, flag, limit", [("analyze", "--samples", 4096),
+                                                  ("trace", "--steps", 10000)])
+def test_upper_limits_accept_their_bound(command, flag, limit, rps_doc):
+    # the bounds are written out here, so moving where a limit lives cannot change it
+    options = dict(TRACE if command == "trace" else {})
+    for value in (limit, limit + 1):
+        options[flag] = str(value)
+        code, out, err = cli(command, *[f"{k}={v}" for k, v in options.items()], stdin=rps_doc)
+        if value == limit:
+            assert (code, err) == (0, "")
+        else:
+            assert (code, out) == (2, b"")
+            assert err.startswith(f"gamefibers {command}: error: argument {flag}: "
+                                  f"must be at most {limit}, got '{value}'\n")
+
+
 def test_trace_diverging_step_exits_0_quietly(capfd):
     # the corrector overflows far outside the simplex: a corrector_failure,
     # with nothing from numpy or LAPACK on the process's stderr
@@ -359,11 +376,13 @@ def test_trace_diverging_step_exits_0_quietly(capfd):
     assert capfd.readouterr().err == ""
 
 
-def scipy_modules(script):
+def loaded_modules(script):
     """Run ``script`` in a fresh interpreter on this checkout's ``src`` and
-    return what it prints, where ``loaded()`` lists the scipy modules loaded."""
+    return what it prints, where ``loaded(package)`` lists the modules of
+    ``package`` loaded."""
     prelude = ("import sys\n"
-               "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n")
+               "loaded = lambda package: sorted(m for m in sys.modules\n"
+               "                                if m.split('.')[0] == package)\n")
     src = str(Path(__file__).parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -372,15 +391,47 @@ def scipy_modules(script):
     return proc.stdout
 
 
-def test_scipy_is_imported_only_by_the_lp():
-    assert scipy_modules(
-        "import gamefibers as gf\n"
+EAGER = ["gamefibers", "gamefibers.cli", "gamefibers.gamedoc", "gamefibers.games"]
+
+
+# scipy is imported only by the LP, which no command reaches on rps
+@pytest.mark.parametrize("command, modules", [
+    ("gen", []), ("validate", []), ("eval", []), ("trace", ["fibers"]),
+    ("equilibria", ["equilibria", "fibers"]), ("analyze", ["affine", "fibers"]),
+], ids=lambda v: v if isinstance(v, str) else "+".join(v) or "none")
+def test_a_command_loads_only_the_modules_it_runs(command, modules):
+    argv = [command, *{"gen": ["--builtin", "rps"], "eval": ["--profile", "uniform"],
+                       "trace": [x for item in TRACE.items() for x in item]}.get(command, [])]
+    ran = sorted(EAGER + [f"gamefibers.{name}" for name in modules])
+    assert loaded_modules(
         "import gamefibers.cli\n"
-        "print(loaded())\n"
-        "doc = gf.write_game(gf.builtin_game('rps'))\n"
-        "assert gamefibers.cli.run(['analyze'], read_stdin=lambda: doc)[0] == 0\n"
-        "print(loaded())\n"
-    ) == "[]\n[]\n"
+        "print(loaded('gamefibers'), loaded('scipy'))\n"
+        "doc = gamefibers.write_game(gamefibers.builtin_game('rps'))\n"
+        f"assert gamefibers.cli.run({argv!r}, read_stdin=lambda: doc)[0] == 0\n"
+        "print(loaded('gamefibers'), loaded('scipy'))\n"
+    ) == f"{EAGER} []\n{ran} []\n"
+
+
+def test_the_lazy_package_keeps_its_public_surface():
+    assert loaded_modules(
+        "import importlib\n"
+        "import gamefibers as gf\n"
+        "print(loaded('gamefibers'), sorted({*gf.__all__, 'fibers'} - set(dir(gf))))\n"
+        "print(gf.fibers.__name__, gf.affine.__name__, gf.equilibria.__name__)\n"
+        "star = {}\n"
+        "exec('from gamefibers import *', star)\n"
+        "print(sorted(set(gf.__all__) - star.keys()))\n"
+        "# a constant's home is games, anything else names its module\n"
+        "home = lambda v: importlib.import_module(getattr(v, '__module__', 'gamefibers.games'))\n"
+        "print([n for n in gf.__all__ if not star[n] is getattr(gf, n) is getattr(home(star[n]), n)])\n"
+        "try:\n"
+        "    gf.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    ) == ("['gamefibers', 'gamefibers.gamedoc', 'gamefibers.games'] []\n"
+          "gamefibers.fibers gamefibers.affine gamefibers.equilibria\n"
+          "[]\n[]\n"
+          "module 'gamefibers' has no attribute 'no_such_name'\n")
 
 
 # the uniform payoff of this 3x3^3 affine game has a witness point in the
@@ -391,16 +442,16 @@ LEVEL_SET_AT = (
     "rep = gf.extract_affine(g)\n"
     "s = gf.{}\n"
     "assert gf.affine_level_set(rep, gf.total_payoff(g, s), g) is not None\n"
-    "print(bool(loaded()))\n"
+    "print(bool(loaded('scipy')))\n"
 )
 
 
 def test_a_witnessed_level_set_loads_no_scipy():
-    assert scipy_modules(LEVEL_SET_AT.format("uniform_profile(g)")) == "False\n"
+    assert loaded_modules(LEVEL_SET_AT.format("uniform_profile(g)")) == "False\n"
 
 
 def test_a_level_set_without_a_witness_runs_the_lp():
-    assert scipy_modules(LEVEL_SET_AT.format("pure_profile(g, [2, 2, 2])")) == "True\n"
+    assert loaded_modules(LEVEL_SET_AT.format("pure_profile(g, [2, 2, 2])")) == "True\n"
 
 
 FUZZ_DOCS = [gf.write_game(g) for g in (
