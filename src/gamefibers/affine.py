@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import GameSpec
-from .fibers import _solve, numerical_rank
+from .games import GameSpec, _solve, _svd
 
 AFFINITY_TOL = 1e-9
 LEVEL_SET_RESIDUAL = 1e-8
@@ -84,7 +83,7 @@ class AffineRepresentation:
 
     @property
     def rank(self) -> int:
-        return numerical_rank(self.matrix, self.scale)[0]
+        return _svd(self.matrix, False, self.scale)[0]
 
 
 @dataclass(frozen=True)

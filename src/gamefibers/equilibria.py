@@ -29,11 +29,11 @@ from .games import (
     StrategyProfile,
     _deviations,
     _require_match,
+    _solve,
     pure_profile,
     random_interior_profile,
     uniform_profile,
 )
-from .fibers import _solve
 
 DAMPING = 0.5
 SUPPORT_MAX_PAIRS = 63 ** 2    # support pairs of a 6x6 game, (2^6 - 1)^2
@@ -317,7 +317,7 @@ def _two_mixers(g: GameSpec, eps: float) -> EquilibriumReport | None:
 def _indifference_weights(mat: np.ndarray) -> np.ndarray:
     """Weights on the columns of each matrix in a stack ``(count, rows,
     cols)`` that equalize all its row payoffs, solved with the
-    normalization row by one stacked ``fibers._solve``; a row of NaN where
+    normalization row by one stacked ``games._solve``; a row of NaN where
     the system is inconsistent or needs negative weights."""
     count, rows, cols = mat.shape
     system = np.zeros((count, rows + 1, cols + 1))

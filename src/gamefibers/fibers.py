@@ -31,6 +31,8 @@ from .games import (
     _deviations,
     _payoff_reduced,
     _require_match,
+    _solve,
+    _svd,
     random_interior_profile,
     reduce_profile,
 )
@@ -38,54 +40,6 @@ from .games import (
 INTERIOR_MIN = 1e-6
 CONSTANCY_EPSILONS = (1e-2, 1e-3, 1e-4)
 CORRECTOR_MAX_ITER = 20
-
-# Relative singular-value cutoff: sigma is negligible below max(rows, cols)
-# * 2**-46 * max(sigma_1, max|T|), so crumbs of an all-but-zero Jacobian
-# (entries are payoff differences, at most 2 max|T|) are not rank.
-RANK_RTOL_EXPONENT = -46
-
-
-def _svd(mat, vectors: bool, scale: float) -> tuple[int | np.ndarray, np.ndarray,
-                                                    np.ndarray | None, np.ndarray | None]:
-    """Rank, singular values and, with ``vectors``, U and V^T of a finite
-    matrix, or of each matrix in a stack ``(..., rows, cols)``, all from
-    one SVD.  A matrix's rank is an int, a stack's an array with one rank
-    per matrix.  This is the library's one decomposition: every rank,
-    kernel and solve uses its cutoff."""
-    a = np.atleast_2d(np.asarray(mat, dtype=float))
-    top = np.abs(a).max(initial=0.0)
-    if not top < np.inf:
-        raise ValueError("rank needs a finite matrix")
-    if not 0 <= scale < np.inf:
-        raise ValueError("scale must be finite and non-negative")
-    if vectors:
-        u, s, vt = np.linalg.svd(a)
-    else:
-        u, s, vt = None, np.linalg.svd(a, compute_uv=False), None
-    # sigma_1 <= sqrt(rows cols) top, so only past 2^512 can it (and the cutoff) read inf
-    if top > 2.0 ** 512 and np.isinf(s[..., :1]).any():     # then decide the rank on a / 2^e
-        e = np.frexp(top)[1]
-        return _svd(np.ldexp(a, -e), False, np.ldexp(scale, -e))[0], s, u, vt
-    smax = np.fmax(s[..., :1], scale)       # sigma_1, or none for an empty matrix
-    rank = (s > max(a.shape[-2:]) * 2.0 ** RANK_RTOL_EXPONENT * smax).sum(axis=-1)
-    return (int(rank) if a.ndim == 2 else rank), s, u, vt
-
-
-def _solve(mat, rhs, scale: float) -> tuple[np.ndarray, int | np.ndarray, np.ndarray]:
-    """Minimum-norm least-squares solution x of mat @ x = rhs, with the
-    rank and V^T of mat, from one ``_svd`` at ``scale``.  For a stack,
-    each matrix is solved against ``rhs`` on its own rank.  Only the
-    coefficients up to the rank enter, so the solve drops exactly the
-    directions the kernel ``vt[rank:]`` keeps; the matrices of one rank
-    are solved together, so each gets the arithmetic of a lone one."""
-    rank, s, u, vt = _svd(mat, True, scale)
-    x = np.zeros(vt.shape[:-1])
-    ranks = set(np.ravel(rank).tolist())
-    for r in ranks:
-        at = rank == r if len(ranks) > 1 else ...   # one rank: every matrix
-        coef = (rhs @ u[at][..., :r]) / s[at][..., :r]
-        x[at] = (coef[..., None, :] @ vt[at][..., :r, :])[..., 0, :]    # one row per matrix
-    return x, rank, vt
 
 
 def numerical_rank(mat, scale: float = 0.0) -> tuple[int, np.ndarray]:

@@ -42,7 +42,14 @@ from itertools import chain, product
 
 import numpy as np
 
-from .games import GameSpec, _check_profile_count, _fill, validate_game
+from .games import (
+    GameSpec,
+    _check_profile_count,
+    _fill,
+    _player_name,
+    _strategy_label,
+    validate_game,
+)
 
 
 class GameFormatError(ValueError):
@@ -195,8 +202,8 @@ def write_game(g: GameSpec) -> bytes:
     defects = validate_game(g)
     if defects:
         raise ValueError(f"cannot serialize an invalid game: {defects[0]}")
-    names = g.player_names or tuple(f"player{i + 1}" for i in range(g.n))
-    labels = g.strategy_labels or tuple(tuple(f"s{j}" for j in range(mi)) for mi in g.m)
+    names = g.player_names or tuple(map(_player_name, range(g.n)))
+    labels = g.strategy_labels or tuple(tuple(map(_strategy_label, range(mi))) for mi in g.m)
     lines = ["{", '  "players": [']
     for i in range(g.n):
         entry = json.dumps({"name": names[i], "strategies": list(labels[i])})
@@ -280,6 +287,6 @@ def random_game(n: int, m, seed: int, zero_sum: bool = False,
         tensor = rng.uniform(-1.0, 1.0, size=m + (n,))
     if zero_sum:
         tensor[..., -1] = -tensor[..., :-1].sum(axis=-1)
-    labels = tuple(tuple(f"s{j}" for j in range(mi)) for mi in m)
-    names = tuple(f"player{i + 1}" for i in range(n))
+    labels = tuple(tuple(map(_strategy_label, range(mi))) for mi in m)
+    names = tuple(map(_player_name, range(n)))
     return GameSpec(tensor, player_names=names, strategy_labels=labels)

@@ -8,6 +8,11 @@ multilinear extension of the tensor: the payoff at a profile is the sum
 over all pure profiles of the product of the selected probabilities times
 the stored payoff vector.
 
+The module holds the library's two shared kernels, which ``affine``,
+``fibers`` and ``equilibria`` import from here: ``_deviations``, the one
+contraction of the payoff tensor, and ``_svd``, the one matrix
+decomposition, with its rank cutoff and the minimum-norm ``_solve``.
+
 All objects here are immutable after construction (arrays are marked
 read-only), so games and profiles can be shared freely across threads.
 A game caches max|T| and its zero-sum flag on first use (threads that race
@@ -84,6 +89,16 @@ def _fill(shape, profiles, values) -> np.ndarray:
     return payoffs
 
 
+def _player_name(i: int) -> str:
+    """Display name of player i when a game names none: player1, player2, ..."""
+    return f"player{i + 1}"
+
+
+def _strategy_label(j: int) -> str:
+    """Display label of strategy j when a game labels none: s0, s1, ..."""
+    return f"s{j}"
+
+
 class GameSpec:
     """Immutable normal-form game.
 
@@ -92,7 +107,8 @@ class GameSpec:
     payoffs : array_like, shape (m_1, ..., m_n, n)
         Payoff vector at every pure-strategy profile.
     player_names, strategy_labels : optional
-        Display names; the document writer synthesizes defaults when absent.
+        Display names; ``_player_name`` and ``_strategy_label`` give the
+        defaults when absent.
     meta : dict, optional
         Free-form annotations carried through serialization.
     """
@@ -185,7 +201,7 @@ class GameSpec:
     def label(self, player: int, strategy: int) -> str:
         if self.strategy_labels is not None:
             return self.strategy_labels[player][strategy]
-        return f"s{strategy}"
+        return _strategy_label(strategy)
 
     def __eq__(self, other):
         if not isinstance(other, GameSpec):
@@ -379,6 +395,55 @@ def _deviations(payoffs: np.ndarray, blocks,
         head = (b[..., None, :] @ head.reshape(*lead, b.shape[-1], -1))[..., 0, :]
     devs[-1] = head.reshape(*head.shape[:-1], blocks[-1].shape[-1], -1)
     return (blocks[-1][..., None, :] @ devs[-1])[..., 0, :], devs
+
+
+# Relative singular-value cutoff: sigma is negligible below max(rows, cols)
+# * 2**-46 * max(sigma_1, max|T|), so crumbs of an all-but-zero Jacobian
+# (entries are payoff differences, at most 2 max|T|) are not rank.
+RANK_RTOL_EXPONENT = -46
+
+
+def _svd(mat, vectors: bool, scale: float) -> tuple[int | np.ndarray, np.ndarray,
+                                                    np.ndarray | None, np.ndarray | None]:
+    """Rank, singular values and, with ``vectors``, U and V^T of a finite
+    matrix, or of each matrix in a stack ``(..., rows, cols)``, all from
+    one SVD.  A matrix's rank is an int, a stack's an array with one rank
+    per matrix.  This is the library's one decomposition: every rank,
+    kernel and solve uses its cutoff."""
+    a = np.atleast_2d(np.asarray(mat, dtype=float))
+    top = np.abs(a).max(initial=0.0)
+    if not top < np.inf:
+        raise ValueError("rank needs a finite matrix")
+    if not 0 <= scale < np.inf:
+        raise ValueError("scale must be finite and non-negative")
+    if vectors:
+        u, s, vt = np.linalg.svd(a)
+    else:
+        u, s, vt = None, np.linalg.svd(a, compute_uv=False), None
+    # sigma_1 <= sqrt(rows cols) top, so only past 2^512 can it (and the cutoff) read inf
+    if top > 2.0 ** 512 and np.isinf(s[..., :1]).any():     # then decide the rank on a / 2^e
+        e = np.frexp(top)[1]
+        return _svd(np.ldexp(a, -e), False, np.ldexp(scale, -e))[0], s, u, vt
+    smax = np.fmax(s[..., :1], scale)       # sigma_1, or none for an empty matrix
+    rank = (s > max(a.shape[-2:]) * 2.0 ** RANK_RTOL_EXPONENT * smax).sum(axis=-1)
+    return (int(rank) if a.ndim == 2 else rank), s, u, vt
+
+
+def _solve(mat, rhs, scale: float) -> tuple[np.ndarray, int | np.ndarray, np.ndarray]:
+    """Minimum-norm least-squares solution x of mat @ x = rhs, with the
+    rank and V^T of mat, from one ``_svd`` at ``scale``.  For a stack,
+    each matrix is solved against ``rhs`` on its own rank.  Only the
+    coefficients up to the rank enter, so the solve drops exactly the
+    directions the kernel ``vt[rank:]`` keeps; the matrices of one rank
+    are solved together, so each gets the arithmetic of a lone one."""
+    rank, s, u, vt = _svd(mat, True, scale)
+    x = np.zeros(vt.shape[:-1])
+    ranks = set(np.ravel(rank).tolist())
+    for r in ranks:
+        at = rank == r if len(ranks) > 1 else ...   # one rank: every matrix
+        coef = (rhs @ u[at][..., :r]) / s[at][..., :r]
+        x[at] = (coef[..., None, :] @ vt[at][..., :r, :])[..., 0, :]    # one row per matrix
+    return x, rank, vt
 
 
 def expected_payoff(g: GameSpec, s: StrategyProfile, player: int) -> float:

@@ -330,6 +330,8 @@ def test_simplex_interval_bar_segment(bar):
 def test_simplex_interval_missing_line(bar):
     # a line at constant x = 2 never meets the square
     assert gf.simplex_interval(bar, np.array([2.0, 0.0]), np.array([0.0, 1.0])) is None
+    # every coordinate moves, but x is in [0, 1] only for t in [0, 1] and y only for t in [-2, -1]
+    assert gf.simplex_interval(bar, np.array([0.0, 2.0]), np.array([1.0, 1.0])) is None
 
 
 def test_simplex_interval_directions_parallel_to_a_face(bar):

@@ -13,6 +13,7 @@ import gamefibers as gf
 from gamefibers.cli import _profile_str, run
 
 GOLDEN = Path(__file__).parent / "golden"
+TRACE = {"--start": "uniform", "--direction": "0", "--step": "0.05", "--steps": "5"}
 
 
 def cli(*argv, stdin=b""):
@@ -72,11 +73,25 @@ def test_validate_ok_and_defects(bar_doc):
     assert code == 0 and json.loads(out) == {"ok": True, "defects": []}
 
 
-def test_validate_non_finite_message(bar_doc):
-    bad = bar_doc.replace(b'"values": [0, 0]}', b'"values": [0, NaN]}', 1)
-    assert cli("validate", stdin=bad) == (1, (
-        b"non-finite payoff: payoff to player 1 at profile (0, 0) is nan "
-        b"(1 of 8 payoff entries non-finite)\n"), "")
+@pytest.fixture
+def bar_nan_doc(bar_doc):
+    return bar_doc.replace(b'"values": [0, 0]}', b'"values": [0, NaN]}', 1)
+
+
+NAN_DEFECT = ("non-finite payoff: payoff to player 1 at profile (0, 0) is nan "
+              "(1 of 8 payoff entries non-finite)")
+
+
+def test_validate_non_finite_message(bar_nan_doc):
+    assert cli("validate", stdin=bar_nan_doc) == (1, f"{NAN_DEFECT}\n".encode(), "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--profile", "uniform"), ("analyze",), ("equilibria",),
+    ("trace", *[x for item in TRACE.items() for x in item]),
+], ids=lambda argv: argv[0])
+def test_commands_refuse_an_invalid_game(bar_nan_doc, argv):
+    assert cli(*argv, stdin=bar_nan_doc) == (1, b"", f"error: invalid game: {NAN_DEFECT}\n")
 
 
 def test_validate_parse_error_exit_code():
@@ -319,9 +334,6 @@ def test_help_exits_zero():
     assert cli()[0] == 2
 
 
-TRACE = {"--start": "uniform", "--direction": "0", "--step": "0.05", "--steps": "5"}
-
-
 @pytest.mark.parametrize("command, flag, value", [
     ("trace", "--step", "nan"),
     ("trace", "--step", "inf"),
@@ -397,7 +409,7 @@ EAGER = ["gamefibers", "gamefibers.cli", "gamefibers.gamedoc", "gamefibers.games
 # scipy is imported only by the LP, which no command reaches on rps
 @pytest.mark.parametrize("command, modules", [
     ("gen", []), ("validate", []), ("eval", []), ("trace", ["fibers"]),
-    ("equilibria", ["equilibria", "fibers"]), ("analyze", ["affine", "fibers"]),
+    ("equilibria", ["equilibria"]), ("analyze", ["affine", "fibers"]),
 ], ids=lambda v: v if isinstance(v, str) else "+".join(v) or "none")
 def test_a_command_loads_only_the_modules_it_runs(command, modules):
     argv = [command, *{"gen": ["--builtin", "rps"], "eval": ["--profile", "uniform"],
@@ -410,6 +422,17 @@ def test_a_command_loads_only_the_modules_it_runs(command, modules):
         f"assert gamefibers.cli.run({argv!r}, read_stdin=lambda: doc)[0] == 0\n"
         "print(loaded('gamefibers'), loaded('scipy'))\n"
     ) == f"{EAGER} []\n{ran} []\n"
+
+
+# the analysis modules are siblings: each imports games, and gamedoc comes
+# with the package
+@pytest.mark.parametrize("module", ["affine", "fibers", "equilibria"])
+def test_an_analysis_module_loads_no_sibling(module):
+    ran = sorted(["gamefibers", "gamefibers.gamedoc", "gamefibers.games", f"gamefibers.{module}"])
+    assert loaded_modules(
+        f"import gamefibers.{module}\n"
+        "print(loaded('gamefibers'), loaded('scipy'))\n"
+    ) == f"{ran} []\n"
 
 
 def test_the_lazy_package_keeps_its_public_surface():

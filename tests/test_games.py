@@ -58,6 +58,17 @@ def test_validate_reports_empty_strategies_and_label_shape():
         ("label shape", "strategy_labels do not match strategy counts")]
 
 
+def test_unlabelled_games_get_the_written_default_labels(bar):
+    g = gf.GameSpec(np.zeros((2, 3, 2)))
+    assert [g.label(1, j) for j in range(3)] == ["s0", "s1", "s2"]
+    assert bar.label(0, 1) == "A"
+    written = gf.parse_game(gf.write_game(g))
+    generated = gf.random_game(2, (2, 3), seed=0)
+    for h in (written, generated):
+        assert h.player_names == ("player1", "player2")
+        assert h.strategy_labels == (("s0", "s1"), ("s0", "s1", "s2"))
+
+
 def test_bad_arguments_raise(bar):
     with pytest.raises(ValueError, match="player axes plus a trailing payoff axis"):
         gf.GameSpec(np.zeros(3))
@@ -342,6 +353,8 @@ def test_unilateral_replace(rps):
         gf.unilateral_replace(u, 0, [1.0, 0.0])
     with pytest.raises(ValueError):
         gf.unilateral_replace(u, 0, [0.8, 0.1, 0.0])
+    with pytest.raises(IndexError):
+        gf.unilateral_replace(u, 2, [1.0, 0.0, 0.0])
 
 
 def test_is_zero_sum(rps, bar):
