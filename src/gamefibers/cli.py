@@ -28,7 +28,6 @@ from .games import (
     TRACE_TOL,
     GameSpec,
     StrategyProfile,
-    _player_name,
     _snap_profile,
     total_payoff,
     uniform_profile,
@@ -139,8 +138,7 @@ def _cmd_validate(args, read_stdin):
 def _cmd_eval(args, read_stdin):
     g = _load_valid_game(args, read_stdin)
     pay = [float(v) for v in total_payoff(g, _parse_profile(args.profile, g))]
-    names = g.player_names or tuple(map(_player_name, range(g.n)))
-    text = "".join(f"{name}: {format_number(v)}\n" for name, v in zip(names, pay))
+    text = "".join(f"{name}: {format_number(v)}\n" for name, v in zip(g.player_names, pay))
     return 0, _out(args, {"payoffs": pay}, text)
 
 

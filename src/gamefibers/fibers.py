@@ -16,6 +16,7 @@ gracefully; leaving the simplex is detected explicitly and stops a trace.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,9 @@ from .games import (
     TRACE_TOL,
     GameSpec,
     StrategyProfile,
-    _blocks_from_reduced,
+    _chart_buffer,
     _deviations,
+    _load_chart,
     _payoff_reduced,
     _require_match,
     _solve,
@@ -40,6 +42,7 @@ from .games import (
 INTERIOR_MIN = 1e-6
 CONSTANCY_EPSILONS = (1e-2, 1e-3, 1e-4)
 CORRECTOR_MAX_ITER = 20
+PROBE_STACK_BYTES = 4 << 20      # fiber_report's cap on a probe stack's first intermediate
 
 
 def numerical_rank(mat, scale: float = 0.0) -> tuple[int, np.ndarray]:
@@ -55,19 +58,30 @@ def nullspace(mat, scale: float = 0.0) -> np.ndarray:
     return vt[rank:]
 
 
-@np.errstate(over="ignore")     # an overflowed difference reads as inf, caught by the rank
-def _jacobian_blocks(payoffs: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
+def _jacobian_buffer(m) -> tuple[np.ndarray, list[np.ndarray]]:
+    """An unfilled (n, N - n) Jacobian and each player's columns as one
+    (m_p - 1, n) view, the ``out`` of ``_jacobian_blocks``."""
+    jac = np.empty((len(m), sum(m) - len(m)))
+    starts = [sum(m[:p]) - p for p in range(len(m) + 1)]     # each player's first column
+    return jac, [jac[:, a:b].T for a, b in zip(starts, starts[1:])]
+
+
+def _jacobian_blocks(payoffs: np.ndarray, blocks, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Payoff and payoff Jacobian on the chart, both from one every-player
     ``_deviations`` sweep, so the payoff is ``total_payoff``'s bit for bit.
     By own-block linearity the derivative of component i along player p's
     chart coordinate j is the payoff difference between the pure
-    replacements e_j and e_{m_p}.
+    replacements e_j and e_{m_p}, written in place into ``out``, a
+    ``_jacobian_buffer`` (new when None), under the caller's error state.
     """
     pay, devs = _deviations(payoffs, blocks)
-    jac = np.concatenate([(dev[:-1] - dev[-1]).T for dev in devs], axis=1)
+    jac, cols = _jacobian_buffer(payoffs.shape[:-1]) if out is None else out
+    for dev, col in zip(devs, cols):
+        np.subtract(dev[:-1], dev[-1], out=col)
     return pay, jac
 
 
+@np.errstate(over="ignore", invalid="ignore")   # a non-finite entry is caught by the rank
 def payoff_jacobian(g: GameSpec, s: StrategyProfile) -> np.ndarray:
     """Analytic Jacobian of the payoff map on the reduced chart,
     shape (n, N - n)."""
@@ -96,7 +110,9 @@ def generic_rank(g: GameSpec, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> 
     ``samples`` (at most ``MAX_SAMPLES``) is an upper bound: sampling
     stops once k reaches min(rows, N - n), where rows is n, or n - 1 for a
     zero-sum game, since no Jacobian of those rows has a higher rank.  A
-    constant game never gets there and takes every sample.
+    constant game never gets there and takes every sample.  A sample whose
+    sweep rounds past the float range is ranked on the payoffs and scale
+    times 2^-e, max|T| in [2^(e-1), 2^e): ``_svd``'s exact rescue of sigma_1.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -109,8 +125,11 @@ def generic_rank(g: GameSpec, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> 
     for idx in range(samples):
         rng = np.random.default_rng([seed, idx])
         s = random_interior_profile(g, rng)
-        jac = payoff_jacobian(g, s)[:rows]
-        k = max(k, numerical_rank(jac, g.scale)[0])
+        jac, scale = payoff_jacobian(g, s)[:rows], g.scale
+        if not np.isfinite(jac).all() and scale < np.inf:   # at 2^-e, on a transient copy
+            jac = _jacobian_blocks(np.ldexp(g.payoffs, -g._exponent), s.blocks)[1][:rows]
+            scale = np.ldexp(scale, -g._exponent)
+        k = max(k, numerical_rank(jac, scale)[0])
         if k == min(jac.shape):
             break
     return k
@@ -141,7 +160,8 @@ def _tangent_space(g: GameSpec, s: StrategyProfile, rows: int):
     _require_match(g, s)
     if s.concat().min() < INTERIOR_MIN:
         raise ValueError(f"boundary point: need every coordinate >= {INTERIOR_MIN}")
-    pay, jac = _jacobian_blocks(g.payoffs, s.blocks)
+    with np.errstate(over="ignore", invalid="ignore"):     # caught by the rank
+        pay, jac = _jacobian_blocks(g.payoffs, s.blocks)
     rank, svals, _, vt = _svd(jac[:rows], True, g.scale)
     return reduce_profile(s), pay, rank, svals, vt[rank:]
 
@@ -153,14 +173,15 @@ def fiber_report(g: GameSpec, s: StrategyProfile, k_generic: int) -> FiberReport
     For each nullspace direction v and each probe size eps, the residual is
     the largest payoff-component change between the point and point + eps*v.
     Along true tangent directions the residual is second order in eps.
-    The probes are swept in stacks of max(m_0, len(CONSTANCY_EPSILONS)), so
-    the first intermediate outgrows the payoff tensor only where one
-    direction's probes already did; each is its lone sweep bit for bit.
+    The probes are swept in the largest stacks whose first intermediate,
+    stack * payoff bytes / m_0, is within max(PROBE_STACK_BYTES, payoff
+    bytes), but of at least max(m_0, len(CONSTANCY_EPSILONS)) probes; each
+    is its lone sweep bit for bit.
     """
     r, base, rank, svals, basis = _tangent_space(g, s, _rows(g))
     probes = np.concatenate(r + np.multiply.outer(CONSTANCY_EPSILONS, basis))   # eps-major
     dev = np.zeros(len(probes))
-    stack = max(g.m[0], len(CONSTANCY_EPSILONS))
+    stack = max(g.m[0], len(CONSTANCY_EPSILONS), PROBE_STACK_BYTES * g.m[0] // g.payoffs.nbytes)
     for i in range(0, len(probes), stack):
         dev[i:i + stack] = np.abs(_payoff_reduced(g, probes[i:i + stack]) - base).max(axis=-1)
     worst = np.fmax.reduce(dev.reshape(len(CONSTANCY_EPSILONS), -1), axis=1, initial=0.0)
@@ -181,18 +202,21 @@ class FiberPath:
 
 
 def _correct(g: GameSpec, r: np.ndarray, target: np.ndarray, tol: float,
-             rows: int, flat: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+             rows: int, buffers) -> tuple[np.ndarray, float, np.ndarray]:
     """Gauss-Newton projection of a chart point back onto the level set:
     the last point, its largest payoff residual over all n components
     (success iff <= tol) and the first ``rows`` Jacobian rows there.  Each
-    iteration rebuilds the profile into ``flat`` (the last one stays there),
-    takes the payoff and the Jacobian from one ``_jacobian_blocks`` call
-    and steps by ``_solve`` on those rows.  A diverging step stops at the
-    first non-finite Jacobian and fails."""
+    iteration loads its point into the trace's ``buffers`` by ``_load_chart``,
+    writes the payoff and the Jacobian there by one ``_jacobian_blocks``
+    call (the last point and Jacobian stay there, so the rows returned are
+    a view) and steps by ``_solve`` on those rows.  A diverging step stops
+    at the first non-finite Jacobian and fails."""
+    flat, blocks, index, out = buffers
     cur = np.asarray(r, dtype=float)
     with np.errstate(all="ignore"):
         for it in range(CORRECTOR_MAX_ITER + 1):
-            pay, jac = _jacobian_blocks(g.payoffs, _blocks_from_reduced(g.m, cur, flat))
+            _load_chart(cur, flat, blocks, index)
+            pay, jac = _jacobian_blocks(g.payoffs, blocks, out)
             f = pay - target
             residual = float(np.abs(f).max())
             if residual <= tol or it == CORRECTOR_MAX_ITER or not np.isfinite(jac).all():
@@ -229,7 +253,7 @@ def trace_fiber(g: GameSpec, s0: StrategyProfile, direction_index: int,
     ``k_generic`` no rank is sampled, since no point's rank exceeds the
     generic rank.  A start of lower rank (a critical point of the map) is
     allowed: the nullspace is larger there, but every direction can still
-    seed the corrector.
+    seed the corrector.  The corrector's buffers are built once per trace.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be non-negative")
@@ -249,10 +273,11 @@ def trace_fiber(g: GameSpec, s0: StrategyProfile, direction_index: int,
     points = [r0]
     drift = 0.0
     terminated = "step_budget"
-    flat = np.empty(g.num_coords)       # each corrector evaluation's profile
+    flat, blocks, index = _chart_buffer(g.m)      # each corrector evaluation's profile
+    buffers = flat, blocks, index, _jacobian_buffer(g.m)
     for _ in range(max_steps):
         predicted = points[-1] + step * tangent
-        corrected, residual, jac = _correct(g, predicted, target, tol, rows, flat)
+        corrected, residual, jac = _correct(g, predicted, target, tol, rows, buffers)
         if not residual <= tol:     # a NaN residual fails too
             terminated = "corrector_failure"
             break
@@ -263,7 +288,7 @@ def trace_fiber(g: GameSpec, s0: StrategyProfile, direction_index: int,
         drift = max(drift, residual)
         basis = nullspace(jac, g.scale)
         tangent = basis.T @ (basis @ tangent)
-        norm = float(np.linalg.norm(tangent))
+        norm = math.sqrt(tangent @ tangent)
         if norm < 1e-8:     # no continuation in the new nullspace, an empty one included
             terminated = "corrector_failure"
             break

@@ -505,29 +505,38 @@ def reduce_profile(s: StrategyProfile) -> np.ndarray:
     return np.concatenate([b[:-1] for b in s.blocks])
 
 
-def _blocks_from_reduced(m, r, out=None) -> list[np.ndarray]:
+def _chart_buffer(m, stack=()) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """An unfilled flat profile (or ``stack`` of them), its per-player
+    block views and the chart-to-flat index, for ``_load_chart``."""
+    spans = [(sum(m[:p]), sum(m[:p + 1])) for p in range(len(m))]
+    flat = np.empty((*stack, sum(m)))
+    index = np.array([i for a, b in spans for i in range(a, b - 1)], dtype=np.intp)
+    return flat, [flat[..., a:b] for a, b in spans], index
+
+
+def _load_chart(r, flat: np.ndarray, blocks, index: np.ndarray) -> None:
+    """The one rebuild rule: chart point(s) r go into ``flat`` by one
+    indexed assignment, then each block, a view of ``flat``, gets its
+    implied last coordinate, 1 minus the rest."""
+    flat[..., index] = r
+    for b in blocks:
+        b[..., -1] = 1.0 - b[..., :-1].sum(axis=-1)
+
+
+def _blocks_from_reduced(m, r) -> list[np.ndarray]:
     """Rebuild per-player blocks from chart coordinates, without validation.
 
     The implied last coordinate of each block is 1 minus the rest, so the
     result always sums to one per block but may leave [0, 1]; this is the
     polynomial extension of the strategy space used by derivative probes
-    and the continuation corrector.  Stacked points give stacked blocks.
-    The blocks are consecutive views of one flat profile (or stack of
-    them), written into ``out`` when given, so a loop need not allocate.
+    and the continuation corrector.  Stacked points give stacked blocks,
+    consecutive views of one new flat profile (or stack of them).
     """
     r = np.asarray(r, dtype=float)
-    want = sum(m) - len(m)
-    if r.shape[-1:] != (want,):
-        raise ValueError(f"reduced point has length {r.size}, expected {want}")
-    flat = np.empty(r.shape[:-1] + (sum(m),)) if out is None else out
-    blocks, at = [], 0
-    for mi in m:
-        head, r = r[..., :mi - 1], r[..., mi - 1:]
-        b = flat[..., at:at + mi]
-        b[..., :-1] = head
-        b[..., -1] = 1.0 - head.sum(axis=-1)
-        blocks.append(b)
-        at += mi
+    flat, blocks, index = _chart_buffer(m, r.shape[:-1])
+    if r.shape[-1:] != index.shape:
+        raise ValueError(f"reduced point has length {r.size}, expected {index.size}")
+    _load_chart(r, flat, blocks, index)
     return blocks
 
 

@@ -12,8 +12,15 @@ import numpy as np
 
 import gamefibers as gf
 from gamefibers.equilibria import DAMPING, _enumerable, _indifference_weights, _two_mixers
-from gamefibers.fibers import CONSTANCY_EPSILONS
-from gamefibers.games import _payoff_reduced
+from gamefibers.fibers import (
+    CONSTANCY_EPSILONS,
+    CORRECTOR_MAX_ITER,
+    INTERIOR_MIN,
+    TRACE_TOL,
+    _jacobian_blocks,
+    nullspace,
+)
+from gamefibers.games import _blocks_from_reduced, _payoff_reduced, _solve
 
 
 def loop_expected_payoff(g, s, player):
@@ -80,6 +87,42 @@ def loop_constancy_residuals(g, s, basis):
             worst = max(worst, float(np.abs(_payoff_reduced(g, r + eps * v) - base).max()))
         residuals.append((eps, worst))
     return residuals
+
+
+def loop_trace_fiber(g, s0, direction_index, step, max_steps, tol=TRACE_TOL):
+    """The predictor-corrector walk from lone pieces: every corrector
+    evaluation rebuilds fresh blocks from its chart point and takes a fresh
+    Jacobian, the kernel and the Gauss-Newton step come from ``nullspace``
+    and ``_solve`` on the first n (n - 1 zero-sum) rows, and each tangent
+    is normalized by ``np.linalg.norm``.  Returns (points, drift, ending)."""
+    rows = g.n - g.zero_sum
+    target, jac = _jacobian_blocks(g.payoffs, s0.blocks)
+    tangent = nullspace(jac[:rows], g.scale)[direction_index]
+    points, drift = [gf.reduce_profile(s0)], 0.0
+    for _ in range(max_steps):
+        cur = points[-1] + step * tangent
+        with np.errstate(all="ignore"):
+            for it in range(CORRECTOR_MAX_ITER + 1):
+                blocks = _blocks_from_reduced(g.m, cur)
+                pay, jac = _jacobian_blocks(g.payoffs, blocks)
+                f = pay - target
+                residual = float(np.abs(f).max())
+                if residual <= tol or it == CORRECTOR_MAX_ITER or not np.isfinite(jac).all():
+                    break
+                cur = cur + _solve(jac[:rows], -f[:rows], g.scale)[0]
+        if not residual <= tol:
+            return points, drift, "corrector_failure"
+        if min(b.min() for b in blocks) < INTERIOR_MIN:
+            return points, drift, "boundary"
+        points.append(cur)
+        drift = max(drift, residual)
+        basis = nullspace(jac[:rows], g.scale)
+        tangent = basis.T @ (basis @ tangent)
+        norm = float(np.linalg.norm(tangent))
+        if norm < 1e-8:
+            return points, drift, "corrector_failure"
+        tangent = tangent / norm
+    return points, drift, "step_budget"
 
 
 def loop_generic_rank(g, samples=64, seed=0):

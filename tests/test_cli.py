@@ -247,7 +247,11 @@ def test_overflowing_payoff_differences_are_quiet(capfd):
     code, out, err = cli("equilibria", stdin=doc)
     assert (code, err) == (0, "")
     assert out.decode().splitlines()[-1] == "search: 1,0; 1,0 converged=yes epsilon=0"
-    assert cli("analyze", stdin=doc) == (1, b"", "error: rank needs a finite matrix\n")
+    # a sample whose sweep passes the float range is ranked on the payoffs
+    # times 2^-e, as bar times 1.7e308 is
+    code, out, err = cli("analyze", stdin=doc)
+    assert (code, err) == (0, "")
+    assert "generic rank: 1\n" in out.decode()
     assert capfd.readouterr().err == ""
 
 
@@ -285,10 +289,14 @@ def test_trace_bar(bar_doc):
 
 def test_trace_json_matches_golden(bar_doc, rps_doc):
     # the geometry half byte for byte: rps ends at the boundary after 17
-    # points, bar after 36
-    for name, doc in (("rps", rps_doc), ("bar", bar_doc)):
-        code, out, err = cli("trace", "--start", "uniform", "--direction", "0", "--step", "0.02",
-                             "--steps", "100", "--json", stdin=doc)
+    # points, bar after 36, and the 4x6^4 seed-1 game takes its 50 steps,
+    # the corrector iterating on every one
+    code, doc, _ = cli("gen", "--random", "n=4", "m=6,6,6,6", "seed=1")
+    assert code == 0
+    for name, doc, step, steps in (("rps", rps_doc, "0.02", "100"), ("bar", bar_doc, "0.02", "100"),
+                                   ("4x6_seed1", doc, "0.001", "50")):
+        code, out, err = cli("trace", "--start", "uniform", "--direction", "0", "--step", step,
+                             "--steps", steps, "--json", stdin=doc)
         assert (code, err) == (0, "")
         assert out == (GOLDEN / f"trace_{name}.json").read_bytes()
 
@@ -541,6 +549,8 @@ def extreme_games(draw):
 @example(g=gf.GameSpec([[[1.7e308, 1.7e308], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]))
 @example(g=gf.GameSpec([[[1.0, 1.0], [1.7976931348623157e308, 0.0]],
                         [[5e-324, 0.0], [1.7e308, 1e308]]]))
+# constant near max float: a random profile's sweep rounds past it, inf - inf
+@example(g=gf.GameSpec(np.broadcast_to([1.7e308, 1.7976931348623157e308], (2, 2, 2))))
 def test_extreme_finite_payoffs_exit_every_subcommand_cleanly(g, capfd):
     # a numpy warning is an error under the suite's filter, and anything
     # written to the process's stderr is caught by capfd; the damped search

@@ -4,7 +4,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import gamefibers as gf
 from gamefibers import affine, cli, fibers, games
-from helpers import fd_jacobian, interior_profile, loop_constancy_residuals, loop_generic_rank
+from helpers import (
+    fd_jacobian,
+    interior_profile,
+    loop_constancy_residuals,
+    loop_generic_rank,
+    loop_trace_fiber,
+)
 
 
 def test_bar_jacobian_constant(bar):
@@ -248,10 +254,36 @@ def test_fiber_report_dimension_count():
 @example(seed=0, zero_sum=True, m=[3, 3])
 @example(seed=0, zero_sum=False, m=[2, 4, 4])   # m_0 < 3: stacks of 3 cross probe sizes
 def test_fiber_report_residuals_equal_the_probe_by_probe_loop(seed, zero_sum, m):
+    # in one stack at the default cap, and at a zero cap in stacks of
+    # max(m_0, 3), each crossing probe sizes where the basis is short
     g = gf.random_game(len(m), m, seed=seed, zero_sum=zero_sum)
     s = interior_profile(g, np.random.default_rng(seed))
-    report = gf.fiber_report(g, s, gf.generic_rank(g, samples=8))
-    assert report.constancy_residuals == loop_constancy_residuals(g, s, report.nullspace_basis)
+    k = gf.generic_rank(g, samples=8)
+    for cap in (fibers.PROBE_STACK_BYTES, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fibers, "PROBE_STACK_BYTES", cap)
+            report = gf.fiber_report(g, s, k)
+        assert report.constancy_residuals == loop_constancy_residuals(g, s,
+                                                                      report.nullspace_basis)
+
+
+def test_fiber_report_probe_stacks_keep_their_memory_cap(monkeypatch):
+    # the first intermediate of a stack, stack * payoff bytes / m_0, stays
+    # within max(PROBE_STACK_BYTES, payoff bytes) on a game whose tensor is past the cap
+    g = gf.random_game(6, [8] * 6, seed=0)
+    stacks = []
+    payoff = fibers._payoff_reduced
+
+    def recording(game, r):
+        stacks.append(len(r))
+        return payoff(game, r)
+
+    monkeypatch.setattr(fibers, "_payoff_reduced", recording)
+    report = gf.fiber_report(g, gf.uniform_profile(g), 6)
+    assert sum(stacks) == len(fibers.CONSTANCY_EPSILONS) * report.fiber_dimension
+    cap = max(fibers.PROBE_STACK_BYTES, g.payoffs.nbytes)
+    assert g.payoffs.nbytes > fibers.PROBE_STACK_BYTES
+    assert all(stack * g.payoffs.nbytes / g.m[0] <= cap for stack in stacks)
 
 
 def test_fiber_report_without_chart_coordinates():
@@ -361,6 +393,21 @@ def test_generic_rank_holds_when_sigma_1_passes_the_float_range(name):
     assert rank == 1 and svals[0] == np.inf
 
 
+def test_generic_rank_answers_where_a_sweep_passes_the_float_range():
+    # a sample's sweep rounds past max float, so its Jacobian holds inf or
+    # inf - inf; the sample is ranked on the payoffs times 2^-e, as exact
+    # as the same game scaled down by that power of two
+    gains = np.zeros((2, 2, 2))
+    gains[..., 0] = [[1.7e308, -1.7e308], [-1.7e308, 1.7e308]]
+    for payoffs, k in ((np.broadcast_to([1.7e308, np.finfo(float).max], (2, 2, 2)), 0),
+                       (gains, 1)):
+        g = gf.GameSpec(payoffs)
+        s = gf.random_interior_profile(g, np.random.default_rng([0, 2]))     # generic_rank's third
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(fibers._jacobian_blocks(g.payoffs, s.blocks)[1]).all()
+        assert gf.generic_rank(g) == gf.generic_rank(gf.GameSpec(np.ldexp(payoffs, -1024))) == k
+
+
 def test_zero_sum_is_decided_once_per_game(monkeypatch):
     calls = [0]
     decide = games.is_zero_sum
@@ -449,6 +496,26 @@ def test_trace_target_is_the_start_payoff(n, m, seed):
     assert np.array_equal(path.target_payoff, gf.total_payoff(g, s0))
 
 
+def test_trace_matches_the_lone_piece_loop():
+    # every point, the drift and the ending bit for bit those of a loop that
+    # rebuilds its blocks and Jacobian afresh at each corrector evaluation
+    endings = set()
+    for n, m in ((2, 3), (3, 4), (4, 6), (5, 5), (4, 10)):
+        for kind in ("generic", "affine", "zero-sum"):
+            g = gf.random_game(n, [m] * n, seed=n + m, zero_sum=kind == "zero-sum",
+                               jointly_affine=kind == "affine")
+            start = gf.uniform_profile(g)
+            for step, max_steps in ((0.001, 50), (0.02, 100)):
+                path = gf.trace_fiber(g, start, 0, step, max_steps)
+                points, drift, ending = loop_trace_fiber(g, start, 0, step, max_steps)
+                assert path.terminated_by == ending
+                assert path.max_payoff_drift == drift
+                assert len(path.points) == len(points)
+                assert all(map(np.array_equal, path.points, points))
+                endings.add(ending)
+    assert {"boundary", "step_budget"} <= endings
+
+
 def test_trace_reuses_the_corrector_jacobian(monkeypatch):
     # the nullspace at an accepted point comes from the corrector's last
     # Jacobian: one deviation sweep per corrector evaluation, plus the start
@@ -457,15 +524,15 @@ def test_trace_reuses_the_corrector_jacobian(monkeypatch):
     k = gf.generic_rank(g, samples=8)
     counts = {"sweeps": 0, "evaluations": 0}
     inside = [False]
-    sweep, rebuild, correct = fibers._deviations, fibers._blocks_from_reduced, fibers._correct
+    sweep, jacobian, correct = fibers._deviations, fibers._jacobian_blocks, fibers._correct
 
     def counting_sweep(payoffs, blocks):
         counts["sweeps"] += 1
         return sweep(payoffs, blocks)
 
-    def counting_rebuild(m, r, *out):
+    def counting_jacobian(payoffs, blocks, *out):
         counts["evaluations"] += inside[0]
-        return rebuild(m, r, *out)
+        return jacobian(payoffs, blocks, *out)
 
     def flagged_correct(*args):
         inside[0] = True
@@ -475,7 +542,7 @@ def test_trace_reuses_the_corrector_jacobian(monkeypatch):
             inside[0] = False
 
     monkeypatch.setattr(fibers, "_deviations", counting_sweep)
-    monkeypatch.setattr(fibers, "_blocks_from_reduced", counting_rebuild)
+    monkeypatch.setattr(fibers, "_jacobian_blocks", counting_jacobian)
     monkeypatch.setattr(fibers, "_correct", flagged_correct)
     path = gf.trace_fiber(g, start, 0, step=0.01, max_steps=10, k_generic=k)
     assert path.terminated_by == "step_budget" and len(path.points) == 11
