@@ -18,10 +18,12 @@ entry per pure profile:
 The writer is canonical: profiles in lexicographic order, integral numbers
 without a decimal point, other numbers in shortest round-trip decimal.
 Writing then parsing reproduces the game exactly, and parsing then writing
-reproduces canonical bytes exactly.  The writer formats the payoff tensor
-one row (one profile) at a time, with the rule of ``format_number``.
+reproduces canonical bytes exactly.  The writer takes one ``repr`` per
+payoff over the flat tensor and, by the rule of ``format_number``, prints
+the ones a numpy mask finds integral as integers.
 
-The parser works a whole array at a time.  After ``json.loads`` it checks
+The parser works a whole array at a time, with the cyclic garbage collector
+paused (a parse tree holds no cycles).  After ``json.loads`` it checks
 each payoff entry's structure (an object with exactly ``profile`` and
 ``values``, both lists of one item per player), then the scalar types once
 over the flattened lists (indices are ints, values ints or floats, never
@@ -37,6 +39,7 @@ deeper than the interpreter's recursion limit) raises GameFormatError too.
 
 from __future__ import annotations
 
+import gc
 import json
 from itertools import chain, product
 
@@ -50,6 +53,10 @@ from .games import (
     _strategy_label,
     validate_game,
 )
+
+
+_ENTRY_KEYS = frozenset({"profile", "values"})
+_EXACT_INT = 2 ** 53    # larger integral floats keep their decimal point
 
 
 class GameFormatError(ValueError):
@@ -97,7 +104,21 @@ def parse_game(doc: bytes | str) -> GameSpec:
     column), duplicate or missing profiles, out-of-range strategy indices,
     and payoff rows whose length does not match the player count.  Value
     problems such as non-finite payoffs are left for ``validate_game``.
+
+    The cyclic garbage collector stays paused until the parse tree is
+    freed: a process-wide switch, restored on every path and never enabled
+    if the caller had disabled it.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse(doc)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse(doc: bytes | str) -> GameSpec:
     data = _load_json(doc)
     if not isinstance(data, dict):
         raise GameFormatError("document must be a JSON object")
@@ -136,7 +157,7 @@ def parse_game(doc: bytes | str) -> GameSpec:
     # the first in document order.
     profiles, values, errors = [], [], []
     for k, entry in enumerate(payoff_entries):
-        if not isinstance(entry, dict) or entry.keys() != {"profile", "values"}:
+        if not isinstance(entry, dict) or entry.keys() != _ENTRY_KEYS:
             errors.append((k, 0, f"payoff entry {k} must have exactly profile and values"))
             break
         profile = entry["profile"]
@@ -192,7 +213,7 @@ def format_number(x) -> str:
     """Shortest decimal that round-trips; integral values up to 2**53 in
     magnitude print as integers.  The document writer uses the same rule."""
     f = float(x)
-    if f.is_integer() and -2 ** 53 <= f <= 2 ** 53:
+    if f.is_integer() and -_EXACT_INT <= f <= _EXACT_INT:
         return str(int(f))
     return repr(f)
 
@@ -210,11 +231,19 @@ def write_game(g: GameSpec) -> bytes:
         lines.append("    " + entry + ("," if i < g.n - 1 else ""))
     lines.append("  ],")
     lines.append('  "payoffs": [')
+    # format_number's rule: integral payoffs (-0.0 too) as ints, then one repr each
+    flat = g.payoffs.reshape(-1)
+    numbers = flat.tolist()
+    integral = (np.trunc(flat) == flat) & (np.abs(flat) <= _EXACT_INT)
+    for k, v in zip(np.flatnonzero(integral).tolist(), flat[integral].astype(np.int64).tolist()):
+        numbers[k] = v
+    text = list(map(repr, numbers))
+    del numbers
     # profiles in lexicographic order, which is the C order of the tensor
-    cells = product(*([str(j) for j in range(mi)] for mi in g.m))
-    lines += ['    {"profile": [' + ", ".join(idx) + '], "values": ['
-              + ", ".join(map(format_number, row)) + "]},"
-              for idx, row in zip(cells, g.payoffs.reshape(-1, g.n).tolist())]
+    cells = map(", ".join, product(*([str(j) for j in range(mi)] for mi in g.m)))
+    rows = map(", ".join, zip(*[iter(text)] * g.n))
+    lines += [f'    {{"profile": [{idx}], "values": [{row}]}},' for idx, row in zip(cells, rows)]
+    del text, rows     # rows still holds the text list: free it before the join
     lines[-1] = lines[-1][:-1]     # no comma after the last entry
     if g.meta:
         lines.append("  ],")

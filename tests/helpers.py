@@ -3,10 +3,12 @@
 The oracles here deliberately avoid the library's evaluation paths:
 expected payoffs by literal loops over every pure profile, derivatives by
 central finite differences through the public embed/evaluate surface,
-affinity by explicit cross differences, and projections by grid search.
+affinity by explicit cross differences, projections by grid search, and
+documents by writing the payoff tensor one row (one profile) at a time.
 """
 
 import itertools
+import json
 
 import numpy as np
 
@@ -20,7 +22,13 @@ from gamefibers.fibers import (
     _jacobian_blocks,
     nullspace,
 )
-from gamefibers.games import _blocks_from_reduced, _payoff_reduced, _solve
+from gamefibers.games import (
+    _blocks_from_reduced,
+    _payoff_reduced,
+    _player_name,
+    _solve,
+    _strategy_label,
+)
 
 
 def loop_expected_payoff(g, s, player):
@@ -224,6 +232,43 @@ def loop_fill(m, entries):
         return (f"missing profile {list(missing[0])} "
                 f"({len(missing)} of {payoffs[..., 0].size} profiles absent)")
     return payoffs
+
+
+def reference_format_number(x) -> str:
+    """Value by value: integral values up to 2**53 in magnitude print as
+    integers, others as their shortest round-trip decimal."""
+    f = float(x)
+    if f.is_integer() and -2 ** 53 <= f <= 2 ** 53:
+        return str(int(f))
+    return repr(f)
+
+
+def reference_write_game(g):
+    """Row by row: the canonical document, one payoff entry per profile in
+    lexicographic order, each value formatted by ``reference_format_number``."""
+    defects = gf.validate_game(g)
+    if defects:
+        raise ValueError(f"cannot serialize an invalid game: {defects[0]}")
+    names = g.player_names or tuple(map(_player_name, range(g.n)))
+    labels = g.strategy_labels or tuple(tuple(map(_strategy_label, range(mi))) for mi in g.m)
+    lines = ["{", '  "players": [']
+    for i in range(g.n):
+        entry = json.dumps({"name": names[i], "strategies": list(labels[i])})
+        lines.append("    " + entry + ("," if i < g.n - 1 else ""))
+    lines.append("  ],")
+    lines.append('  "payoffs": [')
+    cells = itertools.product(*([str(j) for j in range(mi)] for mi in g.m))
+    lines += ['    {"profile": [' + ", ".join(idx) + '], "values": ['
+              + ", ".join(map(reference_format_number, row)) + "]},"
+              for idx, row in zip(cells, g.payoffs.reshape(-1, g.n).tolist())]
+    lines[-1] = lines[-1][:-1]
+    if g.meta:
+        lines.append("  ],")
+        lines.append('  "meta": ' + json.dumps(g.meta, sort_keys=True))
+    else:
+        lines.append("  ]")
+    lines.append("}\n")
+    return "\n".join(lines).encode("utf-8")
 
 
 def loop_support_enumeration(g, eps=1e-8):

@@ -46,6 +46,17 @@ def test_gen_random_deterministic():
     assert gf.is_jointly_affine(gf.parse_game(c[1]))
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("rps", ["--builtin", "rps"]),
+    ("3x3_affine_seed0", ["--random", "n=3", "m=3,3,3", "seed=0", "--affine"]),
+])
+def test_gen_matches_golden(name, argv):
+    # integral payoffs (rps) and shortest round-trip decimals (the affine game)
+    code, out, err = cli("gen", *argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"gen_{name}.json").read_bytes()
+
+
 def test_gen_usage_errors():
     assert cli("gen")[0] == 2
     assert cli("gen", "--random", "n=2")[0] == 2

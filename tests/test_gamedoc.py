@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import gamefibers as gf
 from gamefibers.gamedoc import GameFormatError, format_number
+from helpers import reference_write_game
 
 
 BAR_DOC = """{
@@ -54,6 +56,7 @@ def test_round_trip_random_games():
         g = gf.random_game(n, m, seed=seed, zero_sum=(seed % 2 == 0),
                            jointly_affine=(seed % 3 == 0))
         doc = gf.write_game(g)
+        assert doc == reference_write_game(g)
         parsed = gf.parse_game(doc)
         assert parsed == g
         assert gf.write_game(parsed) == doc
@@ -207,7 +210,8 @@ def test_random_game_argument_errors():
 
 
 EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.0 ** 53 - 1,
-               2.0 ** 53, 2.0 ** 53 + 2, -(2.0 ** 53 + 2), 1e308, -1e308, 0.1]
+               2.0 ** 53, 2.0 ** 53 + 2, -(2.0 ** 53 + 2), 1e308, -1e308, 0.1,
+               1e16, -7.0, 2.0 ** 52 - 0.5, -(2.0 ** 53)]
 
 
 @st.composite
@@ -225,6 +229,7 @@ def finite_games(draw):
 @given(finite_games())
 def test_write_parse_write_is_byte_identical(g):
     doc = gf.write_game(g)
+    assert doc == reference_write_game(g)
     parsed = gf.parse_game(doc)
     assert np.array_equal(parsed.payoffs, g.payoffs)
     assert gf.write_game(parsed) == doc
@@ -330,3 +335,25 @@ def test_hostile_documents_raise_format_errors(doc, message):
     with pytest.raises(GameFormatError) as info:
         gf.parse_game(doc)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("doc", [
+    BAR_DOC,
+    b'{"players": [,]}',
+    "[" * 100_000 + "]" * 100_000,
+    b"\xff\xfe{}",
+    _doc(([0, 0], [1, 2]), '{"profile": [0, 1]}'),
+    _doc(([1, 1], [1, 2]), ([1, 0], [1, 2])),
+], ids=["valid", "syntax", "nested-too-deeply", "not-utf-8", "structure", "missing-profile"])
+def test_parse_leaves_the_collector_as_it_found_it(doc, enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            gf.parse_game(doc)
+        except GameFormatError:
+            pass
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
