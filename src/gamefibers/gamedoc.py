@@ -18,30 +18,36 @@ entry per pure profile:
 The writer is canonical: profiles in lexicographic order, integral numbers
 without a decimal point, other numbers in shortest round-trip decimal.
 Writing then parsing reproduces the game exactly, and parsing then writing
-reproduces canonical bytes exactly.  The writer takes one ``repr`` per
-payoff over the flat tensor and, by the rule of ``format_number``, prints
-the ones a numpy mask finds integral as integers.
+reproduces canonical bytes exactly.  The writer formats ``_CHUNK`` profiles
+at a time, one ``repr`` per payoff (by the rule of ``format_number``, the
+ones a numpy mask finds integral print as integers), and appends each
+encoded chunk to one growing buffer.
 
-The parser works a whole array at a time, with the cyclic garbage collector
-paused (a parse tree holds no cycles).  After ``json.loads`` it checks
-each payoff entry's structure (an object with exactly ``profile`` and
-``values``, both lists of one item per player), then the scalar types once
-over the flattened lists (indices are ints, values ints or floats, never
-booleans), and builds one index array and one float array from them.
-The fill it shares with ``GameSpec.from_entries`` then gives every entry
-one flat profile index, fills the tensor with one scatter and finds
-out-of-range, duplicate and missing profiles from the same indices.  Whatever fails, the error
-names the first entry at fault, as an entry-by-entry check would: type and
-structure errors first, then range and duplicate errors, then the first
-missing profile.  Hostile input (an integer beyond the float range, nesting
-deeper than the interpreter's recursion limit) raises GameFormatError too.
+The parser streams.  It walks the top-level object and the payoffs array
+itself, as ``json.loads`` would, and hands each payoff entry, and every
+other value, to the json module's C scanner.  Each entry's structure is
+checked (an object with exactly ``profile`` and ``values``, both lists of
+one item per player) and its items appended to flat buffers before the next
+entry is scanned; every ``_CHUNK`` entries the scalar types are checked once
+(indices are ints, values ints or floats, never booleans) and the buffers
+become an index array and a float array.  So no parse tree of the entries
+exists.  The fill it shares with ``GameSpec.from_entries`` then gives every
+entry one flat profile index, fills the tensor with one scatter and finds
+out-of-range, duplicate and missing profiles from the same indices.
+Whatever fails, the error is the one ``json.loads`` and an entry-by-entry
+check of its tree would give: syntax errors first, with their line and
+column; then type and structure errors, then range and duplicate errors,
+each naming the first entry at fault; then the first missing profile.
+Hostile input (an integer beyond the float range, nesting deeper than the
+interpreter's recursion limit) raises GameFormatError too.
 """
 
 from __future__ import annotations
 
-import gc
+import io
 import json
-from itertools import chain, product
+from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +55,7 @@ from .games import (
     GameSpec,
     _check_profile_count,
     _fill,
+    _index_array,
     _player_name,
     _strategy_label,
     validate_game,
@@ -57,6 +64,10 @@ from .games import (
 
 _ENTRY_KEYS = frozenset({"profile", "values"})
 _EXACT_INT = 2 ** 53    # larger integral floats keep their decimal point
+_CHUNK = 4096           # payoff entries folded, or profiles written, at a time
+_SEP = ",\n    {"       # the writer's layout from one payoff entry to the next
+_scan = json.JSONDecoder().scan_once     # the json module's C scanner, one value a call
+_ws = json.decoder.WHITESPACE.match
 
 
 class GameFormatError(ValueError):
@@ -70,6 +81,16 @@ class GameFormatError(ValueError):
         self.col = col
 
 
+class _Payoffs(NamedTuple):
+    """A scanned payoffs array: where it opens, the player count it was
+    folded for (None: not folded), and one (index array, float64 value
+    array) pair per chunk or the message of the first entry at fault."""
+    start: int
+    n: int | None
+    parts: list | None = None
+    error: str | None = None
+
+
 def _first_bad(flat, allowed):
     """Position of the first scalar whose type is not in ``allowed``, or
     None.  Types are matched exactly, so ``bool`` never passes for ``int``."""
@@ -78,23 +99,151 @@ def _first_bad(flat, allowed):
     return next(i for i, x in enumerate(flat) if type(x) not in allowed)
 
 
-def _load_json(doc: bytes | str):
-    """The decoded JSON value; the decoded text is dropped on return, so it
-    does not stay alive beside the parsed objects."""
+def _load_json(doc: bytes | str) -> dict | None:
+    """The top-level fields, the payoffs array folded (``_fold``), or None
+    for JSON that is not an object.  Syntax errors are ``json.loads``'s: its
+    scanner reads every value and the loops here mirror its object and array
+    loops.  The decoded text is dropped on return."""
     if isinstance(doc, bytes):
         try:
             doc = doc.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise GameFormatError(f"document is not UTF-8: {exc}") from exc
     try:
-        return json.loads(doc)
-    except json.JSONDecodeError as exc:
+        if doc.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", doc, 0)
+        at = _ws(doc).end()
+        if doc[at:at + 1] == "{":
+            fields, at = _object(doc, at)
+        else:
+            fields, at = None, _scan(doc, at)[1]
+        at = _ws(doc, at).end()
+        if at != len(doc):
+            raise json.JSONDecodeError("Extra data", doc, at)
+        return fields
+    except (json.JSONDecodeError, StopIteration) as exc:
+        if isinstance(exc, StopIteration):      # the scanner found no value at exc.value
+            exc = json.JSONDecodeError("Expecting value", doc, exc.value)
         raise GameFormatError(f"parse error: {exc.msg}",
                               line=exc.lineno, col=exc.colno) from exc
     except RecursionError as exc:
         raise GameFormatError("parse error: document nested too deeply") from exc
     except ValueError as exc:   # e.g. an integer literal past the digit limit
         raise GameFormatError(f"parse error: {exc}") from exc
+
+
+def _player_count(fields):
+    players = fields.get("players")
+    return len(players) if isinstance(players, list) and players else None
+
+
+def _object(s, at):
+    """The top-level object opening at s[at], as a dict of its fields (the
+    last of repeated keys wins), and the index past it."""
+    fields = {}
+    at = _ws(s, at + 1).end()
+    if s[at:at + 1] == "}":
+        return fields, at + 1
+    while True:
+        if s[at:at + 1] != '"':
+            raise json.JSONDecodeError("Expecting property name enclosed in double quotes", s, at)
+        key, at = _scan(s, at)
+        at = _ws(s, at).end()
+        if s[at:at + 1] != ":":
+            raise json.JSONDecodeError("Expecting ':' delimiter", s, at)
+        at = _ws(s, at + 1).end()
+        if key == "payoffs" and s[at:at + 1] == "[":
+            fields[key], at = _fold(s, at, _player_count(fields))
+        else:
+            fields[key], at = _scan(s, at)
+        at = _ws(s, at).end()
+        if s[at:at + 1] == "}":
+            break
+        if s[at:at + 1] != ",":
+            raise json.JSONDecodeError("Expecting ',' delimiter", s, at)
+        at = _ws(s, at + 1).end()
+    payoffs, n = fields.get("payoffs"), _player_count(fields)
+    if isinstance(payoffs, _Payoffs) and payoffs.n != n:   # players named after the payoffs
+        fields["payoffs"] = _fold(s, payoffs.start, n)[0]
+    return fields, at + 1
+
+
+def _fold(s, start, n):
+    """The payoffs array opening at s[start] as ``_Payoffs``, and the index
+    past it.  Each entry is checked for a game of n players and appended to
+    flat buffers before the next is scanned; every ``_CHUNK`` entries the
+    buffers' scalar types are checked once and they become arrays.  After
+    the first entry at fault, or with n None, entries are only scanned."""
+    parts, errors, profiles, values = [], [], [], []
+    folding, done, limit = n is not None, 0, _CHUNK * (n or 0)
+    at = _ws(s, start + 1).end()
+    more = s[at:at + 1] != "]"      # an empty array has no entry
+    while more:
+        entry, at = _scan(s, at)
+        if s.startswith(_SEP, at):     # the canonical layout: no whitespace scan
+            at += len(_SEP) - 1
+        else:
+            at = _ws(s, at).end()
+            more = s[at:at + 1] != "]"
+            if s[at:at + 1] == ",":
+                at = _ws(s, at + 1).end()
+            elif more:
+                raise json.JSONDecodeError("Expecting ',' delimiter", s, at)
+        if not folding:
+            continue
+        try:
+            profile, vals = entry["profile"], entry["values"]
+        except (KeyError, TypeError):   # not an object with both keys
+            profile = vals = None
+        if (type(profile) is list is type(vals) and len(entry) == 2
+                and len(profile) == n == len(vals)):
+            profiles += profile
+            values += vals
+            if len(values) < limit:
+                continue
+        else:   # the entry at fault; a sound profile still has its indices checked
+            k = done + len(values) // n
+            if type(entry) is not dict or entry.keys() != _ENTRY_KEYS:
+                errors.append((k, 0, f"payoff entry {k} must have exactly profile and values"))
+            elif type(profile) is not list or len(profile) != n:
+                errors.append((k, 0, f"payoff entry {k}: profile must list {n} strategy indices"))
+            else:
+                profiles += profile
+                got = len(vals) if type(vals) is list else "non-list"
+                errors.append((k, 2, f"payoff entry {k}: player count mismatch in values "
+                                     f"(got {got}, need {n})"))
+        parts.append(_chunk(profiles, values, n, done, errors))
+        done += len(values) // n
+        profiles, values = [], []
+        folding = not errors
+    if folding:
+        parts.append(_chunk(profiles, values, n, done, errors))
+    if errors:
+        return _Payoffs(start, n, error=min(errors)[2]), at + 1
+    return _Payoffs(start, n, parts if folding else None), at + 1
+
+
+def _chunk(profiles, values, n, done, errors):
+    """One chunk's flat buffers as an index and a float64 value array, or
+    None with its scalar type errors appended to ``errors`` as (entry,
+    check, message), entries counted from ``done``."""
+    at = _first_bad(profiles, {int})
+    if at is not None:
+        k = done + at // n
+        errors.append((k, 1, f"payoff entry {k}: strategy index must be "
+                              f"an integer, got {profiles[at]!r}"))
+    at = _first_bad(values, {int, float})
+    try:
+        numbers = np.array(values if at is None else values[:at], dtype=float)
+    except OverflowError:
+        at = next(i for i, x in enumerate(values) if _overflows(x))
+        errors.append((done + at // n, 3, f"payoff entry {done + at // n}: integer value "
+                                          "too large for a float"))
+    else:
+        if at is not None:
+            errors.append((done + at // n, 3, f"payoff entry {done + at // n}: value must "
+                                              f"be a number, got {values[at]!r}"))
+    return None if errors else (_index_array(profiles), numbers)
 
 
 def parse_game(doc: bytes | str) -> GameSpec:
@@ -104,23 +253,9 @@ def parse_game(doc: bytes | str) -> GameSpec:
     column), duplicate or missing profiles, out-of-range strategy indices,
     and payoff rows whose length does not match the player count.  Value
     problems such as non-finite payoffs are left for ``validate_game``.
-
-    The cyclic garbage collector stays paused until the parse tree is
-    freed: a process-wide switch, restored on every path and never enabled
-    if the caller had disabled it.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _parse(doc)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _parse(doc: bytes | str) -> GameSpec:
     data = _load_json(doc)
-    if not isinstance(data, dict):
+    if data is None:
         raise GameFormatError("document must be a JSON object")
     unknown = set(data) - {"players", "payoffs", "meta"}
     if unknown:
@@ -128,8 +263,7 @@ def _parse(doc: bytes | str) -> GameSpec:
     players = data.get("players")
     if not isinstance(players, list) or not players:
         raise GameFormatError('"players" must be a nonempty list')
-    names = []
-    labels = []
+    names, labels = [], []
     for i, entry in enumerate(players):
         if not isinstance(entry, dict) or set(entry) - {"name", "strategies"}:
             raise GameFormatError(f"player {i} must be an object with name and strategies")
@@ -142,63 +276,26 @@ def _parse(doc: bytes | str) -> GameSpec:
             raise GameFormatError(f"player {i} needs a nonempty list of strategy labels")
         names.append(name)
         labels.append(strategies)
-    n = len(names)
     m = tuple(len(row) for row in labels)
     try:
         _check_profile_count(m)
     except ValueError as exc:
         raise GameFormatError(str(exc)) from exc
-    payoff_entries = data.get("payoffs")
-    if not isinstance(payoff_entries, list):
+    payoffs = data.get("payoffs")
+    if not isinstance(payoffs, _Payoffs):
         raise GameFormatError('"payoffs" must be a list')
-    # Structure entry by entry, stopping at the first bad one; then scalar
-    # types over the flattened lists of the entries before it.  Each error is
-    # ranked by (entry, check order within an entry), so the one reported is
-    # the first in document order.
-    profiles, values, errors = [], [], []
-    for k, entry in enumerate(payoff_entries):
-        if not isinstance(entry, dict) or entry.keys() != _ENTRY_KEYS:
-            errors.append((k, 0, f"payoff entry {k} must have exactly profile and values"))
-            break
-        profile = entry["profile"]
-        if not isinstance(profile, list) or len(profile) != n:
-            errors.append((k, 0, f"payoff entry {k}: profile must list {n} strategy indices"))
-            break
-        profiles.append(profile)
-        vals = entry["values"]
-        if not isinstance(vals, list) or len(vals) != n:
-            errors.append((k, 2, f"payoff entry {k}: player count mismatch in values "
-                                 f"(got {len(vals) if isinstance(vals, list) else 'non-list'}, "
-                                 f"need {n})"))
-            break
-        values.append(vals)
-    flat_idx = list(chain.from_iterable(profiles))
-    flat_vals = list(chain.from_iterable(values))
-    at = _first_bad(flat_idx, {int})
-    if at is not None:
-        errors.append((at // n, 1, f"payoff entry {at // n}: strategy index must be "
-                                   f"an integer, got {flat_idx[at]!r}"))
-    at = _first_bad(flat_vals, {int, float})
-    try:
-        numbers = np.array(flat_vals[:at], dtype=float)
-    except OverflowError:
-        at = next(i for i, x in enumerate(flat_vals) if _overflows(x))
-        errors.append((at // n, 3, f"payoff entry {at // n}: integer value "
-                                   "too large for a float"))
-    else:
-        if at is not None:
-            errors.append((at // n, 3, f"payoff entry {at // n}: value must be a number, "
-                                       f"got {flat_vals[at]!r}"))
-    if errors:
-        raise GameFormatError(min(errors)[2])
+    if payoffs.error:
+        raise GameFormatError(payoffs.error)
     meta = data.get("meta")
     if meta is not None and not isinstance(meta, dict):
         raise GameFormatError('"meta" must be an object')
+    indices, values = (np.concatenate(arrays) for arrays in zip(*payoffs.parts))
+    del data, payoffs       # the chunks are freed before the fill
     try:
-        payoffs = _fill(m, flat_idx, numbers.reshape(-1, n))
+        tensor = _fill(m, indices, values.reshape(-1, len(m)))
     except ValueError as exc:
         raise GameFormatError(str(exc)) from exc
-    return GameSpec(payoffs, player_names=names, strategy_labels=labels, meta=meta)
+    return GameSpec(tensor, player_names=names, strategy_labels=labels, meta=meta)
 
 
 def _overflows(x: int) -> bool:
@@ -229,29 +326,26 @@ def write_game(g: GameSpec) -> bytes:
     for i in range(g.n):
         entry = json.dumps({"name": names[i], "strategies": list(labels[i])})
         lines.append("    " + entry + ("," if i < g.n - 1 else ""))
-    lines.append("  ],")
-    lines.append('  "payoffs": [')
-    # format_number's rule: integral payoffs (-0.0 too) as ints, then one repr each
-    flat = g.payoffs.reshape(-1)
-    numbers = flat.tolist()
-    integral = (np.trunc(flat) == flat) & (np.abs(flat) <= _EXACT_INT)
-    for k, v in zip(np.flatnonzero(integral).tolist(), flat[integral].astype(np.int64).tolist()):
-        numbers[k] = v
-    text = list(map(repr, numbers))
-    del numbers
+    lines += ["  ],", '  "payoffs": [', ""]
+    out = io.BytesIO()      # grown in place and returned without a copy
+    out.write("\n".join(lines).encode("utf-8"))
+    flat = g.payoffs.reshape(-1, g.n)
     # profiles in lexicographic order, which is the C order of the tensor
     cells = map(", ".join, product(*([str(j) for j in range(mi)] for mi in g.m)))
-    rows = map(", ".join, zip(*[iter(text)] * g.n))
-    lines += [f'    {{"profile": [{idx}], "values": [{row}]}},' for idx, row in zip(cells, rows)]
-    del text, rows     # rows still holds the text list: free it before the join
-    lines[-1] = lines[-1][:-1]     # no comma after the last entry
-    if g.meta:
-        lines.append("  ],")
-        lines.append('  "meta": ' + json.dumps(g.meta, sort_keys=True))
-    else:
-        lines.append("  ]")
-    lines.append("}\n")
-    return "\n".join(lines).encode("utf-8")
+    for lo in range(0, len(flat), _CHUNK):
+        part = flat[lo:lo + _CHUNK].reshape(-1)
+        # format_number's rule: integral payoffs (-0.0 too) as ints, then one repr each
+        numbers = part.tolist()
+        integral = (np.trunc(part) == part) & (np.abs(part) <= _EXACT_INT)
+        for k, v in zip(np.flatnonzero(integral).tolist(), part[integral].astype(np.int64).tolist()):
+            numbers[k] = v
+        rows = map(", ".join, zip(*[map(repr, numbers)] * g.n))
+        out.write(",\n".join([f'    {{"profile": [{idx}], "values": [{row}]}}'
+                              for row, idx in zip(rows, cells)]).encode("utf-8"))
+        out.write(b",\n" if lo + _CHUNK < len(flat) else b"\n")
+    meta = ',\n  "meta": ' + json.dumps(g.meta, sort_keys=True) if g.meta else ""
+    out.write(f"  ]{meta}\n}}\n".encode("utf-8"))
+    return out.getvalue()
 
 
 def builtin_game(name: str) -> GameSpec:

@@ -47,6 +47,15 @@ def _check_profile_count(m) -> None:
             f"game too large: {n_profiles} pure profiles (limit {MAX_PROFILES})")
 
 
+def _index_array(profiles) -> np.ndarray:
+    """Strategy indices (any nesting of ints, or an index array) as int64,
+    or as exact Python ints when one is too big for int64."""
+    try:
+        return np.asarray(profiles, dtype=np.int64)
+    except OverflowError:   # too big for int64, so out of range: keep it exact
+        return np.array(profiles, dtype=object)
+
+
 def _fill(shape, profiles, values) -> np.ndarray:
     """Payoff tensor holding one entry at every pure profile.
 
@@ -59,11 +68,7 @@ def _fill(shape, profiles, values) -> np.ndarray:
     and the document parser.
     """
     n = len(shape)
-    try:
-        idx = np.array(profiles, dtype=np.int64)
-    except OverflowError:   # too big for int64, so out of range: keep it exact
-        idx = np.array(profiles, dtype=object)
-    idx = idx.reshape(values.shape)
+    idx = _index_array(profiles).reshape(values.shape)
     in_range = ((idx >= 0) & (idx < np.array(shape, dtype=np.int64))).all(axis=1)
     good = len(idx) if in_range.all() else int(np.argmin(in_range))
     strides = np.array([math.prod(shape[p + 1:]) for p in range(n)], dtype=np.int64)

@@ -3,12 +3,14 @@
 The oracles here deliberately avoid the library's evaluation paths:
 expected payoffs by literal loops over every pure profile, derivatives by
 central finite differences through the public embed/evaluate surface,
-affinity by explicit cross differences, projections by grid search, and
-documents by writing the payoff tensor one row (one profile) at a time.
+affinity by explicit cross differences, projections by grid search,
+documents by writing the payoff tensor one row (one profile) at a time, and
+parsing by checking the whole ``json.loads`` tree of a document.
 """
 
 import itertools
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -22,8 +24,10 @@ from gamefibers.fibers import (
     _jacobian_blocks,
     nullspace,
 )
+from gamefibers.gamedoc import GameFormatError
 from gamefibers.games import (
     _blocks_from_reduced,
+    _check_profile_count,
     _payoff_reduced,
     _player_name,
     _solve,
@@ -269,6 +273,114 @@ def reference_write_game(g):
         lines.append("  ]")
     lines.append("}\n")
     return "\n".join(lines).encode("utf-8")
+
+
+def _reference_load_json(doc):
+    if isinstance(doc, bytes):
+        try:
+            doc = doc.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise GameFormatError(f"document is not UTF-8: {exc}") from exc
+    try:
+        return json.loads(doc)
+    except json.JSONDecodeError as exc:
+        raise GameFormatError(f"parse error: {exc.msg}",
+                              line=exc.lineno, col=exc.colno) from exc
+    except RecursionError as exc:
+        raise GameFormatError("parse error: document nested too deeply") from exc
+    except ValueError as exc:   # e.g. an integer literal past the digit limit
+        raise GameFormatError(f"parse error: {exc}") from exc
+
+
+def _first_bad(flat, allowed):
+    return next((i for i, x in enumerate(flat) if type(x) not in allowed), None)
+
+
+def _overflows(x):
+    try:
+        float(x)
+    except OverflowError:
+        return True
+    return False
+
+
+def reference_parse_game(doc):
+    """The tree-walking parser: ``json.loads`` the whole document, then check
+    the tree.  Top-level keys, players and the profile count first; then the
+    payoff entries' structure, stopping at the first bad entry, and the scalar
+    types over the flattened lists of the entries before it, each error ranked
+    by (entry, check) so the first in document order is raised; then meta;
+    then ``loop_fill``.  Raises the GameFormatError ``parse_game`` must raise."""
+    data = _reference_load_json(doc)
+    if not isinstance(data, dict):
+        raise GameFormatError("document must be a JSON object")
+    unknown = set(data) - {"players", "payoffs", "meta"}
+    if unknown:
+        raise GameFormatError(f"unexpected top-level keys: {sorted(unknown)}")
+    players = data.get("players")
+    if not isinstance(players, list) or not players:
+        raise GameFormatError('"players" must be a nonempty list')
+    names, labels = [], []
+    for i, entry in enumerate(players):
+        if not isinstance(entry, dict) or set(entry) - {"name", "strategies"}:
+            raise GameFormatError(f"player {i} must be an object with name and strategies")
+        name, strategies = entry.get("name"), entry.get("strategies")
+        if not isinstance(name, str):
+            raise GameFormatError(f"player {i} needs a string name")
+        if (not isinstance(strategies, list) or not strategies
+                or not all(isinstance(s, str) for s in strategies)):
+            raise GameFormatError(f"player {i} needs a nonempty list of strategy labels")
+        names.append(name)
+        labels.append(strategies)
+    n = len(names)
+    m = tuple(len(row) for row in labels)
+    try:
+        _check_profile_count(m)
+    except ValueError as exc:
+        raise GameFormatError(str(exc)) from exc
+    payoff_entries = data.get("payoffs")
+    if not isinstance(payoff_entries, list):
+        raise GameFormatError('"payoffs" must be a list')
+    profiles, values, errors = [], [], []
+    for k, entry in enumerate(payoff_entries):
+        if not isinstance(entry, dict) or set(entry) != {"profile", "values"}:
+            errors.append((k, 0, f"payoff entry {k} must have exactly profile and values"))
+            break
+        profile = entry["profile"]
+        if not isinstance(profile, list) or len(profile) != n:
+            errors.append((k, 0, f"payoff entry {k}: profile must list {n} strategy indices"))
+            break
+        profiles.append(profile)
+        vals = entry["values"]
+        if not isinstance(vals, list) or len(vals) != n:
+            errors.append((k, 2, f"payoff entry {k}: player count mismatch in values "
+                                 f"(got {len(vals) if isinstance(vals, list) else 'non-list'}, "
+                                 f"need {n})"))
+            break
+        values.append(vals)
+    flat_idx = list(chain.from_iterable(profiles))
+    flat_vals = list(chain.from_iterable(values))
+    at = _first_bad(flat_idx, {int})
+    if at is not None:
+        errors.append((at // n, 1, f"payoff entry {at // n}: strategy index must be "
+                                   f"an integer, got {flat_idx[at]!r}"))
+    at = _first_bad(flat_vals, {int, float})
+    big = next((i for i, x in enumerate(flat_vals[:at]) if _overflows(x)), None)
+    if big is not None:
+        errors.append((big // n, 3, f"payoff entry {big // n}: integer value "
+                                    "too large for a float"))
+    elif at is not None:
+        errors.append((at // n, 3, f"payoff entry {at // n}: value must be a number, "
+                                   f"got {flat_vals[at]!r}"))
+    if errors:
+        raise GameFormatError(min(errors)[2])
+    meta = data.get("meta")
+    if meta is not None and not isinstance(meta, dict):
+        raise GameFormatError('"meta" must be an object')
+    payoffs = loop_fill(m, [(p, [float(x) for x in v]) for p, v in zip(profiles, values)])
+    if isinstance(payoffs, str):
+        raise GameFormatError(payoffs)
+    return gf.GameSpec(payoffs, player_names=names, strategy_labels=labels, meta=meta)
 
 
 def loop_support_enumeration(g, eps=1e-8):

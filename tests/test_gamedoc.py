@@ -1,13 +1,15 @@
 import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gamefibers as gf
+from gamefibers import gamedoc
 from gamefibers.gamedoc import GameFormatError, format_number
-from helpers import reference_write_game
+from helpers import reference_parse_game, reference_write_game
 
 
 BAR_DOC = """{
@@ -226,13 +228,15 @@ def finite_games(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(finite_games())
-def test_write_parse_write_is_byte_identical(g):
-    doc = gf.write_game(g)
-    assert doc == reference_write_game(g)
-    parsed = gf.parse_game(doc)
-    assert np.array_equal(parsed.payoffs, g.payoffs)
-    assert gf.write_game(parsed) == doc
+@given(finite_games(), st.sampled_from([1, 2, 3, 4096]))
+def test_write_parse_write_is_byte_identical(g, chunk):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gamedoc, "_CHUNK", chunk)
+        doc = gf.write_game(g)
+        assert doc == reference_write_game(g)
+        parsed = gf.parse_game(doc)
+        assert np.array_equal(parsed.payoffs, g.payoffs)
+        assert gf.write_game(parsed) == doc
 
 
 def test_integer_payoffs_parse_to_their_float():
@@ -357,3 +361,158 @@ def test_parse_leaves_the_collector_as_it_found_it(doc, enabled):
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+ODD_INDICES = [True, False, 1.5, "0", None, -1, 7, 10 ** 30, [0], {}]
+ODD_VALUES = [True, "x", None, 10 ** 20, 2 ** 1024, -(10 ** 400), float("nan"),
+              float("inf"), -float("inf"), [1], {"v": 1}, 2 ** 53 + 1, -0.0]
+
+
+def _layout(pairs, layout):
+    """Top-level (key, value) pairs as JSON text, repeated keys kept: minified,
+    indented, or with the payoffs array in the writer's layout."""
+    if layout == "minified":
+        dump = lambda v: json.dumps(v, separators=(",", ":"))
+        return "{" + ",".join(dump(k) + ":" + dump(v) for k, v in pairs) + "}"
+    if layout == "indented":
+        return "{\n" + ",\n".join(
+            "  " + json.dumps(k) + ": " + json.dumps(v, indent=3).replace("\n", "\n  ")
+            for k, v in pairs) + "\n}\n"
+    def field(k, v):
+        if k == "payoffs" and isinstance(v, list) and v:
+            return '  "payoffs": [\n    ' + ",\n    ".join(map(json.dumps, v)) + "\n  ]"
+        return "  " + json.dumps(k) + ": " + json.dumps(v)
+    return "{\n" + ",\n".join(field(k, v) for k, v in pairs) + "\n}\n"
+
+
+@st.composite
+def mutated_documents(draw):
+    """A canonical document of a small game, mutated in its entries, its
+    top-level keys, its layout and its bytes (truncated, or one structural
+    character dropped)."""
+    n = draw(st.integers(2, 3))
+    m = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    size = int(np.prod(m)) * n
+    values = draw(st.lists(st.sampled_from([0.0, 1.0, -1.0, 0.5, 1 / 3, 2.0 ** 53 + 2, 1e308]),
+                           min_size=size, max_size=size))
+    data = json.loads(gf.write_game(gf.GameSpec(np.array(values).reshape(m + (n,)))))
+    entries = data["payoffs"]
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(entries) - 1)) if entries else 0
+        op = draw(st.sampled_from(["drop", "repeat", "index", "value", "entry",
+                                   "short-profile", "short-values", "swap"]))
+        if not entries or op not in ("drop", "repeat") and not (
+                isinstance(entries[k], dict) and entries[k].keys() == {"profile", "values"}):
+            continue
+        if op == "drop":
+            del entries[k]
+        elif op == "repeat":
+            entries.insert(draw(st.integers(0, len(entries))), entries[k])
+        elif op in ("index", "value"):
+            key, odd = ("profile", ODD_INDICES) if op == "index" else ("values", ODD_VALUES)
+            entries[k] = dict(entries[k])
+            row = entries[k][key] = list(entries[k][key])
+            if row:
+                row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(odd))
+        elif op == "entry":
+            entries[k] = draw(st.sampled_from([
+                [], "entry", 3, None, {}, {"profile": entries[k]["profile"]},
+                {"values": entries[k]["values"]}, {**entries[k], "extra": 1}]))
+        elif op == "short-profile":
+            entries[k] = {"profile": entries[k]["profile"][1:], "values": entries[k]["values"]}
+        elif op == "short-values":
+            entries[k] = {"profile": entries[k]["profile"], "values": entries[k]["values"][1:]}
+        else:   # the keys of an entry in the other order
+            entries[k] = {"values": entries[k]["values"], "profile": entries[k]["profile"]}
+    pairs = [("players", data["players"]), ("payoffs", entries)]
+    if draw(st.booleans()):
+        pairs.append(("meta", draw(st.sampled_from([{"source": "test"}, None, [], "x"]))))
+    pairs = draw(st.permutations(pairs))
+    for _ in range(draw(st.integers(0, 2))):
+        pairs.insert(draw(st.integers(0, len(pairs))), draw(st.sampled_from([
+            ("payoffs", entries[:-1]), ("payoffs", {}), ("players", data["players"][:-1]),
+            ("players", data["players"] + data["players"][:1]), ("meta", {"a": [1, {}]}),
+            ("extra", 1)])))
+    doc = _layout(pairs, draw(st.sampled_from(["minified", "indented", "writer"]))).encode()
+    cut = draw(st.integers(0, len(doc)))
+    mark = draw(st.sampled_from([i for i, c in enumerate(doc) if c in b'{}[],:"']))
+    doc = draw(st.sampled_from([doc, doc, doc[:cut], doc[:mark] + doc[mark + 1:]]))
+    if draw(st.integers(0, 9)) == 0:
+        doc = b"\xef\xbb\xbf" + doc
+    return doc if draw(st.booleans()) else doc.decode("utf-8", errors="replace")
+
+
+def _outcome(parse, doc):
+    try:
+        return parse(doc)
+    except GameFormatError as exc:
+        return str(exc)
+
+
+ENTRY_01 = '{"profile": [0, 1], "values": [1, -1]}'
+
+
+@pytest.mark.parametrize("doc", [
+    "", "   ", "{", '{"players"', "{}", "[]", BAR_DOC + "x", BAR_DOC + "{}",
+    "\ufeff" + BAR_DOC, b"\xef\xbb\xbf" + BAR_DOC.encode(),
+    BAR_DOC.replace("],", "]", 1),
+    BAR_DOC.replace('"payoffs":', '"payoffs"'),
+    BAR_DOC.replace(ENTRY_01 + ",", ENTRY_01),
+    BAR_DOC.replace(ENTRY_01 + ",", ENTRY_01 + ",,"),
+    BAR_DOC.replace(ENTRY_01 + ",\n    ", ENTRY_01 + ",\n     \n\t"),
+    BAR_DOC.replace('[0, 0]}\n  ]', '[0, 0]},\n  ]'),
+    BAR_DOC.replace('[0, 0]}\n  ]', '[0, 0]},\n    ]'),
+    BAR_DOC.replace(ENTRY_01 + ",\n    ", ENTRY_01 + ",\n    ]"),
+    BAR_DOC[:BAR_DOC.index(ENTRY_01) + len(ENTRY_01)],
+    BAR_DOC[:BAR_DOC.index(ENTRY_01) + len(ENTRY_01) + 1],
+    BAR_DOC.replace('"payoffs": [', '"payoffs": [ ]'),
+    BAR_DOC.replace('"payoffs": [', '"payoffs": [\n  ], "payoffs": ['),
+    '{"payoffs": [' + ENTRY_01 + '], "players": [{"name": "a", "strategies": ["x"]}]}',
+], ids=["empty", "blank", "open", "key-only", "empty-object", "array", "extra-data",
+        "second-object", "bom", "utf-8-bom", "no-comma-after-players", "no-colon",
+        "no-comma-between-entries", "double-comma", "spaced-separator", "trailing-comma",
+        "trailing-comma-indented", "comma-then-close", "cut-after-entry",
+        "cut-after-comma", "closed-early", "payoffs-twice", "payoffs-before-players"])
+def test_parse_errors_match_the_tree_parser(doc):
+    assert _outcome(gf.parse_game, doc) == _outcome(reference_parse_game, doc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_documents(), st.sampled_from([1, 2, 3, 4096]))
+def test_parse_matches_the_tree_parser(doc, chunk):
+    expected = _outcome(reference_parse_game, doc)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gamedoc, "_CHUNK", chunk)
+        got = _outcome(gf.parse_game, doc)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert isinstance(got, gf.GameSpec)
+        assert np.array_equal(got.payoffs, expected.payoffs, equal_nan=True)
+        assert (got.player_names, got.strategy_labels, got.meta) == (
+            expected.player_names, expected.strategy_labels, expected.meta)
+
+
+def test_round_trip_streams_in_chunks(monkeypatch):
+    """A document of five chunks: written as the row-by-row writer writes it,
+    parsed back exactly, and neither direction holds more than three times
+    the document's bytes at its peak (no whole parse tree, no whole list of
+    value strings)."""
+    monkeypatch.setattr(gamedoc, "_CHUNK", 2_000)
+    g = gf.random_game(4, [10] * 4, seed=3, zero_sum=True)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        doc = gf.write_game(g)
+        write_peak = tracemalloc.get_traced_memory()[1] - start
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        parsed = gf.parse_game(doc)
+        parse_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert doc == reference_write_game(g)
+    assert parsed == g
+    assert write_peak <= 3 * len(doc)
+    assert parse_peak <= 3 * len(doc)
