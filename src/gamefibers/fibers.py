@@ -12,6 +12,11 @@ nullspace produces an explicit path inside the fiber.
 Derivative probes and the corrector evaluate the polynomial extension of
 the payoff map, so points slightly outside the simplex are handled
 gracefully; leaving the simplex is detected explicitly and stops a trace.
+
+Every kernel sweeps the game's cached payoffs times 2^-e, max|T| in
+[2^(e-1), 2^e), at rank scale max|T| times 2^-e: no sweep rounds past the
+float range, and no answer changes under a power-of-two rescaling.  Values
+in payoff units come back times 2^e, and a trace's ``tol`` stays absolute.
 """
 
 from __future__ import annotations
@@ -110,9 +115,7 @@ def generic_rank(g: GameSpec, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> 
     ``samples`` (at most ``MAX_SAMPLES``) is an upper bound: sampling
     stops once k reaches min(rows, N - n), where rows is n, or n - 1 for a
     zero-sum game, since no Jacobian of those rows has a higher rank.  A
-    constant game never gets there and takes every sample.  A sample whose
-    sweep rounds past the float range is ranked on the payoffs and scale
-    times 2^-e, max|T| in [2^(e-1), 2^e): ``_svd``'s exact rescue of sigma_1.
+    constant game never gets there and takes every sample.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -120,15 +123,12 @@ def generic_rank(g: GameSpec, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> 
         raise ValueError(f"at most {MAX_SAMPLES} samples")
     if seed < 0:
         raise ValueError("seed must be non-negative")
-    rows = _rows(g)
+    rows, scale = _rows(g), np.ldexp(g.scale, -g._exponent)
     k = 0
     for idx in range(samples):
         rng = np.random.default_rng([seed, idx])
         s = random_interior_profile(g, rng)
-        jac, scale = payoff_jacobian(g, s)[:rows], g.scale
-        if not np.isfinite(jac).all() and scale < np.inf:   # at 2^-e, on a transient copy
-            jac = _jacobian_blocks(np.ldexp(g.payoffs, -g._exponent), s.blocks)[1][:rows]
-            scale = np.ldexp(scale, -g._exponent)
+        jac = _jacobian_blocks(g._normalized_payoffs, s.blocks)[1][:rows]
         k = max(k, numerical_rank(jac, scale)[0])
         if k == min(jac.shape):
             break
@@ -153,19 +153,20 @@ class FiberReport:
 
 def _tangent_space(g: GameSpec, s: StrategyProfile, rows: int):
     """Chart point r, payoff there, and rank, singular values and kernel of
-    the first ``rows`` Jacobian rows from one ``_svd``.  The payoff and the
-    Jacobian come from one sweep at the exact blocks, so the payoff is
-    ``total_payoff(g, s)``; rebuilt from r, a zero block entry can gain
-    noise rank and the payoff can move by rounding."""
+    the first ``rows`` Jacobian rows from one ``_svd``, on the payoffs times
+    2^-e: the payoff and singular values are in those units.  The payoff and
+    the Jacobian come from one sweep at the exact blocks, so the payoff is
+    ``total_payoff(g, s)`` times 2^-e; rebuilt from r, a zero block entry
+    can gain noise rank and the payoff can move by rounding."""
     _require_match(g, s)
     if s.concat().min() < INTERIOR_MIN:
         raise ValueError(f"boundary point: need every coordinate >= {INTERIOR_MIN}")
-    with np.errstate(over="ignore", invalid="ignore"):     # caught by the rank
-        pay, jac = _jacobian_blocks(g.payoffs, s.blocks)
-    rank, svals, _, vt = _svd(jac[:rows], True, g.scale)
+    pay, jac = _jacobian_blocks(g._normalized_payoffs, s.blocks)
+    rank, svals, _, vt = _svd(jac[:rows], True, np.ldexp(g.scale, -g._exponent))
     return reduce_profile(s), pay, rank, svals, vt[rank:]
 
 
+@np.errstate(over="ignore")     # past the float range, a reported value reads inf
 def fiber_report(g: GameSpec, s: StrategyProfile, k_generic: int) -> FiberReport:
     """Rank, nullspace, and payoff-constancy residuals at an interior point,
     on the Jacobian rows ``generic_rank`` uses (n - 1 for a zero-sum game).
@@ -180,13 +181,13 @@ def fiber_report(g: GameSpec, s: StrategyProfile, k_generic: int) -> FiberReport
     """
     r, base, rank, svals, basis = _tangent_space(g, s, _rows(g))
     probes = np.concatenate(r + np.multiply.outer(CONSTANCY_EPSILONS, basis))   # eps-major
-    dev = np.zeros(len(probes))
+    dev, payoffs = np.zeros(len(probes)), g._normalized_payoffs
     stack = max(g.m[0], len(CONSTANCY_EPSILONS), PROBE_STACK_BYTES * g.m[0] // g.payoffs.nbytes)
     for i in range(0, len(probes), stack):
-        dev[i:i + stack] = np.abs(_payoff_reduced(g, probes[i:i + stack]) - base).max(axis=-1)
-    worst = np.fmax.reduce(dev.reshape(len(CONSTANCY_EPSILONS), -1), axis=1, initial=0.0)
-    residuals = list(zip(CONSTANCY_EPSILONS, worst.tolist()))   # a NaN probe adds nothing
-    return FiberReport(point=r, jacobian_rank=rank, singular_values=svals,
+        dev[i:i + stack] = np.abs(_payoff_reduced(payoffs, probes[i:i + stack]) - base).max(-1)
+    worst = dev.reshape(len(CONSTANCY_EPSILONS), -1).max(axis=1, initial=0.0)
+    residuals = list(zip(CONSTANCY_EPSILONS, np.ldexp(worst, g._exponent).tolist()))
+    return FiberReport(point=r, jacobian_rank=rank, singular_values=np.ldexp(svals, g._exponent),
                        nullspace_basis=basis, constancy_residuals=residuals,
                        regular=(rank == k_generic))
 
@@ -201,30 +202,32 @@ class FiberPath:
     terminated_by: str               # "step_budget" | "boundary" | "corrector_failure"
 
 
-def _correct(g: GameSpec, r: np.ndarray, target: np.ndarray, tol: float,
-             rows: int, buffers) -> tuple[np.ndarray, float, np.ndarray]:
-    """Gauss-Newton projection of a chart point back onto the level set:
-    the last point, its largest payoff residual over all n components
-    (success iff <= tol) and the first ``rows`` Jacobian rows there.  Each
-    iteration loads its point into the trace's ``buffers`` by ``_load_chart``,
-    writes the payoff and the Jacobian there by one ``_jacobian_blocks``
-    call (the last point and Jacobian stay there, so the rows returned are
-    a view) and steps by ``_solve`` on those rows.  A diverging step stops
-    at the first non-finite Jacobian and fails."""
+def _correct(payoffs: np.ndarray, scale: float, r: np.ndarray, target: np.ndarray,
+             tol: float, rows: int, buffers) -> tuple[np.ndarray, float, np.ndarray]:
+    """Gauss-Newton projection of a chart point back onto the level set of
+    the tensor ``payoffs``, at rank scale ``scale``: the last point, its
+    largest payoff residual over all n components (success iff <= tol) and
+    the first ``rows`` Jacobian rows there.  Each iteration loads its point
+    into the trace's ``buffers`` by ``_load_chart``, writes the payoff and
+    the Jacobian there by one ``_jacobian_blocks`` call (the last point and
+    Jacobian stay there, so the rows returned are a view) and steps by
+    ``_solve`` on those rows.  A diverging step stops at the first
+    non-finite Jacobian and fails."""
     flat, blocks, index, out = buffers
     cur = np.asarray(r, dtype=float)
     with np.errstate(all="ignore"):
         for it in range(CORRECTOR_MAX_ITER + 1):
             _load_chart(cur, flat, blocks, index)
-            pay, jac = _jacobian_blocks(g.payoffs, blocks, out)
+            pay, jac = _jacobian_blocks(payoffs, blocks, out)
             f = pay - target
             residual = float(np.abs(f).max())
             if residual <= tol or it == CORRECTOR_MAX_ITER or not np.isfinite(jac).all():
                 break
-            cur = cur + _solve(jac[:rows], -f[:rows], g.scale)[0]
+            cur = cur + _solve(jac[:rows], -f[:rows], scale)[0]
     return cur, residual, jac[:rows]
 
 
+@np.errstate(over="ignore")     # past the float range, tol and a reported value read inf
 def trace_fiber(g: GameSpec, s0: StrategyProfile, direction_index: int,
                 step: float, max_steps: int, tol: float = TRACE_TOL,
                 k_generic: int | None = None) -> FiberPath:
@@ -275,9 +278,11 @@ def trace_fiber(g: GameSpec, s0: StrategyProfile, direction_index: int,
     terminated = "step_budget"
     flat, blocks, index = _chart_buffer(g.m)      # each corrector evaluation's profile
     buffers = flat, blocks, index, _jacobian_buffer(g.m)
+    e, payoffs, scale = g._exponent, g._normalized_payoffs, np.ldexp(g.scale, -g._exponent)
+    tol = np.ldexp(tol, -e)     # still an absolute payoff residual
     for _ in range(max_steps):
         predicted = points[-1] + step * tangent
-        corrected, residual, jac = _correct(g, predicted, target, tol, rows, buffers)
+        corrected, residual, jac = _correct(payoffs, scale, predicted, target, tol, rows, buffers)
         if not residual <= tol:     # a NaN residual fails too
             terminated = "corrector_failure"
             break
@@ -286,12 +291,12 @@ def trace_fiber(g: GameSpec, s0: StrategyProfile, direction_index: int,
             break
         points.append(corrected)
         drift = max(drift, residual)
-        basis = nullspace(jac, g.scale)
+        basis = nullspace(jac, scale)
         tangent = basis.T @ (basis @ tangent)
         norm = math.sqrt(tangent @ tangent)
         if norm < 1e-8:     # no continuation in the new nullspace, an empty one included
             terminated = "corrector_failure"
             break
         tangent = tangent / norm
-    return FiberPath(points=points, target_payoff=target,
-                     max_payoff_drift=drift, terminated_by=terminated)
+    return FiberPath(points=points, target_payoff=np.ldexp(target, e),
+                     max_payoff_drift=float(np.ldexp(drift, e)), terminated_by=terminated)

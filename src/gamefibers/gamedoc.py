@@ -295,7 +295,7 @@ def parse_game(doc: bytes | str) -> GameSpec:
         tensor = _fill(m, indices, values.reshape(-1, len(m)))
     except ValueError as exc:
         raise GameFormatError(str(exc)) from exc
-    return GameSpec(tensor, player_names=names, strategy_labels=labels, meta=meta)
+    return GameSpec._adopt(tensor, player_names=names, strategy_labels=labels, meta=meta)
 
 
 def _overflows(x: int) -> bool:
@@ -412,4 +412,4 @@ def random_game(n: int, m, seed: int, zero_sum: bool = False,
         tensor[..., -1] = -tensor[..., :-1].sum(axis=-1)
     labels = tuple(tuple(map(_strategy_label, range(mi))) for mi in m)
     names = tuple(map(_player_name, range(n)))
-    return GameSpec(tensor, player_names=names, strategy_labels=labels)
+    return GameSpec._adopt(tensor, player_names=names, strategy_labels=labels)

@@ -110,7 +110,8 @@ class GameSpec:
     Parameters
     ----------
     payoffs : array_like, shape (m_1, ..., m_n, n)
-        Payoff vector at every pure-strategy profile.
+        Payoff vector at every pure-strategy profile, copied into a
+        read-only float64 tensor of the game's own.
     player_names, strategy_labels : optional
         Display names; ``_player_name`` and ``_strategy_label`` give the
         defaults when absent.
@@ -119,7 +120,18 @@ class GameSpec:
     """
 
     def __init__(self, payoffs, player_names=None, strategy_labels=None, meta=None):
-        arr = np.array(payoffs, dtype=float)
+        self._take(np.array(payoffs, dtype=float), player_names, strategy_labels, meta)
+
+    @classmethod
+    def _adopt(cls, payoffs, player_names=None, strategy_labels=None, meta=None):
+        """The game over ``payoffs``, a fresh float64 tensor that its
+        producer (``_fill``, ``random_game``) hands over and keeps no other
+        reference to: taken as it is, without the constructor's copy."""
+        return cls.__new__(cls)._take(payoffs, player_names, strategy_labels, meta)
+
+    def _take(self, arr, player_names, strategy_labels, meta) -> GameSpec:
+        """Check the tensor ``arr``, make it read-only and store the game in
+        ``self``, which is returned."""
         if arr.ndim < 2:
             raise ValueError("payoff tensor needs player axes plus a trailing payoff axis")
         _check_profile_count(arr.shape[:-1])
@@ -131,6 +143,7 @@ class GameSpec:
             tuple(tuple(str(x) for x in row) for row in strategy_labels)
             if strategy_labels is not None else None)
         self.meta = dict(meta) if meta else None
+        return self
 
     @classmethod
     def from_entries(cls, m, entries, player_names=None, strategy_labels=None,
@@ -155,7 +168,7 @@ class GameSpec:
         if bad is not None:
             raise ValueError(f"profile {profiles[bad]}: expected {n} payoff values")
         payoffs = _fill(shape, profiles, np.reshape(values, (len(pairs), n)))
-        return cls(payoffs, player_names, strategy_labels, meta=meta)
+        return cls._adopt(payoffs, player_names, strategy_labels, meta=meta)
 
     @cached_property
     def scale(self) -> float:
@@ -169,8 +182,9 @@ class GameSpec:
 
     @cached_property
     def _normalized_payoffs(self) -> np.ndarray:
-        """The payoffs times 2^-e, read-only: exact, max|entry| in [0.5, 1)."""
-        arr = np.ldexp(self.payoffs, -self._exponent)
+        """The payoffs times 2^-e, read-only: exact, max|entry| in [0.5, 1).
+        At e = 0 it is the payoff tensor itself, not a copy."""
+        arr = np.ldexp(self.payoffs, -self._exponent) if self._exponent else self.payoffs
         arr.setflags(write=False)
         return arr
 
@@ -545,9 +559,10 @@ def _blocks_from_reduced(m, r) -> list[np.ndarray]:
     return blocks
 
 
-def _payoff_reduced(g: GameSpec, r) -> np.ndarray:
-    """Total payoff at chart coordinates or a stack of them (polynomial extension)."""
-    return _deviations(g.payoffs, _blocks_from_reduced(g.m, r), ())[0]
+def _payoff_reduced(payoffs: np.ndarray, r) -> np.ndarray:
+    """Total payoff of the tensor ``payoffs`` at chart coordinates or a
+    stack of them (polynomial extension)."""
+    return _deviations(payoffs, _blocks_from_reduced(payoffs.shape[:-1], r), ())[0]
 
 
 def _snap_profile(blocks) -> StrategyProfile:

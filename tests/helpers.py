@@ -96,7 +96,7 @@ def loop_constancy_residuals(g, s, basis):
     for eps in CONSTANCY_EPSILONS:
         worst = 0.0
         for v in basis:
-            worst = max(worst, float(np.abs(_payoff_reduced(g, r + eps * v) - base).max()))
+            worst = max(worst, float(np.abs(_payoff_reduced(g.payoffs, r + eps * v) - base).max()))
         residuals.append((eps, worst))
     return residuals
 

@@ -102,10 +102,10 @@ def test_criterion_05_tangent_constancy():
                 continue
             accepted += 1
             r = report.point
-            base = _payoff_reduced(g, r)
+            base = _payoff_reduced(g.payoffs, r)
             residual_at = {}
             for v in report.nullspace_basis:
-                res = [float(np.abs(_payoff_reduced(g, r + e * v) - base).max())
+                res = [float(np.abs(_payoff_reduced(g.payoffs, r + e * v) - base).max())
                        for e in (1e-2, 1e-3, 1e-4)]
                 assert 50.0 <= res[0] / res[1] <= 200.0
                 assert 50.0 <= res[1] / res[2] <= 200.0
@@ -114,7 +114,7 @@ def test_criterion_05_tangent_constancy():
             u = np.random.default_rng([88, gi, accepted]).standard_normal(n)
             w = jac.T @ u
             w /= np.linalg.norm(w)
-            first_order = float(np.abs(_payoff_reduced(g, r + 1e-3 * w) - base).max())
+            first_order = float(np.abs(_payoff_reduced(g.payoffs, r + 1e-3 * w) - base).max())
             assert first_order >= 10.0 * max(residual_at.values())
     print("CRITERION 5 (second-order tangent constancy): PASS")
 
@@ -139,7 +139,7 @@ def test_criterion_07_fiber_tracing(rps, bar):
         path = gf.trace_fiber(rps, start, d, step=0.02, max_steps=100)
         assert path.max_payoff_drift <= 1e-8
         for point in path.points:
-            assert np.abs(_payoff_reduced(rps, point)).max() <= 1e-8
+            assert np.abs(_payoff_reduced(rps.payoffs, point)).max() <= 1e-8
     bar_path = gf.trace_fiber(bar, gf.embed_profile(bar, [0.5, 0.5]), 0,
                               step=0.05, max_steps=200)
     assert bar_path.max_payoff_drift <= 1e-14

@@ -274,9 +274,9 @@ def test_fiber_report_probe_stacks_keep_their_memory_cap(monkeypatch):
     stacks = []
     payoff = fibers._payoff_reduced
 
-    def recording(game, r):
+    def recording(payoffs, r):
         stacks.append(len(r))
-        return payoff(game, r)
+        return payoff(payoffs, r)
 
     monkeypatch.setattr(fibers, "_payoff_reduced", recording)
     report = gf.fiber_report(g, gf.uniform_profile(g), 6)
@@ -396,7 +396,8 @@ def test_generic_rank_holds_when_sigma_1_passes_the_float_range(name):
 def test_generic_rank_answers_where_a_sweep_passes_the_float_range():
     # a sample's sweep rounds past max float, so its Jacobian holds inf or
     # inf - inf; the sample is ranked on the payoffs times 2^-e, as exact
-    # as the same game scaled down by that power of two
+    # as the same game scaled down by that power of two, and the report and
+    # the trace there answer too
     gains = np.zeros((2, 2, 2))
     gains[..., 0] = [[1.7e308, -1.7e308], [-1.7e308, 1.7e308]]
     for payoffs, k in ((np.broadcast_to([1.7e308, np.finfo(float).max], (2, 2, 2)), 0),
@@ -406,6 +407,38 @@ def test_generic_rank_answers_where_a_sweep_passes_the_float_range():
         with np.errstate(over="ignore", invalid="ignore"):
             assert not np.isfinite(fibers._jacobian_blocks(g.payoffs, s.blocks)[1]).all()
         assert gf.generic_rank(g) == gf.generic_rank(gf.GameSpec(np.ldexp(payoffs, -1024))) == k
+        assert gf.fiber_report(g, s, k).jacobian_rank == k
+        path = gf.trace_fiber(g, s, 0, step=0.01, max_steps=3)
+        with np.errstate(over="ignore", invalid="ignore"):    # inf where total_payoff reads inf
+            assert path.target_payoff.tobytes() == gf.total_payoff(g, s).tobytes()
+
+
+@pytest.mark.parametrize("k", [-900, -500, 500, 900, 1023])
+def test_fibers_are_exact_under_a_power_of_two_scale(k, bar, rps):
+    # the level sets of 2^k T are those of T: rank, kernel and trace points
+    # are the same bit for bit, and payoff-unit values are exactly 2^k times
+    # theirs; each game is normalized first, so that 2^1023 T stays finite
+    for game in (rps, bar, gf.random_game(3, (3, 3, 3), 5),
+                 gf.random_game(3, (3, 3, 3), 5, zero_sum=True)):
+        g = gf.GameSpec(game._normalized_payoffs)
+        scaled = gf.GameSpec(np.ldexp(g.payoffs, k))
+        rank = gf.generic_rank(g)
+        assert gf.generic_rank(scaled) == rank
+        for s in (gf.uniform_profile(g), interior_profile(g, np.random.default_rng(k % 7))):
+            report, other = gf.fiber_report(g, s, rank), gf.fiber_report(scaled, s, rank)
+            assert other.jacobian_rank == report.jacobian_rank
+            assert other.point.tobytes() == report.point.tobytes()
+            assert other.nullspace_basis.tobytes() == report.nullspace_basis.tobytes()
+            assert other.singular_values.tobytes() == np.ldexp(report.singular_values,
+                                                               k).tobytes()
+            assert other.constancy_residuals == [(eps, float(np.ldexp(res, k)))
+                                                 for eps, res in report.constancy_residuals]
+            for d in range(report.fiber_dimension):
+                path = gf.trace_fiber(g, s, d, step=0.02, max_steps=30)
+                moved = gf.trace_fiber(scaled, s, d, step=0.02, max_steps=30,
+                                       tol=np.ldexp(fibers.TRACE_TOL, k))
+                assert np.array(moved.points).tobytes() == np.array(path.points).tobytes()
+                assert moved.terminated_by == path.terminated_by
 
 
 def test_zero_sum_is_decided_once_per_game(monkeypatch):

@@ -284,13 +284,13 @@ def test_stacked_chart_points_equal_lone_points(m, seed, stack):
     rng = np.random.default_rng(seed)
     g = gf.GameSpec(rng.standard_normal(m + (len(m),)))
     points = rng.uniform(-0.5, 1.0, stack + (g.reduced_dim,))
-    blocks, pay = _blocks_from_reduced(m, points), _payoff_reduced(g, points)
+    blocks, pay = _blocks_from_reduced(m, points), _payoff_reduced(g.payoffs, points)
     assert [b.shape for b in blocks] == [stack + (mi,) for mi in m]
     for idx in np.ndindex(stack):
         lone = np.array(points[idx])
         for b, one in zip(blocks, _blocks_from_reduced(m, lone), strict=True):
             assert b[idx].tobytes() == one.tobytes()
-        assert pay[idx].tobytes() == _payoff_reduced(g, lone).tobytes()
+        assert pay[idx].tobytes() == _payoff_reduced(g.payoffs, lone).tobytes()
     with pytest.raises(ValueError, match=rf"^reduced point has length {g.reduced_dim + 1}, "
                                          rf"expected {g.reduced_dim}$"):
         _blocks_from_reduced(m, np.zeros(g.reduced_dim + 1))
@@ -386,16 +386,54 @@ def test_is_zero_sum_does_not_depend_on_the_payoff_scale(seed, zero_sum, jointly
     assert gf.is_zero_sum(scaled) == gf.is_zero_sum(g) == zero_sum
 
 
-@pytest.mark.parametrize("factor", [1.0, 3e9, 1.7e308, 5e-324, 0.0])
+@pytest.mark.parametrize("factor", [1.0, 0.75, 3e9, 1.7e308, 5e-324, 0.0])
 def test_normalized_payoffs_are_a_cached_read_only_power_of_two_rescaling(factor):
-    # the payoffs times 2^-e, max|entry| in [0.5, 1), decided once per game
+    # the payoffs times 2^-e, max|entry| in [0.5, 1), decided once per game;
+    # a game already there (e = 0) gets its own tensor, not a copy
     g = gf.GameSpec(gf.builtin_game("rps").payoffs * factor)
     normalized = g._normalized_payoffs
     assert normalized is g._normalized_payoffs
+    if factor == 0.75:
+        assert normalized is g.payoffs
     assert np.array_equal(np.ldexp(normalized, g._exponent), g.payoffs)
     assert np.abs(normalized).max() == (0.0 if factor == 0.0 else np.frexp(g.scale)[0])
     with pytest.raises(ValueError, match="read-only"):
         normalized[0, 0, 0] = 1.0
+
+
+def test_a_game_copies_its_payoffs_and_its_producers_hand_theirs_over(monkeypatch):
+    # the constructor copies any array it is given, a read-only one
+    # included: a read-only array that owns its data can be made writeable
+    # again, and an older view of it stays writeable, so writing through
+    # either cannot change the game or its cached scale
+    base = np.arange(8.0).reshape(2, 2, 2)
+    older = base[:]
+    base.setflags(write=False)
+    g = gf.GameSpec(base)
+    assert g.payoffs is not base and g.scale == 7.0
+    older[...] = 100.0
+    base.setflags(write=True)
+    base[...] = -100.0
+    assert np.array_equal(g.payoffs, np.arange(8.0).reshape(2, 2, 2)) and g.scale == 7.0
+    view = base.view()
+    view.setflags(write=False)
+    for other in (base, view, np.broadcast_to([1.0, 2.0], (2, 2, 2)), base.transpose(1, 0, 2),
+                  base.astype(np.float32), base.tolist()):
+        g = gf.GameSpec(other)
+        assert g.payoffs is not other and not g.payoffs.flags.writeable
+        assert g.payoffs.dtype == float and np.array_equal(g.payoffs, other)
+    # the document parser, from_entries and random_game build a fresh
+    # tensor no one else holds and hand it to the game without a copy
+    handed = []
+    adopt = gf.GameSpec._adopt
+    monkeypatch.setattr(gf.GameSpec, "_adopt", staticmethod(
+        lambda payoffs, *args, **kw: handed.append(payoffs) or adopt(payoffs, *args, **kw)))
+    games = (gf.GameSpec.from_entries((2, 2), [((i, j), (i, j)) for i in range(2) for j in range(2)]),
+             gf.parse_game(gf.write_game(gf.builtin_game("rps"))),
+             gf.random_game(2, (2, 3), 0, zero_sum=True))
+    assert len(handed) == len(games)
+    for g, payoffs in zip(games, handed, strict=True):
+        assert g.payoffs is payoffs and not payoffs.flags.writeable
 
 
 @settings(max_examples=60, deadline=None)
