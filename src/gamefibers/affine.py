@@ -166,18 +166,23 @@ def affine_level_set(rep: AffineRepresentation, y,
     when the residual exceeds ``LEVEL_SET_RESIDUAL`` times that scale (y
     outside the affine image) or, when the game is supplied, when the
     solution set misses the strategy simplex: an LP decides that, unless
-    one ``_witness`` point proves the set meets it.
+    one ``_witness`` point proves the set meets it.  A game whose chart
+    does not have the matrix's column count is rejected.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    rows = rep.matrix.shape[0]
+    rows, cols = rep.matrix.shape
     if y.shape != (rows,):
         raise ValueError(f"payoff value has length {y.size}, expected {rows}")
     if not np.all(np.isfinite(y)):
         raise ValueError("payoff value must be finite")
+    if g is not None and g.reduced_dim != cols:
+        raise ValueError(f"game has {g.reduced_dim} chart coordinates, expected {cols}")
     rhs = y - rep.offset
-    base, rank, vt = _solve(rep.matrix, rhs, rep.scale)
+    with np.errstate(over="ignore", invalid="ignore"):  # rhs / 2^e may pass the float range
+        base, rank, vt = _solve(rep.matrix, rhs, rep.scale)
     basis = vt[rank:]
-    if np.abs(rep.matrix @ base - rhs).max(initial=0.0) > LEVEL_SET_RESIDUAL * rep.scale:
+    # a base point that is not finite leaves a NaN residual: the set reads empty
+    if not np.abs(rep.matrix @ base - rhs).max(initial=0.0) <= LEVEL_SET_RESIDUAL * rep.scale:
         return None
     if g is not None:
         box = _chart_box(g)
@@ -195,9 +200,12 @@ def simplex_interval(g: GameSpec, base, direction) -> tuple[float, float] | None
 
     Intended for one-dimensional level sets, where it turns the kernel line
     into the segment actually contained in the strategy space.  Returns
-    None when the line misses the simplex.
+    None when the line misses the simplex.  The base point and direction
+    each need ``g.reduced_dim`` finite chart coordinates.
     """
     base, direction = np.asarray(base, dtype=float), np.asarray(direction, dtype=float)
+    if base.shape != (g.reduced_dim,) or direction.shape != (g.reduced_dim,):
+        raise ValueError(f"base point and direction need {g.reduced_dim} chart coordinates")
     if not (np.all(np.isfinite(base)) and np.all(np.isfinite(direction))):
         raise ValueError("base point and direction must be finite")
     shift, rows = _chart_box(g)

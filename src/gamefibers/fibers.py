@@ -50,16 +50,20 @@ CORRECTOR_MAX_ITER = 20
 PROBE_STACK_BYTES = 4 << 20      # fiber_report's cap on a probe stack's first intermediate
 
 
+@np.errstate(over="ignore")     # past the float range, a singular value reads inf
 def numerical_rank(mat, scale: float = 0.0) -> tuple[int, np.ndarray]:
     """(rank, singular values): the rank counts those above the cutoff at
-    payoff ``scale``.  The zero matrix has rank 0."""
-    rank, s, _, _ = _svd(mat, False, scale)
-    return rank, s
+    payoff ``scale``, in the matrix's units (inf past the float range;
+    below 2^-1022 ``scale`` they are rounded, as the matrix is factored
+    divided by the power of two of ``scale`` when that is the larger).
+    The zero matrix has rank 0."""
+    rank, s, _, _, e = _svd(mat, False, scale)
+    return rank, np.ldexp(s, e)
 
 
 def nullspace(mat, scale: float = 0.0) -> np.ndarray:
     """Orthonormal kernel basis at ``numerical_rank``'s cutoff, one per row."""
-    rank, _, _, vt = _svd(mat, True, scale)
+    rank, _, _, vt, _ = _svd(mat, True, scale)
     return vt[rank:]
 
 
@@ -162,8 +166,8 @@ def _tangent_space(g: GameSpec, s: StrategyProfile, rows: int):
     if s.concat().min() < INTERIOR_MIN:
         raise ValueError(f"boundary point: need every coordinate >= {INTERIOR_MIN}")
     pay, jac = _jacobian_blocks(g._normalized_payoffs, s.blocks)
-    rank, svals, _, vt = _svd(jac[:rows], True, np.ldexp(g.scale, -g._exponent))
-    return reduce_profile(s), pay, rank, svals, vt[rank:]
+    rank, svals, _, vt, e = _svd(jac[:rows], True, np.ldexp(g.scale, -g._exponent))
+    return reduce_profile(s), pay, rank, np.ldexp(svals, e), vt[rank:]
 
 
 @np.errstate(over="ignore")     # past the float range, a reported value reads inf

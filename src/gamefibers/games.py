@@ -12,6 +12,11 @@ The module holds the library's two shared kernels, which ``affine``,
 ``fibers`` and ``equilibria`` import from here: ``_deviations``, the one
 contraction of the payoff tensor, and ``_svd``, the one matrix
 decomposition, with its rank cutoff and the minimum-norm ``_solve``.
+``_svd`` has one path: it factors each matrix once, divided by the power
+of two 2^e of its largest entry (or of the rank scale, if larger), and
+``_solve`` divides the right-hand side by 2^e too.  So every rank, kernel
+and solve, affine ranks and level sets included, is exact under a
+power-of-two rescaling, up to the edges of the float range.
 
 All objects here are immutable after construction (arrays are marked
 read-only), so games and profiles can be shared freely across threads.
@@ -423,39 +428,44 @@ RANK_RTOL_EXPONENT = -46
 
 
 def _svd(mat, vectors: bool, scale: float) -> tuple[int | np.ndarray, np.ndarray,
-                                                    np.ndarray | None, np.ndarray | None]:
-    """Rank, singular values and, with ``vectors``, U and V^T of a finite
-    matrix, or of each matrix in a stack ``(..., rows, cols)``, all from
-    one SVD.  A matrix's rank is an int, a stack's an array with one rank
-    per matrix.  This is the library's one decomposition: every rank,
-    kernel and solve uses its cutoff."""
+                                                    np.ndarray | None, np.ndarray | None, int]:
+    """Rank, singular values, U and V^T (with ``vectors``) and the exponent
+    e of a finite matrix, or of each matrix in a stack ``(..., rows, cols)``,
+    all from one SVD of mat / 2^e at rank scale ``scale`` / 2^e, so the
+    singular values are those of mat / 2^e.  e puts max(max|entry|,
+    ``scale``) in [2^(e-1), 2^e), so each matrix is factored at one scale
+    and rescaling mat and ``scale`` by a power of two changes only e
+    (while no entry passes the float range or falls below 2^-1022).
+    A matrix's rank is an int, a stack's an array with one rank per
+    matrix.  This is the library's one decomposition: every rank, kernel
+    and solve uses its cutoff."""
     a = np.atleast_2d(np.asarray(mat, dtype=float))
     top = np.abs(a).max(initial=0.0)
     if not top < np.inf:
         raise ValueError("rank needs a finite matrix")
     if not 0 <= scale < np.inf:
         raise ValueError("scale must be finite and non-negative")
+    e = math.frexp(max(top, scale))[1]
+    a, scale = np.ldexp(a, -e), math.ldexp(scale, -e)
     if vectors:
         u, s, vt = np.linalg.svd(a)
     else:
         u, s, vt = None, np.linalg.svd(a, compute_uv=False), None
-    # sigma_1 <= sqrt(rows cols) top, so only past 2^512 can it (and the cutoff) read inf
-    if top > 2.0 ** 512 and np.isinf(s[..., :1]).any():     # then decide the rank on a / 2^e
-        e = np.frexp(top)[1]
-        return _svd(np.ldexp(a, -e), False, np.ldexp(scale, -e))[0], s, u, vt
     smax = np.fmax(s[..., :1], scale)       # sigma_1, or none for an empty matrix
     rank = (s > max(a.shape[-2:]) * 2.0 ** RANK_RTOL_EXPONENT * smax).sum(axis=-1)
-    return (int(rank) if a.ndim == 2 else rank), s, u, vt
+    return (int(rank) if a.ndim == 2 else rank), s, u, vt, e
 
 
 def _solve(mat, rhs, scale: float) -> tuple[np.ndarray, int | np.ndarray, np.ndarray]:
     """Minimum-norm least-squares solution x of mat @ x = rhs, with the
-    rank and V^T of mat, from one ``_svd`` at ``scale``.  For a stack,
+    rank and V^T of mat, from one ``_svd`` at ``scale``: rhs / 2^e is
+    solved against mat / 2^e, which gives the same x.  For a stack,
     each matrix is solved against ``rhs`` on its own rank.  Only the
     coefficients up to the rank enter, so the solve drops exactly the
     directions the kernel ``vt[rank:]`` keeps; the matrices of one rank
     are solved together, so each gets the arithmetic of a lone one."""
-    rank, s, u, vt = _svd(mat, True, scale)
+    rank, s, u, vt, e = _svd(mat, True, scale)
+    rhs = np.ldexp(rhs, -e)
     x = np.zeros(vt.shape[:-1])
     ranks = set(np.ravel(rank).tolist())
     for r in ranks:

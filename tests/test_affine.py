@@ -246,6 +246,17 @@ def test_level_set_base_and_kernel_from_one_svd(monkeypatch):
         residual = np.abs(rep.matrix @ base + rep.offset - y).max()
         assert residual <= gf.affine.LEVEL_SET_RESIDUAL
         assert ls.dimension + rep.rank == g.reduced_dim
+    # sigma_1 of bar times 1.7e308 passes the float range: still one SVD
+    # per level set and per rank
+    g = gf.GameSpec(gf.builtin_game("bar").payoffs * 1.7e308)
+    rep = gf.extract_affine(g)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    calls[0] = 0
+    assert gf.affine_level_set(rep, g.payoffs[0, 1], g=g).dimension == 1
+    assert calls[0] == 1
+    calls[0] = 0
+    assert rep.rank == 1
+    assert calls[0] == 1
 
 
 def level_set_bytes(ls):
@@ -304,6 +315,23 @@ def test_level_set_rejects_a_value_of_the_wrong_length(bar):
         gf.affine_level_set(gf.extract_affine(bar), [0.0])
 
 
+def test_level_set_rejects_a_game_of_another_chart(bar):
+    rep = gf.extract_affine(gf.random_game(3, [2, 2, 2], seed=5, jointly_affine=True))
+    with pytest.raises(ValueError, match="game has 2 chart coordinates, expected 3"):
+        gf.affine_level_set(rep, rep.offset, g=bar)
+
+
+def test_level_set_is_empty_where_the_scaled_value_passes_the_float_range():
+    # the matrix [[2^-300], [0]] is factored times 2^299, and so is y - offset
+    # = (0, 1e300), which overflows: the solve reads NaN, and no level set
+    payoffs = np.zeros((2, 1, 2))
+    payoffs[0, 0, 0] = 2.0 ** -300
+    g = gf.GameSpec(payoffs)
+    rep = gf.extract_affine(g)
+    assert gf.affine_level_set(rep, [0.0, 1e300]) is None
+    assert gf.affine_level_set(rep, [0.0, 1e300], g=g) is None
+    assert gf.affine_level_set(rep, [2.0 ** -300, 0.0], g=g).dimension == 0
+
 def test_agreement_with_payoff_map():
     rng = np.random.default_rng(37)
     for seed in range(10):
@@ -350,3 +378,68 @@ def test_simplex_interval_directions_parallel_to_a_face(bar):
 def test_simplex_interval_rejects_non_finite_input(bar, base, direction):
     with pytest.raises(ValueError, match="must be finite"):
         gf.simplex_interval(bar, np.array(base), np.array(direction))
+
+
+@pytest.mark.parametrize("base, direction", [([0.5], [0.0, 1.0]), ([0.5, 0.5], [1.0]),
+                                             ([0.5, 0.5, 0.5], [0.0, 1.0, 0.0]), (0.5, 1.0)])
+def test_simplex_interval_rejects_a_point_off_the_chart(bar, base, direction):
+    with pytest.raises(ValueError, match="need 2 chart coordinates"):
+        gf.simplex_interval(bar, base, direction)
+
+
+def vertex_level_sets(g, k):
+    """Affine rank, ``numerical_rank`` of the matrix and the level sets at
+    the uniform payoff and at each vertex payoff, of the game times 2^k."""
+    scaled = gf.GameSpec(np.ldexp(g.payoffs, k))
+    rep = gf.extract_affine(scaled, use_zero_sum_reduction=g.zero_sum)
+    targets = [gf.total_payoff(g, gf.uniform_profile(g))] + [g.payoffs[idx]
+                                                             for idx in np.ndindex(*g.m)]
+    levels = [level_set_bytes(gf.affine_level_set(rep, np.ldexp(y[:len(rep.offset)], k), scaled))
+              for y in targets]
+    return rep.rank, gf.numerical_rank(rep.matrix), levels
+
+
+@pytest.mark.parametrize("k", [-1000, -600, -400, -200, 200, 400, 600, 1000, "edge"])
+def test_affine_level_sets_are_exact_under_a_power_of_two_scale(k):
+    # the level sets of 2^k T are those of T: the rank, base point and
+    # kernel are the same bit for bit, and each singular value is exactly
+    # 2^k times its own; "edge" scales max|T| into [2^1022, 2^1023)
+    games = [gf.builtin_game("bar")] + [
+        gf.random_game(2 + seed % 2, [2 + (seed + j) % 3 for j in range(2 + seed % 2)],
+                       seed=1300 + seed, zero_sum=seed % 4 >= 2, jointly_affine=True)
+        for seed in range(8)]
+    for g in games:
+        power = 1023 - g._exponent if k == "edge" else k
+        rank, (svd_rank, svals), levels = vertex_level_sets(g, 0)
+        rank_k, (svd_rank_k, svals_k), levels_k = vertex_level_sets(g, power)
+        assert (rank_k, svd_rank_k) == (rank, svd_rank)
+        with np.errstate(over="ignore"):
+            assert svals_k.tobytes() == np.ldexp(svals, power).tobytes()
+        assert levels_k == levels
+        assert None not in levels
+
+
+def test_vertex_level_set_of_bar_at_the_float_edge():
+    # sigma_1 of the matrix, 3.4e308, passes the float range; the solve
+    # still finds the level set through the vertex payoff, as it does on
+    # the same game times 2^-4
+    bar = gf.builtin_game("bar")
+    level_sets = []
+    for factor in (1.7e308, 2.0 ** -4 * 1.7e308):
+        g = gf.GameSpec(bar.payoffs * factor)
+        ls = gf.affine_level_set(gf.extract_affine(g), g.payoffs[0, 1], g=g)
+        assert ls.dimension == 1
+        assert ls.base_point == pytest.approx([0.5, -0.5], abs=1e-15)
+        level_sets.append(level_set_bytes(ls))
+    assert level_sets[0] == level_sets[1]
+
+
+@pytest.mark.xfail(strict=True, reason="the effects _decompose computes, payoff differences "
+                   "of 3.4e308, overflow to inf, so the float-edge game reads as not affine")
+def test_joint_affinity_at_the_float_edge_does_not_depend_on_the_payoff_scale():
+    a = np.array([0.85e308, -0.85e308])
+    payoffs = np.zeros((2, 2, 2))
+    payoffs[..., 0] = a[:, None] + a[None, :]
+    payoffs[..., 1] = -payoffs[..., 0]
+    assert gf.is_jointly_affine(gf.GameSpec(np.ldexp(payoffs, -4)))
+    assert gf.is_jointly_affine(gf.GameSpec(payoffs))

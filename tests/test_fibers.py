@@ -321,7 +321,34 @@ def test_report_and_trace_start_make_one_svd(monkeypatch):
         monkeypatch.setattr(np.linalg, "svd", svd)
         assert report.jacobian_rank + report.fiber_dimension == g.reduced_dim
         assert report.singular_values.shape == (min(n - gf.is_zero_sum(g), g.reduced_dim),)
+    # at the float edge, where sigma_1 passes the float range, too
+    g = gf.GameSpec(gf.builtin_game("bar").payoffs * 1.7e308)
+    s = gf.uniform_profile(g)
+    edge = [[1.7e308] * 2] * 2
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for call, answer in ((lambda: gf.fiber_report(g, s, 1).jacobian_rank, 1),
+                         (lambda: len(gf.trace_fiber(g, s, 0, 0.01, 0).points), 1),
+                         (lambda: gf.numerical_rank(edge)[0], 1),
+                         (lambda: gf.nullspace(edge).shape, (1, 2))):
+        calls[0] = 0
+        assert call() == answer
+        assert calls[0] == 1
 
+
+def test_fiber_report_singular_values_are_those_of_the_jacobian(bar, rps):
+    # fiber_report factors the normalized Jacobian, whose entries reach 2,
+    # at its own power of two; the values it reports are in payoff units.
+    # Each player's payoff +-0.75 puts 1.5 on the Jacobian's diagonal
+    split = np.array([0.75, -0.75])
+    dominant = gf.GameSpec(np.stack(np.meshgrid(split, split, indexing="ij"), axis=-1))
+    for g in (dominant, bar, rps, gf.random_game(3, (3, 3, 3), 5),
+              gf.random_game(3, (2, 3, 4), 6, zero_sum=True)):
+        rows = g.n - gf.is_zero_sum(g)
+        for s in (gf.uniform_profile(g), interior_profile(g, np.random.default_rng(3))):
+            report = gf.fiber_report(g, s, 1)
+            rank, svals = gf.numerical_rank(gf.payoff_jacobian(g, s)[:rows], g.scale)
+            assert report.jacobian_rank == rank
+            assert report.singular_values == pytest.approx(svals, rel=1e-12, abs=1e-15)
 
 def test_near_zero_sum_report_is_regular():
     # a last payoff off by 1e-11 still decides zero-sum, so the report
@@ -383,8 +410,9 @@ def test_constant_game_has_rank_zero_at_any_value(value):
 
 @pytest.mark.parametrize("name", ["bar", "rps"])
 def test_generic_rank_holds_when_sigma_1_passes_the_float_range(name):
-    # bar times 1.7e308 has finite Jacobians whose sigma_1 overflows to inf;
-    # a cutoff of inf counted rank 0 there
+    # bar times 1.7e308 has finite Jacobians whose sigma_1 overflows to inf,
+    # where a cutoff of inf once counted rank 0; numerical_rank factors such
+    # a matrix at 2^-e and reports that sigma_1 as inf
     g = gf.builtin_game(name)
     ranks = [gf.generic_rank(gf.GameSpec(g.payoffs * factor))
              for factor in (1.7e308, 1.0, 5e-324 * 4)]
