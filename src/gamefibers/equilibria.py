@@ -28,6 +28,7 @@ from .games import (
     GameSpec,
     StrategyProfile,
     _deviations,
+    _player_index,
     _require_match,
     _solve,
     pure_profile,
@@ -69,8 +70,7 @@ def best_response_gap(g: GameSpec, s: StrategyProfile, player: int) -> float:
     The maximum over pure replacements of the payoff gain, clamped at zero;
     linearity in the player's own block makes pure replacements sufficient.
     """
-    if not 0 <= player < g.n:
-        raise IndexError(f"player index {player} out of range")
+    player = _player_index(player, g.n)
     return float(verify_equilibrium(g, s, 0.0).gaps[player])
 
 

@@ -16,7 +16,12 @@ decomposition, with its rank cutoff and the minimum-norm ``_solve``.
 of two 2^e of its largest entry (or of the rank scale, if larger), and
 ``_solve`` divides the right-hand side by 2^e too.  So every rank, kernel
 and solve, affine ranks and level sets included, is exact under a
-power-of-two rescaling, up to the edges of the float range.
+power-of-two rescaling, up to the edges of the float range.  Both take a
+stack of profiles or matrices, worked by broadcast operations, or a lone
+one, worked by the same BLAS and LAPACK calls on its own 1-D or 2-D
+arrays without the stack's added axes and rank sets (the trace's
+corrector steps are all lone); a lone result is the stack-of-one slice
+bit for bit.
 
 All objects here are immutable after construction (arrays are marked
 read-only), so games and profiles can be shared freely across threads.
@@ -27,6 +32,7 @@ there compute the same value twice); payoff tolerances are multiples of max|T|.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -335,9 +341,28 @@ def uniform_profile(g: GameSpec) -> StrategyProfile:
     return StrategyProfile([np.full(mi, 1.0 / mi) for mi in g.m])
 
 
+def _index(value, what: str) -> int:
+    """``value`` as an int if it is an integer (numpy integers included),
+    by ``operator.index``; ValueError naming it otherwise, so 2.7 is never
+    read as 2."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _player_index(player, n: int) -> int:
+    """``player`` as an int, ValueError unless an integer and IndexError
+    unless in range(n)."""
+    p = _index(player, "player index")
+    if not 0 <= p < n:
+        raise IndexError(f"player index {p} out of range")
+    return p
+
+
 def pure_profile(g: GameSpec, profile) -> StrategyProfile:
     """The vertex profile where each player plays the given pure strategy."""
-    idx = tuple(int(j) for j in profile)
+    idx = tuple(_index(j, "strategy index") for j in profile)
     if len(idx) != g.n:
         raise ValueError(f"profile {idx} does not have {g.n} entries")
     blocks = []
@@ -371,7 +396,7 @@ def _require_match(g: GameSpec, s: StrategyProfile):
 def profile_probability(s: StrategyProfile, profile) -> float:
     """Probability that play realizes the given pure profile: the product of
     the coordinates each player assigns to their selected pure strategy."""
-    idx = tuple(int(j) for j in profile)
+    idx = tuple(_index(j, "strategy index") for j in profile)
     if len(idx) != len(s.blocks):
         raise ValueError(f"profile {idx} does not have {len(s.blocks)} entries")
     p = 1.0
@@ -390,10 +415,13 @@ def _deviations(payoffs: np.ndarray, blocks,
     for the last player, whose rows are the chain itself; the rest are None.
 
     The blocks may share a leading stack shape, ``(*stack, m_p)`` each; a
-    lone profile is the empty stack.  The payoff is then (*stack, n) and
-    the rows (*stack, m_p, n).  Every contraction is a broadcast matmul, so
-    each slice is its own vector-matrix product, and slice k of a stacked
-    sweep equals the lone sweep of profile k bit for bit.
+    lone profile (1-D blocks) is the empty stack.  The payoff is then
+    (*stack, n) and the rows (*stack, m_p, n).  Every contraction is one
+    vector-matrix product (one BLAS gemv) per slice: a stack's is a
+    broadcast matmul of (..., 1, K) views, a lone profile's is a plain
+    ``v @ mat`` of its 1-D operands, without the views and squeezes.  So
+    slice k of a stacked sweep equals the lone sweep of profile k bit for
+    bit.
 
     The prefix chain contracts the player axes one at a time, first to
     last.  Before player p's axis goes, the chain's head is read as
@@ -410,6 +438,14 @@ def _deviations(payoffs: np.ndarray, blocks,
         suffix.append((b[..., :, None] * suffix[-1][..., None, :]).reshape(*b.shape[:-1], -1))
     devs = [None] * n
     head = payoffs.reshape(-1)      # the chain, flat behind its stack axes (none at first)
+    if blocks[-1].ndim == 1:        # a lone profile
+        for p, b in enumerate(blocks[:-1]):
+            if p in wanted:
+                w = suffix[n - 2 - p]
+                devs[p] = w @ head.reshape(b.size, w.size, -1)
+            head = b @ head.reshape(b.size, -1)
+        devs[-1] = head.reshape(blocks[-1].size, -1)
+        return blocks[-1] @ devs[-1], devs
     for p, b in enumerate(blocks[:-1]):
         lead = head.shape[:-1]
         if p in wanted:
@@ -436,10 +472,14 @@ def _svd(mat, vectors: bool, scale: float) -> tuple[int | np.ndarray, np.ndarray
     ``scale``) in [2^(e-1), 2^e), so each matrix is factored at one scale
     and rescaling mat and ``scale`` by a power of two changes only e
     (while no entry passes the float range or falls below 2^-1022).
-    A matrix's rank is an int, a stack's an array with one rank per
-    matrix.  This is the library's one decomposition: every rank, kernel
-    and solve uses its cutoff."""
-    a = np.atleast_2d(np.asarray(mat, dtype=float))
+    A stack's rank is an array with one rank per matrix, counted by one
+    broadcast comparison; a lone matrix's is an int, counted from its
+    singular values as Python floats against the same cutoff, so it is the
+    stack-of-one count.  This is the library's one decomposition: every
+    rank, kernel and solve uses its cutoff."""
+    a = np.asarray(mat, dtype=float)
+    if a.ndim < 2:
+        a = np.atleast_2d(a)
     top = np.abs(a).max(initial=0.0)
     if not top < np.inf:
         raise ValueError("rank needs a finite matrix")
@@ -451,21 +491,29 @@ def _svd(mat, vectors: bool, scale: float) -> tuple[int | np.ndarray, np.ndarray
         u, s, vt = np.linalg.svd(a)
     else:
         u, s, vt = None, np.linalg.svd(a, compute_uv=False), None
+    cut = max(a.shape[-2:]) * 2.0 ** RANK_RTOL_EXPONENT
+    if a.ndim == 2:
+        values = s.tolist()
+        cut *= max(values[0], scale) if values else 0.0     # sigma_1, or none when empty
+        return sum(v > cut for v in values), s, u, vt, e
     smax = np.fmax(s[..., :1], scale)       # sigma_1, or none for an empty matrix
-    rank = (s > max(a.shape[-2:]) * 2.0 ** RANK_RTOL_EXPONENT * smax).sum(axis=-1)
-    return (int(rank) if a.ndim == 2 else rank), s, u, vt, e
+    return (s > cut * smax).sum(axis=-1), s, u, vt, e
 
 
 def _solve(mat, rhs, scale: float) -> tuple[np.ndarray, int | np.ndarray, np.ndarray]:
     """Minimum-norm least-squares solution x of mat @ x = rhs, with the
     rank and V^T of mat, from one ``_svd`` at ``scale``: rhs / 2^e is
-    solved against mat / 2^e, which gives the same x.  For a stack,
-    each matrix is solved against ``rhs`` on its own rank.  Only the
+    solved against mat / 2^e, which gives the same x.  Only the
     coefficients up to the rank enter, so the solve drops exactly the
-    directions the kernel ``vt[rank:]`` keeps; the matrices of one rank
-    are solved together, so each gets the arithmetic of a lone one."""
+    directions the kernel ``vt[rank:]`` keeps.  A lone matrix is solved
+    on its int rank by two vector-matrix products; in a stack, each matrix
+    is solved against ``rhs`` on its own rank, the matrices of one rank
+    together, by the same products per matrix, so each gets the
+    arithmetic of a lone one bit for bit."""
     rank, s, u, vt, e = _svd(mat, True, scale)
     rhs = np.ldexp(rhs, -e)
+    if vt.ndim == 2:
+        return ((rhs @ u[:, :rank]) / s[:rank]) @ vt[:rank], rank, vt
     x = np.zeros(vt.shape[:-1])
     ranks = set(np.ravel(rank).tolist())
     for r in ranks:
@@ -478,8 +526,7 @@ def _solve(mat, rhs, scale: float) -> tuple[np.ndarray, int | np.ndarray, np.nda
 def expected_payoff(g: GameSpec, s: StrategyProfile, player: int) -> float:
     """Expected payoff to one player: that component of ``total_payoff``."""
     _require_match(g, s)
-    if not 0 <= player < g.n:
-        raise IndexError(f"player index {player} out of range")
+    player = _player_index(player, g.n)
     return float(total_payoff(g, s)[player])
 
 
@@ -497,15 +544,13 @@ def deviation_payoffs(g: GameSpec, s: StrategyProfile, player: int) -> np.ndarra
     replacement of this player's strategy.
     """
     _require_match(g, s)
-    if not 0 <= player < g.n:
-        raise IndexError(f"player index {player} out of range")
+    player = _player_index(player, g.n)
     return _deviations(g.payoffs, s.blocks, (player,))[1][player]
 
 
 def unilateral_replace(s: StrategyProfile, player: int, sigma) -> StrategyProfile:
     """The profile with one player's block replaced and all others kept."""
-    if not 0 <= player < len(s.blocks):
-        raise IndexError(f"player index {player} out of range")
+    player = _player_index(player, len(s.blocks))
     new = np.asarray(sigma, dtype=float)
     if new.shape != s.blocks[player].shape:
         raise ValueError(
@@ -546,7 +591,14 @@ def _chart_buffer(m, stack=()) -> tuple[np.ndarray, list[np.ndarray], np.ndarray
 def _load_chart(r, flat: np.ndarray, blocks, index: np.ndarray) -> None:
     """The one rebuild rule: chart point(s) r go into ``flat`` by one
     indexed assignment, then each block, a view of ``flat``, gets its
-    implied last coordinate, 1 minus the rest."""
+    implied last coordinate, 1 minus the rest.  A lone profile (1-D
+    ``flat``) is filled through 1-D slices, each sum the pairwise sum a
+    stack's row gets, so it is the stack-of-one slice bit for bit."""
+    if flat.ndim == 1:
+        flat[index] = r
+        for b in blocks:
+            b[-1] = 1.0 - b[:-1].sum()
+        return
     flat[..., index] = r
     for b in blocks:
         b[..., -1] = 1.0 - b[..., :-1].sum(axis=-1)

@@ -301,11 +301,17 @@ def test_trace_bar(bar_doc):
 def test_trace_json_matches_golden(bar_doc, rps_doc):
     # the geometry half byte for byte: rps ends at the boundary after 17
     # points, bar after 36, and the 4x6^4 seed-1 game takes its 50 steps,
-    # the corrector iterating on every one
+    # the corrector iterating on every one; the zero-sum 3x3^3 affine game
+    # takes its 50 steps too, the corrector solving on n - 1 rows with one
+    # evaluation a step
     code, doc, _ = cli("gen", "--random", "n=4", "m=6,6,6,6", "seed=1")
     assert code == 0
+    code, zero_sum_doc, _ = cli("gen", "--random", "n=3", "m=3,3,3", "seed=0", "--affine",
+                                "--zero-sum")
+    assert code == 0
     for name, doc, step, steps in (("rps", rps_doc, "0.02", "100"), ("bar", bar_doc, "0.02", "100"),
-                                   ("4x6_seed1", doc, "0.001", "50")):
+                                   ("4x6_seed1", doc, "0.001", "50"),
+                                   ("3x3_affine_zero_sum_seed0", zero_sum_doc, "0.001", "50")):
         code, out, err = cli("trace", "--start", "uniform", "--direction", "0", "--step", step,
                              "--steps", steps, "--json", stdin=doc)
         assert (code, err) == (0, "")

@@ -55,6 +55,14 @@ def test_best_response_gap_fixtures(bar, rps):
         gf.best_response_gap(bar, both_m, 2)
 
 
+@pytest.mark.parametrize("player", [0.5, 1.5])
+def test_best_response_gap_rejects_a_non_integral_player(bar, player):
+    both_a = gf.pure_profile(bar, (1, 1))
+    with pytest.raises(ValueError, match=rf"^player index must be an integer, got {player}$"):
+        gf.best_response_gap(bar, both_a, player)
+    assert gf.best_response_gap(bar, both_a, np.int64(0)) == 1.0
+
+
 def test_verify_equilibrium(bar):
     report = gf.verify_equilibrium(bar, gf.pure_profile(bar, (0, 0)), eps=0.0)
     assert report.converged

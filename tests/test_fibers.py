@@ -90,11 +90,14 @@ def test_nullspace_orthonormal_and_annihilating():
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 10 ** 6), rows=st.integers(1, 7), cols=st.integers(1, 7),
+@given(seed=st.integers(0, 10 ** 6), rows=st.integers(1, 7), cols=st.integers(1, 45),
        generic=st.integers(0, 4), scale=st.sampled_from([0.0, 1.0, 1e3]))
+@example(seed=0, rows=6, cols=42, generic=2, scale=1.0)     # a 6x8^6 trace's Jacobian
+@example(seed=0, rows=4, cols=45, generic=2, scale=1.0)     # a zero-sum 5x10^5 one's
 def test_stacked_solve_matches_each_lone_solve(seed, rows, cols, generic, scale):
     # each matrix of a stack gets its own rank, and the solve and V^T of a
-    # lone matrix bit for bit, whatever the ranks of its neighbours
+    # lone matrix bit for bit, whatever the ranks of its neighbours, up to
+    # the trace's widest Jacobians (6 rows, 45 columns)
     rng = np.random.default_rng(seed)
     generic_stack = rng.standard_normal((generic, rows, cols))
     repeated = rng.standard_normal((rows, cols))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -177,6 +179,51 @@ def test_profile_probability_errors(rps):
         gf.profile_probability(s, (0, 0, 0))
 
 
+# A strategy or player index must be an integer: numpy integers pass, and a
+# float or a string is one ValueError naming it.
+
+def test_pure_profile_rejects_a_non_integral_strategy_index(rps):
+    with pytest.raises(ValueError, match=r"^strategy index must be an integer, got 0\.9$"):
+        gf.pure_profile(rps, (0.9, 2.7))
+    with pytest.raises(ValueError, match=r"^strategy index must be an integer, got '1'$"):
+        gf.pure_profile(rps, (0, "1"))
+    assert gf.pure_profile(rps, (np.int64(0), np.uint8(2))) == gf.pure_profile(rps, (0, 2))
+
+
+def test_profile_probability_rejects_a_non_integral_strategy_index(rps):
+    s = gf.StrategyProfile([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3]])
+    with pytest.raises(ValueError, match=r"^strategy index must be an integer, got 1\.5$"):
+        gf.profile_probability(s, (1.5, 0))
+    assert gf.profile_probability(s, np.array([1, 0])) == gf.profile_probability(s, (1, 0))
+
+
+@pytest.mark.parametrize("player", [0.5, 1.5, np.float64(1.0), None])
+def test_deviation_payoffs_rejects_a_non_integral_player(bar, player):
+    s = gf.uniform_profile(bar)
+    with pytest.raises(ValueError) as info:
+        gf.deviation_payoffs(bar, s, player)
+    assert str(info.value) == f"player index must be an integer, got {player!r}"
+    assert np.array_equal(gf.deviation_payoffs(bar, s, np.int32(1)),
+                          gf.deviation_payoffs(bar, s, 1))
+
+
+@pytest.mark.parametrize("player", [0.5, 1.5])
+def test_expected_payoff_rejects_a_non_integral_player(bar, player):
+    s = gf.uniform_profile(bar)
+    with pytest.raises(ValueError, match=rf"^player index must be an integer, got {player}$"):
+        gf.expected_payoff(bar, s, player)
+    assert gf.expected_payoff(bar, s, np.int64(1)) == gf.expected_payoff(bar, s, 1)
+
+
+@pytest.mark.parametrize("player", [0.5, 1.5])
+def test_unilateral_replace_rejects_a_non_integral_player(rps, player):
+    u = gf.uniform_profile(rps)
+    with pytest.raises(ValueError, match=rf"^player index must be an integer, got {player}$"):
+        gf.unilateral_replace(u, player, [1.0, 0.0, 0.0])
+    assert (gf.unilateral_replace(u, np.int64(1), [1.0, 0.0, 0.0])
+            == gf.unilateral_replace(u, 1, [1.0, 0.0, 0.0]))
+
+
 def test_vertex_probabilities_sum_to_one():
     rng = np.random.default_rng(7)
     for seed in range(20):
@@ -247,14 +294,27 @@ def test_deviation_payoffs_match_loop_oracle(m):
             assert all(one[q] is None for q in range(n - 1) if q != p)
 
 
+@st.composite
+def strategy_counts(draw, n, most, profiles=6000):
+    """n strategy counts in 1..most with at most ``profiles`` pure profiles:
+    each count is drawn within what the earlier ones leave."""
+    m = []
+    for _ in range(n):
+        m.append(draw(st.integers(1, max(1, min(most, profiles // math.prod(m))))))
+    return tuple(m)
+
+
 @settings(max_examples=80, deadline=None)
-@given(data=st.data(), n=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1),
-       stack=st.sampled_from([(1,), (4,), (2, 3)]))
-def test_stacked_sweep_slices_equal_lone_sweeps(data, n, seed, stack):
-    # one broadcast matmul per contraction: every slice is its own sweep
-    m = tuple(data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
-    players = data.draw(st.sampled_from(
-        [None, ()] + [(p,) for p in range(n)] + [tuple(range(1, n)), (0, n - 1)]))
+@given(m=st.integers(2, 6).flatmap(lambda n: strategy_counts(n, 10)), pick=st.integers(0, 99),
+       seed=st.integers(0, 2 ** 32 - 1), stack=st.sampled_from([(1,), (4,), (2, 3)]))
+@example(m=(8,) * 6, pick=0, seed=11, stack=(1,))    # 6x8^6, the largest game the benchmark sweeps
+def test_stacked_sweep_slices_equal_lone_sweeps(m, pick, seed, stack):
+    # one vector-matrix product per contraction and slice, broadcast for a
+    # stack and on 1-D operands for a lone profile: every slice is its own
+    # sweep, up to 6 players and 10 strategies a player
+    n = len(m)
+    choices = [None, ()] + [(p,) for p in range(n)] + [tuple(range(1, n)), (0, n - 1)]
+    players = choices[pick % len(choices)]
     rng = np.random.default_rng(seed)
     g = gf.GameSpec(rng.standard_normal(m + (n,)))
     profiles = np.empty(stack, dtype=object)
@@ -274,13 +334,16 @@ def test_stacked_sweep_slices_equal_lone_sweeps(data, n, seed, stack):
 
 
 @settings(max_examples=80, deadline=None)
-@given(m=st.lists(st.integers(1, 4), min_size=2, max_size=5).map(tuple),
+@given(m=st.integers(2, 5).flatmap(lambda n: strategy_counts(n, 12)),
        seed=st.integers(0, 2 ** 32 - 1), stack=st.sampled_from([(1,), (3,), (2, 3)]))
 @example(m=(2, 1, 3), seed=0, stack=(2, 3))      # a single-strategy player
 @example(m=(1, 1), seed=0, stack=(3,))           # no chart coordinates at all
+@example(m=(12, 9, 10), seed=0, stack=(2, 3))    # implied coordinates of 8 to 11 terms
 def test_stacked_chart_points_equal_lone_points(m, seed, stack):
     # the rebuilt blocks and the payoff of each slice of a stack of chart
-    # points, off the simplex included, are the lone point's bit for bit
+    # points, off the simplex included, are the lone point's bit for bit;
+    # blocks of 9 or more strategies sum 8 or more terms, where numpy's
+    # pairwise sum starts to unroll
     rng = np.random.default_rng(seed)
     g = gf.GameSpec(rng.standard_normal(m + (len(m),)))
     points = rng.uniform(-0.5, 1.0, stack + (g.reduced_dim,))
