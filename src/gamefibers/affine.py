@@ -7,11 +7,11 @@ player and strategy (the payoff with only that player moved, minus the
 offset), plus a residual.  The game is jointly affine exactly when the
 residual vanishes; ``AFFINITY_TOL`` bounds its entries, which bounds every
 cross second difference by 4 * AFFINITY_TOL, while cross differences of at
-most tol leave a residual of at most n(n-1)/2 * tol, all in units of max|T|:
-every payoff tolerance here scales with the game, so rescaling changes no
-decision.  The payoff map on the reduced chart is then matrix * r + offset,
-the columns being the effects of non-last strategies, and its level sets
-are translates of the matrix kernel, with dimension given by rank-nullity.
+most tol leave a residual of at most n(n-1)/2 * tol, all in units of max|T|,
+read by the one rule in ``games``, so rescaling changes no decision.  The
+payoff map on the reduced chart is then matrix * r + offset, the columns
+being the effects of non-last strategies, and its level sets are
+translates of the matrix kernel, with dimension given by rank-nullity.
 """
 
 from __future__ import annotations
@@ -28,19 +28,19 @@ LEVEL_SET_RESIDUAL = 1e-8
 INTERVAL_TOL = 1e-12      # slack of simplex_interval's box tests
 
 
-@np.errstate(over="ignore", invalid="ignore")   # an overflowed residual fails the test
 def _decompose(g: GameSpec, tol: float) -> tuple[np.ndarray, list[np.ndarray], bool]:
     """Offset, per-player effects (shape (m_p, n), last row zero) and
     whether every residual entry of the payoff tensor, anchored at the
-    all-last-strategy profile, is at most ``tol`` times max|T|.
+    all-last-strategy profile, is at most ``tol`` times max|T|, all on the
+    normalized payoffs (the one rule in ``games``), so none overflows.
 
     The residual is built one slab of the first player's strategies at a
     time and the scan stops at the first slab with an entry above the
     bound.  Each entry is the payoff minus the offset minus the effects in
     player order, as a whole-tensor residual would have it."""
-    payoffs = g.payoffs
     if 0 in g.m or not math.isfinite(g.scale):
         raise ValueError("affinity test needs a nonempty, complete, finite payoff tensor")
+    payoffs, bound = g._normalized_payoffs, tol * np.ldexp(g.scale, -g._exponent)
     anchor = tuple(mi - 1 for mi in g.m)
     offset = payoffs[anchor].copy()
     effects = [payoffs[anchor[:p] + (slice(None),) + anchor[p + 1:]] - offset
@@ -54,7 +54,7 @@ def _decompose(g: GameSpec, tol: float) -> tuple[np.ndarray, list[np.ndarray], b
         residual -= effects[0][j]
         for effect in rest:
             residual -= effect
-        if not np.abs(residual, out=residual).max() <= tol * g.scale:
+        if not np.abs(residual, out=residual).max() <= bound:
             return offset, effects, False
     return offset, effects, True
 
@@ -100,19 +100,23 @@ def extract_affine(g: GameSpec, use_zero_sum_reduction: bool = False) -> AffineR
 
     The offset is the payoff at the chart origin (the anchor) and column j
     of the matrix is the payoff difference along the j-th chart direction
-    (an effect); for an affine map these are the exact coefficients.
+    (an effect); for an affine map these are the exact coefficients, scaled
+    back from the normalized payoffs by 2^e: ValueError if one passes the float range.
     """
     offset, effects, affine = _decompose(g, AFFINITY_TOL)
     if not affine:
         raise ValueError("not jointly affine: the payoff map has strategy interactions")
     if use_zero_sum_reduction and not g.zero_sum:
         raise ValueError("not zero-sum: cannot apply the zero-sum reduction")
-    matrix = np.hstack([effect[:-1].T for effect in effects])
-    if use_zero_sum_reduction:
-        matrix = matrix[:-1]
-        offset = offset[:-1]
-    return AffineRepresentation(matrix=matrix, offset=offset,
-                                zero_sum_reduced=use_zero_sum_reduction)
+    rows = offset.size - use_zero_sum_reduction     # the reduction drops the last component
+    matrix = np.hstack([effect[:-1, :rows].T for effect in effects])
+    with np.errstate(over="ignore"):    # an entry past the float range reads inf
+        rep = AffineRepresentation(matrix=np.ldexp(matrix, g._exponent),
+                                   offset=np.ldexp(offset[:rows], g._exponent),
+                                   zero_sum_reduced=use_zero_sum_reduction)
+    if not math.isfinite(rep.scale):
+        raise ValueError("affine representation passes the float range")
+    return rep
 
 
 def _chart_box(g: GameSpec) -> tuple[np.ndarray, np.ndarray]:

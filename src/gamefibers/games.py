@@ -12,21 +12,24 @@ The module holds the library's two shared kernels, which ``affine``,
 ``fibers`` and ``equilibria`` import from here: ``_deviations``, the one
 contraction of the payoff tensor, and ``_svd``, the one matrix
 decomposition, with its rank cutoff and the minimum-norm ``_solve``.
-``_svd`` has one path: it factors each matrix once, divided by the power
-of two 2^e of its largest entry (or of the rank scale, if larger), and
-``_solve`` divides the right-hand side by 2^e too.  So every rank, kernel
-and solve, affine ranks and level sets included, is exact under a
-power-of-two rescaling, up to the edges of the float range.  Both take a
-stack of profiles or matrices, worked by broadcast operations, or a lone
-one, worked by the same BLAS and LAPACK calls on its own 1-D or 2-D
-arrays without the stack's added axes and rank sets (the trace's
-corrector steps are all lone); a lone result is the stack-of-one slice
-bit for bit.
+``_svd`` factors each matrix once, divided by the power of two 2^e of its
+largest entry (or of the rank scale, if larger), and ``_solve`` divides
+the right-hand side by 2^e too.  Both take a stack of profiles or
+matrices, worked by broadcast operations, or a lone one, worked by the
+same BLAS and LAPACK calls on its own 1-D or 2-D arrays without the
+stack's added axes and rank sets (the trace's corrector steps are all
+lone); a lone result is the stack-of-one slice bit for bit.
 
 All objects here are immutable after construction (arrays are marked
 read-only), so games and profiles can be shared freely across threads.
-A game caches max|T| and its zero-sum flag on first use (threads that race
-there compute the same value twice); payoff tolerances are multiples of max|T|.
+A game caches max|T|, its zero-sum flag and its normalized payoffs (times
+2^-e, max|T| in [2^(e-1), 2^e)) on first use; racing threads compute the
+same value twice.  One rule: a toleranced decision (zero-sum, affinity,
+rank, equilibrium epsilon) reads the normalized payoffs against tolerance
+times max|T| times 2^-e, so no power-of-two rescale changes it and no sum
+overflows; exact comparisons (``pure_equilibria``) read the stored ones.
+Payoffs spanning over 2^1022 (1e308 beside 1e-300) round their small
+entries there: ``is_zero_sum(g, 0.0)`` can read a 1e-300 sum as zero.
 """
 
 from __future__ import annotations
@@ -360,19 +363,22 @@ def _player_index(player, n: int) -> int:
     return p
 
 
-def pure_profile(g: GameSpec, profile) -> StrategyProfile:
-    """The vertex profile where each player plays the given pure strategy."""
+def _strategy_indices(profile, m) -> tuple[int, ...]:
+    """One int strategy index per player of strategy counts ``m``: ValueError
+    unless integers, len(m) of them; IndexError unless each is in range."""
     idx = tuple(_index(j, "strategy index") for j in profile)
-    if len(idx) != g.n:
-        raise ValueError(f"profile {idx} does not have {g.n} entries")
-    blocks = []
-    for player, (mi, j) in enumerate(zip(g.m, idx)):
+    if len(idx) != len(m):
+        raise ValueError(f"profile {idx} does not have {len(m)} entries")
+    for player, (mi, j) in enumerate(zip(m, idx)):
         if not 0 <= j < mi:
             raise IndexError(f"strategy index {j} out of range for player {player}")
-        b = np.zeros(mi)
-        b[j] = 1.0
-        blocks.append(b)
-    return StrategyProfile(blocks)
+    return idx
+
+
+def pure_profile(g: GameSpec, profile) -> StrategyProfile:
+    """The vertex profile where each player plays the given pure strategy."""
+    idx = _strategy_indices(profile, g.m)
+    return StrategyProfile([np.eye(1, mi, j)[0] for mi, j in zip(g.m, idx)])
 
 
 def random_interior_profile(g: GameSpec, rng) -> StrategyProfile:
@@ -396,15 +402,7 @@ def _require_match(g: GameSpec, s: StrategyProfile):
 def profile_probability(s: StrategyProfile, profile) -> float:
     """Probability that play realizes the given pure profile: the product of
     the coordinates each player assigns to their selected pure strategy."""
-    idx = tuple(_index(j, "strategy index") for j in profile)
-    if len(idx) != len(s.blocks):
-        raise ValueError(f"profile {idx} does not have {len(s.blocks)} entries")
-    p = 1.0
-    for player, (b, j) in enumerate(zip(s.blocks, idx)):
-        if not 0 <= j < b.size:
-            raise IndexError(f"strategy index {j} out of range for player {player}")
-        p *= float(b[j])
-    return p
+    return math.prod(float(b[j]) for b, j in zip(s.blocks, _strategy_indices(profile, s.shape)))
 
 
 def _deviations(payoffs: np.ndarray, blocks,
@@ -560,18 +558,19 @@ def unilateral_replace(s: StrategyProfile, player: int, sigma) -> StrategyProfil
     return StrategyProfile(blocks)
 
 
-@np.errstate(over="ignore")     # an overflowed sum reads as inf: a zero-sum one cannot overflow
 def is_zero_sum(g: GameSpec, tol: float = TAU_EVAL) -> bool:
     """True iff payoffs sum to zero at every pure profile, up to ``tol``
-    times the largest payoff magnitude, so the decision does not change
-    when the payoffs are rescaled.  A game with a non-finite payoff is not
-    zero-sum.
+    times max|T|, read by the module docstring's one rule (and within its
+    limit), so rescaling changes no decision.  A game with a non-finite
+    payoff is not zero-sum.
 
     By multilinearity this is equivalent to the payoff components summing
     to zero at every mixed profile.
     """
-    sums = sum(np.moveaxis(g.payoffs, -1, 0))    # sum(axis=-1)'s order, but faster
-    return bool(math.isfinite(g.scale) and np.all(np.abs(sums) <= tol * g.scale))
+    if not math.isfinite(g.scale):
+        return False
+    sums = sum(np.moveaxis(g._normalized_payoffs, -1, 0))    # sum(axis=-1)'s order, but faster
+    return bool(np.all(np.abs(sums) <= tol * np.ldexp(g.scale, -g._exponent)))
 
 
 def reduce_profile(s: StrategyProfile) -> np.ndarray:

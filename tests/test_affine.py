@@ -83,7 +83,8 @@ def test_affinity_of_degenerate_shapes():
 
 
 def test_affinity_fails_quietly_when_the_residual_overflows():
-    # effects of about -1e308 around a 1e308 anchor overflow the residual
+    # effects of about -1e308 around a 1e308 anchor: the residual, which
+    # overflowed in payoff units, is about max|T| on the normalized payoffs
     payoffs = gf.random_game(3, [2, 2, 2], seed=6, jointly_affine=True).payoffs.copy()
     payoffs[1, 1, 1, 0] = 1e308
     g = gf.GameSpec(payoffs)
@@ -434,12 +435,45 @@ def test_vertex_level_set_of_bar_at_the_float_edge():
     assert level_sets[0] == level_sets[1]
 
 
-@pytest.mark.xfail(strict=True, reason="the effects _decompose computes, payoff differences "
-                   "of 3.4e308, overflow to inf, so the float-edge game reads as not affine")
 def test_joint_affinity_at_the_float_edge_does_not_depend_on_the_payoff_scale():
+    # the residual at (0, 0), 1.7e308 minus the offset -1.7e308, passes max
+    # float in payoff units but not on the normalized payoffs; the effects
+    # themselves, 1.7e308, fit
     a = np.array([0.85e308, -0.85e308])
     payoffs = np.zeros((2, 2, 2))
     payoffs[..., 0] = a[:, None] + a[None, :]
     payoffs[..., 1] = -payoffs[..., 0]
-    assert gf.is_jointly_affine(gf.GameSpec(np.ldexp(payoffs, -4)))
-    assert gf.is_jointly_affine(gf.GameSpec(payoffs))
+    reps = []
+    for power in (-4, 0):
+        g = gf.GameSpec(np.ldexp(payoffs, power))
+        assert gf.is_jointly_affine(g)
+        reps.append(gf.extract_affine(g, use_zero_sum_reduction=True))
+        assert reps[-1].rank == 1
+    assert reps[1].matrix.tolist() == [[1.7e308, 1.7e308]]
+    assert reps[1].matrix.tobytes() == np.ldexp(reps[0].matrix, 4).tobytes()
+    assert reps[1].offset.tobytes() == np.ldexp(reps[0].offset, 4).tobytes()
+
+
+def test_an_affine_representation_past_the_float_range_is_refused():
+    # every 1x2 game is affine, but this one's effect, 3.4e308, passes max
+    # float: the game is affine, and its representation cannot be held
+    g = gf.GameSpec([[[1.7e308, 0.0], [-1.7e308, 0.0]]])
+    assert gf.is_jointly_affine(g)
+    with pytest.raises(ValueError, match="^affine representation passes the float range$"):
+        gf.extract_affine(g)
+    assert gf.extract_affine(gf.GameSpec(np.ldexp(g.payoffs, -1))).matrix.tolist() == [[1.7e308], [0.0]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), zero_sum=st.booleans(), jointly_affine=st.booleans(),
+       exponent=st.floats(-12.0, 12.0), top=st.integers(1018, 1024))
+def test_is_jointly_affine_does_not_depend_on_the_payoff_scale(seed, zero_sum, jointly_affine,
+                                                               exponent, top):
+    # the power of two puts max|T| in [2^(top-1), 2^top), up to max float
+    n = 2 + seed % 3
+    g = gf.random_game(n, [2 + (seed + j) % 3 for j in range(n)], seed=seed,
+                       zero_sum=zero_sum, jointly_affine=jointly_affine)
+    scaled = gf.GameSpec(10.0 ** exponent * g.payoffs)
+    edge = gf.GameSpec(np.ldexp(g.payoffs, top - g._exponent))
+    assert gf.is_jointly_affine(edge) == gf.is_jointly_affine(scaled) == gf.is_jointly_affine(g)
+    assert gf.is_jointly_affine(g) == jointly_affine

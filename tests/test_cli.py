@@ -187,6 +187,27 @@ def test_analyze_affinity_does_not_depend_on_the_payoff_scale():
         assert info["affine"]["nullity"] == reports[0]["affine"]["nullity"] == 6
 
 
+def test_analyze_of_a_float_edge_affine_game_does_not_depend_on_the_payoff_scale():
+    # the zero-sum game whose player 0 payoffs are a_i + a_j, a = (0.85e308,
+    # -0.85e308), and the same game times 2^-4: one report, affine rank 1
+    a = np.array([0.85e308, -0.85e308])
+    payoffs = np.stack([a[:, None] + a[None, :], -(a[:, None] + a[None, :])], axis=-1)
+    reports = {cli("analyze", stdin=gf.write_game(gf.GameSpec(np.ldexp(payoffs, power))))
+               for power in (0, -4)}
+    assert len(reports) == 1
+    (code, out, err), = reports
+    assert (code, err) == (0, "")
+    lines = out.decode().splitlines()
+    assert "jointly affine: yes" in lines and "affine rank: 1" in lines
+
+
+def test_analyze_exits_1_when_the_affine_representation_passes_the_float_range():
+    # a 1x2 game is affine; this one's effect, 3.4e308, passes max float
+    doc = gf.write_game(gf.GameSpec([[[1.7e308, 0.0], [-1.7e308, 0.0]]]))
+    assert cli("analyze", stdin=doc) == (
+        1, b"", "error: affine representation passes the float range\n")
+
+
 def test_analyze_deterministic(rps_doc):
     runs = {cli("analyze", "--samples", "32", "--seed", "9", stdin=rps_doc)
             for _ in range(3)}
@@ -561,8 +582,8 @@ def extreme_games(draw):
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(g=extreme_games())
-# overflowing payoff sums in is_zero_sum (analyze, trace), and inf times a
-# zero probability in the deviation sweep (equilibria)
+# payoff sums past max float, which is_zero_sum (analyze, trace) reads
+# normalized, and inf times a zero probability in the deviation sweep (equilibria)
 @example(g=gf.GameSpec([[[1.7e308, 1.7e308], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]))
 @example(g=gf.GameSpec([[[1.0, 1.0], [1.7976931348623157e308, 0.0]],
                         [[5e-324, 0.0], [1.7e308, 1e308]]]))

@@ -439,14 +439,28 @@ def test_zero_sum_transport():
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), zero_sum=st.booleans(),
-       jointly_affine=st.booleans(), exponent=st.floats(-12.0, 12.0))
+       jointly_affine=st.booleans(), exponent=st.floats(-12.0, 12.0),
+       top=st.integers(1018, 1024))
 def test_is_zero_sum_does_not_depend_on_the_payoff_scale(seed, zero_sum, jointly_affine,
-                                                         exponent):
+                                                         exponent, top):
+    # the power of two puts max|T| in [2^(top-1), 2^top), up to max float,
+    # where a zero-sum game's partial payoff sums can pass the float range
     n = 2 + seed % 3
     g = gf.random_game(n, [2 + (seed + j) % 3 for j in range(n)], seed=seed,
                        zero_sum=zero_sum, jointly_affine=jointly_affine)
     scaled = gf.GameSpec(10.0 ** exponent * g.payoffs)
-    assert gf.is_zero_sum(scaled) == gf.is_zero_sum(g) == zero_sum
+    edge = gf.GameSpec(np.ldexp(g.payoffs, top - g._exponent))
+    assert gf.is_zero_sum(edge) == gf.is_zero_sum(scaled) == gf.is_zero_sum(g) == zero_sum
+
+
+@pytest.mark.parametrize("power", [0, -4])
+def test_zero_sum_at_the_float_edge_does_not_depend_on_the_payoff_scale(power):
+    # the partial sum 1.2e308 + 1.2e308 passes max float in payoff units,
+    # not on the normalized payoffs
+    g = gf.GameSpec(np.ldexp(np.broadcast_to([1.2e308, 1.2e308, -1.2e308, -1.2e308],
+                                             (2, 2, 2, 2, 4)), power))
+    assert gf.is_zero_sum(g, tol=0.0)
+    assert g.zero_sum
 
 
 @pytest.mark.parametrize("factor", [1.0, 0.75, 3e9, 1.7e308, 5e-324, 0.0])
